@@ -12,6 +12,23 @@ first: bottom indices [0, r) point up and [r, r+s) point down; with
 B = r + s, top indices [B, B+u) point up and [B+u, B+u+v) point down.
 A pair inside one row joins an up and a down endpoint; a pair across the
 rows joins two endpoints of the same direction.
+
+Gram matrices are group matrices of S_d.  A hom space of degree d has one
+basis diagram per permutation sigma of range(d), and the trace pairing of
+diagrams i and j closes exactly cycles(sigma_i^-1 sigma_j) loops.  So the
+Gram matrix is t^E with E a d! x d! exponent matrix that depends on d
+alone (`_gram_exponents`); it is the matrix of multiplication by the
+central element sum_g t^cycles(g) g of the group algebra.
+
+By the Jucys-Murphy factorisation that element is prod_k (t + J_k), and it
+acts on the Specht module of a partition lam of d by prod (t + c) over the
+contents c of lam's boxes.  Ranks are therefore taken over one prime
+field.  At t = a/b in Q the prime is the smallest p > d dividing neither b
+nor any nonzero a + c*b with |c| < d: F_p[S_d] is semisimple for p > d,
+the Specht modules stay irreducible, and prod (t + c) vanishes mod p
+exactly where it vanishes over Q, so the rank mod p (the sum of f_lam^2
+over the lam whose product is nonzero) is the rank over Q.  At t in F_p
+the rank is taken mod t's own p.
 """
 
 from __future__ import annotations
@@ -19,7 +36,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 from types import MappingProxyType
+
+import numpy as np
 
 from .partitions import dim_sym_irrep, enumerate_in_box
 from .scalars import (
@@ -29,6 +49,8 @@ from .scalars import (
     T,
     TPolynomial,
     exact_rank,
+    is_prime,
+    row_echelon_mod_p,
 )
 
 #: Hom spaces have d! basis diagrams where d = r + v; this cap keeps the
@@ -129,18 +151,27 @@ def identity_diagram(obj: BiObject) -> WalledDiagram:
     return WalledDiagram(obj, obj, tuple((i, n + i) for i in range(n)))
 
 
+def _hom_degree(source: BiObject, target: BiObject, cap: int) -> int | None:
+    """The degree d = r + v of Hom(source, target), or None for a zero space."""
+    d = source.r + target.s
+    if d != source.s + target.r:
+        return None
+    if d > cap:
+        raise CapExceeded(f"hom space of degree {d} exceeds the cap {cap} ({d}! diagrams)")
+    return d
+
+
 def hom_basis(source: BiObject, target: BiObject, cap: int = DEGREE_CAP) -> list[WalledDiagram]:
     """All walled diagrams source -> target, in a fixed deterministic order.
 
     Empty unless r + v = s + u; otherwise there are exactly d! diagrams
     (d = r + v), one per bijection between the outgoing endpoints (bottom
-    ups, top downs) and the incoming ones (bottom downs, top ups).
+    ups, top downs) and the incoming ones (bottom downs, top ups), in the
+    order of itertools.permutations(range(d)).
     """
-    d = source.r + target.s
-    if d != source.s + target.r:
+    d = _hom_degree(source, target, cap)
+    if d is None:
         return []
-    if d > cap:
-        raise CapExceeded(f"hom space of degree {d} exceeds the cap {cap} ({d}! diagrams)")
     bottom = source.total
     outgoing = list(range(source.r)) + [bottom + target.r + i for i in range(target.s)]
     incoming = [source.r + i for i in range(source.s)] + [bottom + i for i in range(target.r)]
@@ -426,24 +457,66 @@ def trace(f: DiagramMorphism) -> TPolynomial:
     return out
 
 
+#: Entries of the (rows, d!, d) permutation block `_gram_exponents` builds at
+#: once; bounds its index temporaries to a few MB at any degree.
+_EXPONENT_BLOCK = 2**20
+
+
+def _gram_exponents(d: int) -> np.ndarray:
+    """E[i, j] = cycles(sigma_i^-1 sigma_j) over the permutations of range(d).
+
+    The permutations are in hom_basis order, so on every hom space of
+    degree d the Gram entry of basis diagrams i and j is t^E[i, j].  A
+    cycle is counted at its smallest point: x starts a cycle when no later
+    point of its orbit under the composite is smaller.
+    """
+    n = factorial(d)
+    perms = np.array(list(itertools.permutations(range(d))), dtype=np.uint8).reshape(n, d)
+    inverses = np.argsort(perms, axis=1).astype(np.uint8)
+    points = np.arange(d, dtype=np.uint8)
+    out = np.empty((n, n), dtype=np.uint8)
+    step = max(1, _EXPONENT_BLOCK // max(n * d, 1))
+    for lo in range(0, n, step):
+        g = inverses[lo:lo + step][:, perms]  # g[i, j, x] = sigma_i^-1(sigma_j(x))
+        image = g
+        low = np.minimum(points, image)
+        for _ in range(d - 2):
+            image = np.take_along_axis(g, image, axis=-1)
+            np.minimum(low, image, out=low)
+        out[lo:lo + step] = (low == points).sum(axis=-1, dtype=np.uint8)
+    return out
+
+
 def gram_matrix(source: BiObject, target: BiObject, t_value="symbolic", cap: int = DEGREE_CAP):
     """Gram matrix of the trace pairing on Hom(source, target).
 
-    Entry (i, j) is the trace of d_i o flip(d_j).  With t_value="symbolic"
-    the entries are integer polynomials in t; otherwise they are evaluated
-    exactly at the given rational or prime-field point.
+    Entry (i, j) is the trace of d_i o flip(d_j), which is t raised to the
+    exponent in `_gram_exponents`.  With t_value="symbolic" the entries are
+    integer polynomials in t; otherwise they are evaluated exactly at the
+    given rational or prime-field point.
     """
-    basis = hom_basis(source, target, cap=cap)
-    flipped = [d.flip() for d in basis]
-    rows = []
-    for di in basis:
-        row = []
-        for fj in flipped:
-            dia, loops = _stack(di, fj)
-            entry = T ** (loops + _closure_loops(dia))
-            row.append(entry if t_value == "symbolic" else entry.evaluate(t_value))
-        rows.append(row)
-    return rows
+    d = _hom_degree(source, target, cap)
+    if d is None:
+        return []
+    powers = [T**k for k in range(d + 1)]
+    if t_value != "symbolic":
+        powers = [x.evaluate(t_value) for x in powers]
+    return [[powers[e] for e in row] for row in _gram_exponents(d).tolist()]
+
+
+def _faithful_prime(t: Fraction, d: int) -> int:
+    """Smallest prime p > d at which degree-d Gram ranks at t equal those over Q.
+
+    With t = a/b, p divides neither b nor any nonzero a + c*b for |c| < d,
+    so every content product prod (t + c) is zero mod p exactly when it is
+    zero over Q (see the module docstring).
+    """
+    a, b = t.numerator, t.denominator
+    avoid = [b] + [a + c * b for c in range(1 - d, d) if a + c * b]
+    p = d + 1
+    while not is_prime(p) or any(x % p == 0 for x in avoid):
+        p += 1
+    return p
 
 
 def negligible_rank(source: BiObject, target: BiObject, t_value, cap: int = DEGREE_CAP) -> tuple[int, int]:
@@ -451,11 +524,25 @@ def negligible_rank(source: BiObject, target: BiObject, t_value, cap: int = DEGR
 
     The rank equals the dimension of the hom space once negligible
     morphisms are quotiented away, so it is returned twice: (rank,
-    quotient dimension).
+    quotient dimension).  It is taken mod one prime: t's own for t in F_p,
+    and the prime of `_faithful_prime` for rational t, where it equals the
+    rank over Q.
     """
     if t_value == "symbolic" or not isinstance(t_value, (int, Fraction, FpScalar)):
         raise DomainError("negligible rank needs an exact (rational or F_p) parameter value")
-    rank = exact_rank(gram_matrix(source, target, t_value, cap=cap))
+    d = _hom_degree(source, target, cap)
+    if d is None:
+        return 0, 0
+    if isinstance(t_value, FpScalar):
+        p, x = t_value.p, t_value.value
+    else:
+        t = Fraction(t_value)
+        p = _faithful_prime(t, d)
+        x = t.numerator * pow(t.denominator, -1, p) % p
+    # Residues fit int64 below 2^63; above it numpy would infer float64 for
+    # them next to small ones, so they stay Python ints.
+    powers = np.array([pow(x, k, p) for k in range(d + 1)], dtype=np.int64 if p <= 2**63 else object)
+    rank = len(row_echelon_mod_p(powers[_gram_exponents(d)], p))
     return rank, rank
 
 

@@ -488,6 +488,7 @@ def main(argv=None) -> int:
         "brauer": cmd_brauer,
         "bounds": cmd_bounds,
     }
+    order_cap = modrep.ORDER_CAP  # --cap-order raises it for this call only
     try:
         _apply_caps(args)
         if args.command == "selftest":
@@ -504,6 +505,8 @@ def main(argv=None) -> int:
     except CapExceeded as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return 4
+    finally:
+        modrep.ORDER_CAP = order_cap
 
 
 if __name__ == "__main__":

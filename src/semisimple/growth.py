@@ -59,7 +59,8 @@ class GrowthRate:
         value = fp_dim(FusionElement(self.p, m))
         object.__setattr__(self, "numeric", value)
         with mp.workdps(WORKING_DPS):
-            assert self.is_zero or value >= 1 - mp.mpf(NUMERIC_TOL)
+            if not (self.is_zero or value >= 1 - mp.mpf(NUMERIC_TOL)):
+                raise RuntimeError(f"Frobenius-Perron dimension {value} of a nonzero growth rate is below 1")
 
     @property
     def is_zero(self) -> bool:

@@ -114,7 +114,8 @@ def jordan_type(U: np.ndarray, p: int) -> tuple[int, ...]:
     for k in range(1, len(ranks)):
         mult = rank(k - 1) - 2 * rank(k) + rank(k + 1)
         blocks.extend([k] * mult)
-    assert sum(blocks) == n
+    if sum(blocks) != n:
+        raise RuntimeError(f"Jordan blocks {blocks} do not sum to the dimension {n}")
     return tuple(sorted(blocks, reverse=True))
 
 

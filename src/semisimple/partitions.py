@@ -93,7 +93,8 @@ def dim_sym_irrep(lam: Partition) -> int:
     for row in lam.hook_lengths():
         for h in row:
             num, rem = divmod(num, h)
-            assert rem == 0
+            if rem != 0:
+                raise RuntimeError(f"the hook lengths of {lam} do not divide {lam.size}!")
     return num
 
 
@@ -114,5 +115,6 @@ def dim_schur(lam: Partition, d: int) -> int:
             num *= d + j - i
             hooks *= hook_rows[i][j]
     q, rem = divmod(num, hooks)
-    assert rem == 0
+    if rem != 0:
+        raise RuntimeError(f"the hook product of {lam} does not divide its content product at d={d}")
     return q

@@ -398,8 +398,12 @@ class QInteger:
 
 
 def row_echelon_mod_p(matrix, p: int) -> np.ndarray:
-    """Row echelon basis of the row space over F_p (nonzero rows only)."""
-    A = np.array(matrix, dtype=np.int64)
+    """Row echelon basis of the row space over F_p (nonzero rows only).
+
+    Eliminates in int64 while a product of two residues, at most (p-1)^2,
+    fits; for larger p on Python ints (an object array), which never wrap.
+    """
+    A = np.array(matrix, dtype=np.int64 if (p - 1) ** 2 < 2**63 else object)
     if A.ndim != 2:
         raise DomainError("expected a 2-d matrix")
     A %= p

@@ -4,19 +4,30 @@ The two-diagram endomorphism algebra of [1,1] pins down every convention:
 its non-identity basis element a satisfies a o a = t a, traces to t, and
 produces the Gram matrix [[t^2, t], [t, t^2]].  Gram ranks at integer
 parameter values are cross-checked against the character-theoretic hom
-dimension, which shares no code with the diagram machinery.
+dimension, which shares no code with the diagram machinery.  The library
+builds Gram matrices as S_d group matrices and ranks them mod one prime;
+the diagram-stacking builder and Bareiss elimination over Q below are the
+oracle for both steps.
 """
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from semisimple import scalars
 from semisimple.brauer import (
     BiObject,
     DiagramMorphism,
     WalledDiagram,
+    _closure_loops,
+    _faithful_prime,
+    _gram_exponents,
+    _stack,
     algebra_is_semisimple,
     braiding,
     compose,
@@ -30,7 +41,8 @@ from semisimple.brauer import (
     tensor,
     trace,
 )
-from semisimple.scalars import CapExceeded, DomainError, FpScalar, T, TPolynomial, exact_det
+from semisimple.partitions import dim_sym_irrep, enumerate_in_box
+from semisimple.scalars import CapExceeded, DomainError, FpScalar, T, TPolynomial, exact_det, exact_rank
 
 B11 = BiObject(1, 1)
 
@@ -93,6 +105,10 @@ def test_hom_basis_factorial_law_totals_up_to_4():
 def test_hom_basis_cap():
     with pytest.raises(CapExceeded):
         hom_basis(BiObject(4, 3), BiObject(4, 3))
+    with pytest.raises(CapExceeded):
+        gram_matrix(BiObject(4, 3), BiObject(4, 3))
+    with pytest.raises(CapExceeded):
+        negligible_rank(BiObject(2, 2), BiObject(2, 2), 3, cap=3)
 
 
 # -- composition --------------------------------------------------------------
@@ -276,6 +292,117 @@ def test_gram_determinant_root_set():
     det = exact_det(gram_matrix(B11, B11))
     roots = [x for x in range(-5, 6) if det.evaluate(x) == 0]
     assert roots == [-1, 0, 1]
+
+
+# -- group-matrix Gram route against the stacking oracle -------------------------
+
+
+@lru_cache(maxsize=None)
+def stacked_gram_matrix(source, target):
+    """Symbolic Gram matrix by diagram stacking: entry (i, j) is the trace of
+    d_i o flip(d_j), with one factor of t per loop that stacking or closing
+    up leaves."""
+    basis = hom_basis(source, target)
+    flipped = [d.flip() for d in basis]
+    rows = []
+    for di in basis:
+        row = []
+        for fj in flipped:
+            dia, loops = _stack(di, fj)
+            row.append(T ** (loops + _closure_loops(dia)))
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+@lru_cache(maxsize=None, typed=True)
+def bareiss_rank(matrix, t):
+    """Rank over Q (Bareiss) or F_p of a symbolic matrix evaluated at t."""
+    return exact_rank([[x.evaluate(t) for x in row] for row in matrix])
+
+
+def spaces_of_degree(d):
+    return [(BiObject(r, s), BiObject(d - s, d - r)) for r in range(d + 1) for s in range(d + 1)]
+
+
+#: Every hom space of degree <= 4 and two of degree 5, one of them not an
+#: endomorphism space.
+ORACLE_SPACES = [space for d in range(5) for space in spaces_of_degree(d)] + [
+    (BiObject(3, 2), BiObject(3, 2)),
+    (BiObject(1, 3), BiObject(2, 4)),
+]
+
+ORACLE_T = [0, 1, -1, 2, -2, 3, -3, 4, -4, 5, 7, Fraction(7, 2), Fraction(-5, 3), Fraction(9, 2)]
+ORACLE_T += [FpScalar(x, p) for p in (7, 11) for x in range(p)]
+
+
+def content_rank(d, t):
+    """Sum of f_lam^2 over the partitions lam of d whose content product
+    prod (t + j - i) over the boxes (i, j) is nonzero (hook length formula)."""
+    return sum(
+        dim_sym_irrep(lam) ** 2
+        for lam in enumerate_in_box(d, d, d)
+        if all(t + j - i != 0 for i, part in enumerate(lam.parts) for j in range(part))
+    )
+
+
+def test_gram_exponents_match_stacked_loop_counts():
+    for source, target in ORACLE_SPACES:
+        oracle = stacked_gram_matrix(source, target)
+        exponents = _gram_exponents(source.r + target.s)
+        assert exponents.tolist() == [[x.degree() for x in row] for row in oracle]
+        assert gram_matrix(source, target) == [list(row) for row in oracle]
+
+
+def test_gram_matrix_values_match_stacked_oracle():
+    for source, target in ORACLE_SPACES:
+        oracle = stacked_gram_matrix(source, target)
+        for t in (3, Fraction(7, 2), FpScalar(3, 7)):
+            got = gram_matrix(source, target, t)
+            assert got == [[x.evaluate(t) for x in row] for row in oracle]
+            assert all(type(x) is type(t) for row in got for x in row)
+
+
+def test_negligible_rank_matches_bareiss_on_stacked_oracle():
+    for source, target in ORACLE_SPACES:
+        oracle = stacked_gram_matrix(source, target)
+        for t in ORACLE_T:
+            assert negligible_rank(source, target, t) == (bareiss_rank(oracle, t),) * 2
+    assert negligible_rank(BiObject(1, 0), BiObject(0, 1), 3) == (0, 0)
+    assert gram_matrix(BiObject(2, 1), BiObject(2, 0), 3) == []
+
+
+def test_negligible_rank_prime_choice_trap():
+    # t = 5 on End([2,2]) (degree 4): 5 divides t, and 7 divides t + 2,
+    # where 2 is a content of the partition (3, 1), so neither is faithful
+    obj = BiObject(2, 2)
+    assert negligible_rank(obj, obj, FpScalar(5, 5)) == (0, 0)
+    assert negligible_rank(obj, obj, FpScalar(5, 7)) == (14, 14)
+    assert _faithful_prime(Fraction(5), 4) == 11
+    assert negligible_rank(obj, obj, 5) == (24, 24)
+
+
+def test_negligible_rank_exact_for_a_prime_above_the_int64_bound(monkeypatch):
+    # (p - 1)^2 >= 2^63: int64 elimination would wrap and report 24
+    obj = BiObject(2, 2)
+    assert negligible_rank(obj, obj, FpScalar(3, 2**32 + 15)) == (23, 23)
+    # p > 2^63: t = -1 has the residue p - 1, which as a float would round
+    # to 2^64 and make the rank-1 Gram matrix [[1, -1], [-1, 1]] read as
+    # rank 2.  2^64 - 59 is prime; trial division would take hours to say so.
+    monkeypatch.setattr(scalars, "check_prime", lambda p: p)
+    obj = BiObject(1, 1)
+    assert negligible_rank(obj, obj, FpScalar(-1, 2**64 - 59)) == (1, 1)
+    assert negligible_rank(obj, obj, FpScalar(3, 2**64 - 59)) == (2, 2)
+
+
+@given(
+    st.integers(1, 5).flatmap(lambda d: st.tuples(st.just(d), st.integers(0, d), st.integers(0, d))),
+    st.integers(-40, 40),
+    st.integers(1, 12),
+)
+def test_negligible_rank_is_the_content_rank(space, a, b):
+    d, r, s = space
+    t = Fraction(a, b)
+    assert negligible_rank(BiObject(r, s), BiObject(d - s, d - r), t) == (content_rank(d, t),) * 2
 
 
 # -- algebra radical vs categorical radical -------------------------------------

@@ -1,11 +1,15 @@
 """Command-line surface tests: exit codes, determinism, round trips."""
 
 import json
+import time
 
+import pytest
+
+from semisimple import modrep
 from semisimple.brauer import DiagramMorphism, compose
 from semisimple.cli import main
 from semisimple.modrep import JordanModule
-from semisimple.scalars import T, TPolynomial
+from semisimple.scalars import CapExceeded, T, TPolynomial
 from semisimple.verlinde import FusionElement, fusion
 
 
@@ -172,6 +176,27 @@ def test_cap_override_warns(capsys):
         assert json.loads(out)["blocks"] == [3]
     finally:
         modrep.ORDER_CAP = old
+
+
+def test_cap_order_override_lasts_one_call(capsys):
+    code, _, err = run(
+        capsys, "decompose", "--p", "2", "--e", "7", "--blocks", "3", "--with-blocks", "2",
+        "--cap-order", "128",
+    )
+    assert code == 0
+    assert "warning" in err
+    assert modrep.ORDER_CAP == 64
+    with pytest.raises(CapExceeded):
+        JordanModule(2, 7, (3,))
+
+
+def test_rank_at_the_degree_cap(capsys):
+    # End([3,3]) has degree 6, the default cap: a 720 x 720 Gram matrix
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "brauer", "rank", "--r", "3", "--s", "3", "--t", "3")
+    assert time.perf_counter() - start < 30
+    assert code == 0
+    assert json.loads(out)["rank"] == 513
 
 
 def test_selftest_passes(capsys):

@@ -24,6 +24,7 @@ from semisimple.scalars import (
     is_prime,
     poly_eval,
     q_int,
+    rank_mod_p,
 )
 
 PRIMES_TO_50 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
@@ -231,6 +232,17 @@ def test_exact_rank_mod_p_vs_minor_oracle():
                 best = k
                 break
         assert exact_rank(m) == best
+
+
+def test_rank_mod_p_exact_above_the_int64_product_bound():
+    # (p - 1)^2 >= 2^63, so int64 products of two residues would wrap
+    p = 2**32 + 15
+    rng = random.Random(19)
+    for _ in range(20):
+        left = [[rng.randrange(p) for _ in range(5)] for _ in range(6)]
+        right = [[rng.randrange(p) for _ in range(6)] for _ in range(5)]
+        m = [[sum(a * b for a, b in zip(row, col)) % p for col in zip(*right)] for row in left]
+        assert rank_mod_p(m, p) == 5
 
 
 def test_exact_det_matches_cofactor_oracle():
