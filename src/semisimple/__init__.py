@@ -5,13 +5,11 @@ from .scalars import (
     CapExceeded,
     DomainError,
     FpScalar,
-    QInteger,
     T,
     TPolynomial,
     exact_det,
     exact_rank,
     is_prime,
-    poly_eval,
     q_int,
 )
 from .partitions import Partition, dim_schur, dim_sym_irrep, enumerate_in_box

@@ -28,7 +28,11 @@ nor any nonzero a + c*b with |c| < d: F_p[S_d] is semisimple for p > d,
 the Specht modules stay irreducible, and prod (t + c) vanishes mod p
 exactly where it vanishes over Q, so the rank mod p (the sum of f_lam^2
 over the lam whose product is nonzero) is the rank over Q.  At t in F_p
-the rank is taken mod t's own p.
+with p <= 2d - 1 the rank is taken mod t's own p.  For a larger p the
+2d - 1 values t + c are distinct mod p, so at most one vanishes; the
+integer -c for that c, or d when none does, has content products that
+vanish at the same partitions, hence the same rank, and that rank is
+taken as at a rational t.
 """
 
 from __future__ import annotations
@@ -524,24 +528,26 @@ def negligible_rank(source: BiObject, target: BiObject, t_value, cap: int = DEGR
 
     The rank equals the dimension of the hom space once negligible
     morphisms are quotiented away, so it is returned twice: (rank,
-    quotient dimension).  It is taken mod one prime: t's own for t in F_p,
-    and the prime of `_faithful_prime` for rational t, where it equals the
-    rank over Q.
+    quotient dimension).  It is taken mod one prime: t's own for t in F_p
+    with p <= 2d - 1, and otherwise the prime of `_faithful_prime`, at
+    which it equals the rank over Q of a rational t or of an integer
+    stand-in for t in F_p (see the module docstring).
     """
     if t_value == "symbolic" or not isinstance(t_value, (int, Fraction, FpScalar)):
         raise DomainError("negligible rank needs an exact (rational or F_p) parameter value")
     d = _hom_degree(source, target, cap)
     if d is None:
         return 0, 0
-    if isinstance(t_value, FpScalar):
+    if isinstance(t_value, FpScalar) and t_value.p <= 2 * d - 1:
         p, x = t_value.p, t_value.value
     else:
+        if isinstance(t_value, FpScalar):  # the stand-in -c for t + c = 0 mod p, else d
+            c = next((c for c in range(1 - d, d) if (t_value.value + c) % t_value.p == 0), None)
+            t_value = d if c is None else -c
         t = Fraction(t_value)
         p = _faithful_prime(t, d)
         x = t.numerator * pow(t.denominator, -1, p) % p
-    # Residues fit int64 below 2^63; above it numpy would infer float64 for
-    # them next to small ones, so they stay Python ints.
-    powers = np.array([pow(x, k, p) for k in range(d + 1)], dtype=np.int64 if p <= 2**63 else object)
+    powers = np.array([pow(x, k, p) for k in range(d + 1)], dtype=np.int64)
     rank = len(row_echelon_mod_p(powers[_gram_exponents(d)], p))
     return rank, rank
 

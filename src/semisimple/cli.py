@@ -15,7 +15,6 @@ import json
 import random
 import sys
 from fractions import Fraction
-from math import comb
 
 from mpmath import mp
 
@@ -211,7 +210,7 @@ def cmd_padic(args):
         if d_value < 0:
             raise UsageError("--binomial takes a nonnegative integer")
         length = args.length if args.length is not None else d_value + 1
-        dims = [comb(d_value, n) % p for n in range(length)]
+        dims = growth.binomials_mod_p(d_value, p, length)
         source = {"binomial": d_value}
     digits = growth.padic_digits(p, dims)
     doc = {
@@ -476,6 +475,10 @@ def _apply_caps(args) -> None:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in range(len(argv) - 1, 0, -1):  # argparse takes a bare -5/3 for an option
+        if argv[i - 1] == "--t" and argv[i][:1] == "-" and argv[i][1:2].isdigit():
+            argv[i - 1:i + 1] = [f"--t={argv[i]}"]
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -25,6 +25,7 @@ from .scalars import (
     CapExceeded,
     DomainError,
     FpScalar,
+    bareiss,
     check_prime,
 )
 from .verlinde import FusionElement, fp_dim, product
@@ -163,33 +164,14 @@ def _qint_vec(p: int, k: int, power: int) -> tuple[int, ...]:
 
 def _solve_exact(columns: list[list[int]], rhs: list[int]) -> list[Fraction]:
     """Unique exact solution of (columns) x = rhs, else DomainError."""
-    nrows = len(rhs)
-    ncols = len(columns)
-    rows = [[Fraction(columns[c][r]) for c in range(ncols)] + [Fraction(rhs[r])] for r in range(nrows)]
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, nrows):
-        if rows[i][ncols] != 0:
-            raise DomainError("inconsistent growth data")
-    if len(pivots) < ncols:
+    n = len(columns)
+    m = [[col[r] for col in columns] + [b] for r, b in enumerate(rhs)]
+    pivots, _ = bareiss(m, reduced=True)
+    if pivots and pivots[-1] == n:
+        raise DomainError("inconsistent growth data")
+    if len(pivots) < n:
         raise DomainError("growth data does not determine the multiplicities")
-    out = [Fraction(0)] * ncols
-    for i, c in enumerate(pivots):
-        out[c] = rows[i][ncols]
-    return out
+    return [Fraction(row[n], m[n - 1][n - 1]) for row in m[:n]]
 
 
 def recover_multiplicities(
@@ -373,6 +355,27 @@ def padic_digits(p: int, dims) -> PadicDigits:
         digits.append(t_i)
         series = quotient[0::p]
     return PadicDigits(p, tuple(digits))
+
+
+def binomials_mod_p(n: int, p: int, length: int) -> list[int]:
+    """C(n, k) mod p for 0 <= k < length, by Lucas' theorem: the product of
+    C(n_i, k_i) over the base-p digits, zero when some k_i > n_i."""
+    check_prime(p)
+    digits = []
+    while n:
+        n, digit = divmod(n, p)
+        digits.append(digit)
+    fact = [1]  # i! mod p for every digit value i
+    for i in range(1, max(digits, default=0) + 1):
+        fact.append(fact[-1] * i % p)
+    out = []
+    for k in range(length):
+        c = 1
+        for a in digits:
+            k, b = divmod(k, p)
+            c = c * fact[a] * pow(fact[b] * fact[a - b], -1, p) % p if b <= a else 0
+        out.append(0 if k else c)
+    return out
 
 
 def exterior_dimension_sequence(v: JordanModule) -> list[FpScalar]:

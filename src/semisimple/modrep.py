@@ -149,65 +149,44 @@ def _check_induced_dim(dim: int):
         )
 
 
+def _induced_matrix(blocks: tuple[int, ...], basis: list[tuple[int, ...]], alternating: bool) -> np.ndarray:
+    """Matrix of U = unipotent_matrix(blocks) on degree-k monomials in e_0, e_1, ...
+
+    basis lists the monomials as sorted index tuples; column j is the image
+    of basis[j].  U e_i is e_i + e_(i-1), or e_i at the start of a block,
+    so the image of a monomial is the sum of the at most 2^k monomials got
+    by lowering some of its indices by one, each with coefficient +1.  In
+    an exterior power (alternating) the lowered indices stay in order and
+    an image with a repeated index is zero; a symmetric image is sorted.
+    """
+    starts = set(itertools.accumulate(blocks[:-1], initial=0))
+    index = {mono: n for n, mono in enumerate(basis)}
+    M = np.zeros((len(basis), len(basis)), dtype=np.int64)
+    for col, mono in enumerate(basis):
+        for image in itertools.product(*((i,) if i in starts else (i, i - 1) for i in mono)):
+            image = tuple(sorted(image))
+            if alternating and len(set(image)) < len(image):
+                continue
+            M[index[image], col] += 1
+    return M
+
+
 @lru_cache(maxsize=None)
 def _sym2_type(p: int, e: int, blocks: tuple[int, ...]) -> tuple[int, ...]:
     """Jordan type on V(x)V modulo antisymmetric tensors, basis e_i.e_j (i <= j)."""
-    U = unipotent_matrix(blocks)
-    d = U.shape[0]
+    d = sum(blocks)
     _check_induced_dim(d * (d + 1) // 2)
-    basis = [(i, j) for i in range(d) for j in range(i, d)]
-    index = {pair: n for n, pair in enumerate(basis)}
-    S = np.zeros((len(basis), len(basis)), dtype=np.int64)
-    for col, (i, j) in enumerate(basis):
-        for k in range(d):
-            a = U[k, i]
-            if not a:
-                continue
-            for l in range(d):
-                b = U[l, j]
-                if not b:
-                    continue
-                key = (k, l) if k <= l else (l, k)
-                S[index[key], col] += a * b
-    return jordan_type(S % p, p)
+    basis = list(itertools.combinations_with_replacement(range(d), 2))
+    return jordan_type(_induced_matrix(blocks, basis, alternating=False) % p, p)
 
 
 @lru_cache(maxsize=None)
 def _wedge_type(p: int, e: int, blocks: tuple[int, ...], k: int) -> tuple[int, ...]:
-    """Jordan type on the k-th exterior power; entries are k x k minors of U."""
+    """Jordan type on the k-th exterior power, basis e_i1 ^ ... ^ e_ik (i1 < ... < ik)."""
     d = sum(blocks)
     _check_induced_dim(comb(d, k))
-    if k == 0:
-        return (1,)
-    U = unipotent_matrix(blocks).tolist()
-    subsets = list(itertools.combinations(range(d), k))
-    T = np.zeros((len(subsets), len(subsets)), dtype=np.int64)
-    for col, cset in enumerate(subsets):
-        for row, rset in enumerate(subsets):
-            minor = [[U[r][c] for c in cset] for r in rset]
-            T[row, col] = _int_det_mod_p(minor, p)
-    return jordan_type(T % p, p)
-
-
-def _int_det_mod_p(rows: list[list[int]], p: int) -> int:
-    """Determinant of a small integer matrix, reduced mod p."""
-    n = len(rows)
-    m = [[x % p for x in row] for row in rows]
-    det = 1
-    for c in range(n):
-        piv = next((i for i in range(c, n) if m[i][c]), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            det = -det
-        inv = pow(m[c][c], -1, p)
-        det = det * m[c][c] % p
-        for i in range(c + 1, n):
-            if m[i][c]:
-                f = m[i][c] * inv % p
-                m[i] = [(a - f * b) % p for a, b in zip(m[i], m[c])]
-    return det % p
+    basis = list(itertools.combinations(range(d), k))
+    return jordan_type(_induced_matrix(blocks, basis, alternating=True) % p, p)
 
 
 def sym2(v: JordanModule) -> JordanModule:

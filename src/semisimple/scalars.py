@@ -9,7 +9,6 @@ rank/determinant routines that never touch floating point.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Iterable
@@ -347,11 +346,6 @@ class TPolynomial:
 T = TPolynomial((0, 1))
 
 
-def poly_eval(f: TPolynomial, x):
-    """Exact evaluation of f at an integer, Fraction, or FpScalar point."""
-    return f.evaluate(x)
-
-
 # ---------------------------------------------------------------------------
 # q-integers
 # ---------------------------------------------------------------------------
@@ -370,26 +364,6 @@ def q_int(p: int, k: int, power: int = 1):
         raise DomainError("power must be 1 or 2")
     with mp.workdps(WORKING_DPS):
         return mp.sinpi(mp.mpf(k * power) / p) / mp.sinpi(mp.mpf(power) / p)
-
-
-@dataclass(frozen=True)
-class QInteger:
-    """A q-integer [k] in the cyclotomic data of the prime p."""
-
-    p: int
-    k: int
-    power: int = 1
-
-    def __post_init__(self):
-        check_prime(self.p)
-        if not 1 <= self.k <= self.p - 1:
-            raise DomainError(f"label k={self.k} outside [1, {self.p - 1}]")
-        if self.power not in (1, 2):
-            raise DomainError("power must be 1 or 2")
-
-    @property
-    def value(self):
-        return q_int(self.p, self.k, self.power)
 
 
 # ---------------------------------------------------------------------------
@@ -464,33 +438,6 @@ def rank_mod_p(matrix, p: int) -> int:
     return row_echelon_mod_p(matrix, p).shape[0]
 
 
-def _bareiss_rank(m: list[list[int]]) -> int:
-    """Fraction-free (Bareiss) elimination rank of an integer matrix."""
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    r = 0
-    prev = 1
-    for c in range(cols):
-        if r == rows:
-            break
-        piv = next((i for i in range(r, rows) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        if piv != r:
-            m[r], m[piv] = m[piv], m[r]
-        for i in range(r + 1, rows):
-            for j in range(c + 1, cols):
-                num = m[r][c] * m[i][j] - m[i][c] * m[r][j]
-                q, rem = divmod(num, prev)
-                if rem != 0:  # cannot happen: Bareiss divisions are exact
-                    raise RuntimeError("fraction-free elimination lost exactness")
-                m[i][j] = q
-            m[i][c] = 0
-        prev = m[r][c]
-        r += 1
-    return r
-
-
 def _as_matrix(matrix) -> list[list]:
     rows = [list(row) for row in matrix]
     if rows:
@@ -498,6 +445,79 @@ def _as_matrix(matrix) -> list[list]:
         if any(len(row) != w for row in rows):
             raise DomainError("ragged matrix")
     return rows
+
+
+def _divide_exactly(nums: list, d) -> list:
+    """Each entry of nums divided by d, which divides every one of them."""
+    if d == 1:
+        return nums
+    if isinstance(d, TPolynomial):
+        return [x.exact_div(d) for x in nums]
+    out = [divmod(x, d) for x in nums]
+    if any(rem for _, rem in out):  # cannot happen: Bareiss divisions are exact
+        raise RuntimeError("fraction-free elimination lost exactness")
+    return [q for q, _ in out]
+
+
+def bareiss(m: list[list], reduced: bool = False) -> tuple[list[int], int]:
+    """Fraction-free (Bareiss) elimination of an integer or Z[t] matrix, in place.
+
+    At each pivot, the entries right of the pivot column in every row below
+    it (in every other row, if reduced) become (pivot * entry - column
+    entry * pivot-row entry) / previous pivot; each division is exact, as
+    every entry is then a minor of the input.  Returns the pivot columns
+    and the sign of the row swaps.  The last pivot D = m[rank - 1][pivots[-1]],
+    times that sign, is the determinant of a square matrix of full rank.
+    Reduced, a column right of every pivot holds D times the reduced
+    echelon form: for an augmented [A | b] with a pivot in every column of
+    A and none in b, unknown i is m[i][-1] / D.
+    """
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    pivots: list[int] = []
+    sign = 1
+    prev = 1
+    for c in range(cols):
+        r = len(pivots)
+        if r == rows:
+            break
+        piv = next((i for i in range(r, rows) if m[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+            sign = -sign
+        top = m[r]
+        pv = top[c]
+        for i in range(0 if reduced else r + 1, rows):
+            row = m[i]
+            if row is top:
+                continue
+            f = row[c]
+            row[c + 1:] = _divide_exactly([pv * x - f * y for x, y in zip(row[c + 1:], top[c + 1:])], prev)
+            row[c] -= f
+        prev = pv
+        pivots.append(c)
+    return pivots, sign
+
+
+def _integer_rows(rows: list[list]) -> tuple[list[list], int]:
+    """Rows over Z or Z[t], and the product of the scales that cleared them of fractions."""
+    flat = [x for row in rows for x in row]
+    if any(isinstance(x, TPolynomial) for x in flat):
+        if not all(isinstance(x, (TPolynomial, int)) for x in flat):
+            raise DomainError("cannot mix polynomial entries with non-integer scalars")
+        return [[x if isinstance(x, TPolynomial) else TPolynomial.constant(x) for x in row] for row in rows], 1
+    if not all(isinstance(x, (int, Fraction)) for x in flat):
+        raise DomainError(f"unsupported entry type {type(flat[0]).__name__}")
+    cleared = []
+    total = 1
+    for row in rows:
+        fracs = [Fraction(x) for x in row]
+        scale = lcm(*(f.denominator for f in fracs))
+        cleared.append([int(f * scale) for f in fracs])
+        total *= scale
+    return cleared, total
 
 
 def exact_rank(matrix) -> int:
@@ -519,25 +539,9 @@ def exact_rank(matrix) -> int:
         p = ps.pop()
         ints = [[x.value if isinstance(x, FpScalar) else x % p for x in row] for row in rows]
         return rank_mod_p(ints, p)
-    if not all(isinstance(x, (int, Fraction)) for x in flat):
+    if any(isinstance(x, TPolynomial) for x in flat):
         raise DomainError(f"unsupported entry type {type(flat[0]).__name__}")
-    cleared = []
-    for row in rows:
-        fracs = [Fraction(x) for x in row]
-        scale = lcm(*(f.denominator for f in fracs))
-        cleared.append([int(f * scale) for f in fracs])
-    return _bareiss_rank(cleared)
-
-
-def _exact_div(a, b):
-    if isinstance(a, TPolynomial):
-        return a.exact_div(b)
-    if isinstance(a, Fraction) or isinstance(b, Fraction):
-        return Fraction(a) / Fraction(b)
-    q, rem = divmod(a, b)
-    if rem != 0:
-        raise RuntimeError("fraction-free elimination lost exactness")
-    return q
+    return len(bareiss(_integer_rows(rows)[0])[0])
 
 
 def exact_det(matrix):
@@ -548,21 +552,9 @@ def exact_det(matrix):
         return 1
     if any(len(row) != n for row in m):
         raise DomainError("determinant of a non-square matrix")
-    first = m[0][0]
-    one: object = TPolynomial((1,)) if isinstance(first, TPolynomial) else 1
-    sign = 1
-    prev = one
-    for c in range(n):
-        piv = next((i for i in range(c, n) if m[i][c]), None)
-        if piv is None:
-            return m[0][0] - m[0][0]  # zero of the right kind
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            sign = -sign
-        for i in range(c + 1, n):
-            for j in range(c + 1, n):
-                m[i][j] = _exact_div(m[c][c] * m[i][j] - m[i][c] * m[c][j], prev)
-            m[i][c] = m[i][c] - m[i][c]
-        prev = m[c][c]
-    det = m[n - 1][n - 1]
-    return det if sign == 1 else -det
+    m, scale = _integer_rows(m)
+    pivots, sign = bareiss(m)
+    if len(pivots) < n:
+        return m[0][0] - m[0][0]  # zero of the right kind
+    det = sign * m[n - 1][n - 1]
+    return det if scale == 1 else Fraction(det, scale)

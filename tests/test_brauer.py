@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from semisimple import scalars
+from semisimple import brauer, scalars
 from semisimple.brauer import (
     BiObject,
     DiagramMorphism,
@@ -42,7 +42,7 @@ from semisimple.brauer import (
     trace,
 )
 from semisimple.partitions import dim_sym_irrep, enumerate_in_box
-from semisimple.scalars import CapExceeded, DomainError, FpScalar, T, TPolynomial, exact_det, exact_rank
+from semisimple.scalars import CapExceeded, DomainError, FpScalar, T, TPolynomial, exact_det, exact_rank, rank_mod_p
 
 B11 = BiObject(1, 1)
 
@@ -392,6 +392,22 @@ def test_negligible_rank_exact_for_a_prime_above_the_int64_bound(monkeypatch):
     obj = BiObject(1, 1)
     assert negligible_rank(obj, obj, FpScalar(-1, 2**64 - 59)) == (1, 1)
     assert negligible_rank(obj, obj, FpScalar(3, 2**64 - 59)) == (2, 2)
+
+
+def test_negligible_rank_above_2d_minus_1_uses_a_small_prime(monkeypatch):
+    # for p > 2d - 1 the rank is taken at an integer stand-in for t, mod a
+    # small prime, and equals the rank of the Gram matrix mod p itself
+    primes = []
+    echelon = scalars.row_echelon_mod_p
+    monkeypatch.setattr(brauer, "row_echelon_mod_p", lambda m, p: primes.append(p) or echelon(m, p))
+    for p in (13, 2**32 + 15):
+        for r in range(4):
+            obj = BiObject(r, 1)  # degree d = r + 1; the Gram matrix is t^E
+            exponents = _gram_exponents(r + 1).tolist()
+            for t in sorted({0, 1, 2, p - 1, 12345 % p} | {-c % p for c in range(-r, r + 1)}):
+                want = rank_mod_p([[pow(t, e, p) for e in row] for row in exponents], p)
+                assert negligible_rank(obj, obj, FpScalar(t, p)) == (want, want)
+    assert primes and max(primes) < 13
 
 
 @given(

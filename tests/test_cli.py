@@ -1,12 +1,18 @@
 """Command-line surface tests: exit codes, determinism, round trips."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from math import comb
+from pathlib import Path
 
 import pytest
 
+import semisimple
 from semisimple import modrep
-from semisimple.brauer import DiagramMorphism, compose
+from semisimple.brauer import BiObject, DiagramMorphism, compose, schur_weyl_homdim
 from semisimple.cli import main
 from semisimple.modrep import JordanModule
 from semisimple.scalars import CapExceeded, T, TPolynomial
@@ -79,6 +85,18 @@ def test_padic_binomial_path(capsys):
     assert doc["digits"] == [2, 2, 1]
 
 
+def test_padic_binomial_matches_comb(capsys):
+    # every n <= 300 is checked on growth.binomials_mod_p; here a sample, end to end
+    for p in (2, 3, 5, 7):
+        for n in [*range(0, 300, 7), 300]:
+            length = n + 1 + p  # C(n, k) = 0 past k = n
+            code, out, _ = run(capsys, "padic", "--p", str(p), "--binomial", str(n), "--length", str(length))
+            assert code == 0
+            doc = json.loads(out)
+            assert doc["dims"] == [comb(n, k) % p for k in range(length)]
+            assert doc["value"] == n
+
+
 def test_bounds_documents(capsys):
     code, out, _ = run(capsys, "bounds", "plancherel", "--p", "5", "--d", "2")
     assert code == 0
@@ -117,6 +135,16 @@ def test_rank_document(capsys):
     code, out, _ = run(capsys, "brauer", "rank", "--r", "1", "--s", "1", "--t", "3", "--mod", "5")
     assert code == 0
     assert json.loads(out)["rank"] == 2
+
+
+def test_negative_fraction_t_in_either_form(capsys):
+    # argparse reads a bare -5/3 as an option; `--t -5/3` must work like `--t=-5/3`
+    for argv in (["gram", "--r", "1", "--s", "3", "--u", "2", "--v", "4"], ["rank", "--r", "1", "--s", "1"]):
+        spaced = run(capsys, "brauer", *argv, "--t", "-5/3")
+        joined = run(capsys, "brauer", *argv, "--t=-5/3")
+        assert spaced == joined
+        assert spaced[0] == 0
+    assert json.loads(joined[1])["t"] == "-5/3" and json.loads(joined[1])["rank"] == 2
 
 
 def test_homdim_document(capsys):
@@ -204,3 +232,34 @@ def test_selftest_passes(capsys):
     assert code == 0
     assert out.count("ok") == 4
     assert "FAIL" not in out
+
+
+def run_cli(*argv, guard):
+    """The CLI in a fresh interpreter, failed if it runs past `guard` seconds."""
+    src = str(Path(semisimple.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "semisimple.cli", *argv], capture_output=True, text=True,
+                          env=env, timeout=guard)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_padic_exterior_powers_of_a_large_block_in_bounded_time():
+    # Lambda^k J_12 at p = 13 has dimension C(12, k) = (-1)^k mod 13
+    doc = run_cli("padic", "--p", "13", "--blocks", "12", guard=30)
+    assert doc["dims"] == [1 if k % 2 == 0 else 12 for k in range(13)]
+    assert doc["digits"] == [12] and doc["value"] == 12
+
+
+def test_rank_mod_a_prime_above_the_int64_bound_in_bounded_time():
+    # at the degree-6 cap; 3 + c = 0 mod p only for the content c = -3
+    doc = run_cli("brauer", "rank", "--r", "3", "--s", "3", "--t", "3", "--mod", "4294967311", guard=30)
+    assert doc["rank"] == schur_weyl_homdim(3, BiObject(3, 3), BiObject(3, 3)) == 513
+
+
+def test_padic_large_binomial_in_bounded_time():
+    n, p = 20000, 3
+    doc = run_cli("padic", "--p", str(p), "--binomial", str(n), guard=30)
+    assert doc["value"] == n
+    assert len(doc["dims"]) == n + 1
+    assert all(doc["dims"][k] == comb(n, k) % p for k in (0, 1, 2, 3, 81, 162, 243, 6561, 9999, 19683, n))

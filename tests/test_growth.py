@@ -16,6 +16,7 @@ from mpmath import mp
 from semisimple.growth import (
     GrowthRate,
     PadicDigits,
+    binomials_mod_p,
     exterior_dimension_sequence,
     growth_rate,
     improved_bound,
@@ -272,6 +273,16 @@ def test_padic_digits_lucas_random():
             d = rng.randint(1, p**3)
             dims = [comb(d, n) % p for n in range(d + 1)]
             assert padic_digits(p, dims).digits == base_p_digits(d, p)
+
+
+def test_binomials_mod_p_match_comb():
+    for n in range(301):
+        row = [comb(n, k) for k in range(n + 9)]
+        for p in (2, 3, 5, 7):
+            for length in (0, 1, n // 2, n + 1, n + 9):
+                assert binomials_mod_p(n, p, length) == [c % p for c in row[:length]]
+    with pytest.raises(DomainError):
+        binomials_mod_p(5, 4, 6)
 
 
 def test_padic_digits_exterior_path():

@@ -5,13 +5,18 @@ classical Clebsch-Gordan closed form (valid whenever m + n - 1 <= p) and
 plain dimension bookkeeping serve as the independent oracles.
 """
 
+import itertools
 import random
 from math import comb
 
+import numpy as np
 import pytest
 
 from semisimple.modrep import (
     JordanModule,
+    _induced_matrix,
+    _sym2_type,
+    _wedge_type,
     dual,
     ext2,
     exterior_power,
@@ -44,6 +49,64 @@ def random_module(rng, p, max_dim, e=1):
         blocks.append(b)
         remaining -= b
     return JordanModule(p, e, tuple(blocks))
+
+
+def int_det_mod_p(rows: list[list[int]], p: int) -> int:
+    """Determinant of a small integer matrix, reduced mod p."""
+    n = len(rows)
+    m = [[x % p for x in row] for row in rows]
+    det = 1
+    for c in range(n):
+        piv = next((i for i in range(c, n) if m[i][c]), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+            det = -det
+        inv = pow(m[c][c], -1, p)
+        det = det * m[c][c] % p
+        for i in range(c + 1, n):
+            if m[i][c]:
+                f = m[i][c] * inv % p
+                m[i] = [(a - f * b) % p for a, b in zip(m[i], m[c])]
+    return det % p
+
+
+def minor_wedge_matrix(blocks, k, p):
+    """Lambda^k U mod p entry by entry: the k x k minors of U."""
+    U = unipotent_matrix(blocks).tolist()
+    subsets = list(itertools.combinations(range(sum(blocks)), k))
+    return np.array(
+        [[int_det_mod_p([[U[r][c] for c in cset] for r in rset], p) for cset in subsets] for rset in subsets],
+        dtype=np.int64,
+    ).reshape(len(subsets), len(subsets))
+
+
+def expanded_sym2_matrix(blocks, p):
+    """Sym^2 U mod p by expanding U e_i . U e_j over all pairs of matrix entries."""
+    U = unipotent_matrix(blocks)
+    d = U.shape[0]
+    basis = [(i, j) for i in range(d) for j in range(i, d)]
+    index = {pair: n for n, pair in enumerate(basis)}
+    S = np.zeros((len(basis), len(basis)), dtype=np.int64)
+    for col, (i, j) in enumerate(basis):
+        for k in range(d):
+            for l in range(d):
+                if U[k, i] and U[l, j]:
+                    S[index[(k, l) if k <= l else (l, k)], col] += U[k, i] * U[l, j]
+    return S % p
+
+
+def block_lists(max_dim, largest):
+    """Every block multiset of total size 1..max_dim with blocks <= largest."""
+    def parts(n, top):
+        if n == 0:
+            yield ()
+        for first in range(min(n, top), 0, -1):
+            for rest in parts(n - first, first):
+                yield (first,) + rest
+
+    return [b for n in range(1, max_dim + 1) for b in parts(n, largest)]
 
 
 # -- construction ----------------------------------------------------------------
@@ -214,6 +277,26 @@ def test_exterior_power_dimensions():
 
 def test_exterior_power_example_dimension():
     assert exterior_power(JordanModule(5, 1, (5, 2)), 3).dim == comb(7, 3)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_induced_matrices_match_minor_and_pair_oracles(p):
+    # every module of dimension <= 7 at orders p and p^2: the direct
+    # expansion against the k x k minors of U (and, for p > 2, against the
+    # Sym^2 expansion over all pairs of entries of U), then the Jordan types
+    for e in (1, 2):
+        for blocks in block_lists(7, p**e):
+            d = sum(blocks)
+            for k in range(d + 1):
+                basis = list(itertools.combinations(range(d), k))
+                oracle = minor_wedge_matrix(blocks, k, p)
+                assert np.array_equal(_induced_matrix(blocks, basis, alternating=True) % p, oracle)
+                assert _wedge_type(p, e, blocks, k) == jordan_type(oracle, p)
+            if p > 2:
+                basis = list(itertools.combinations_with_replacement(range(d), 2))
+                oracle = expanded_sym2_matrix(blocks, p)
+                assert np.array_equal(_induced_matrix(blocks, basis, alternating=False) % p, oracle)
+                assert _sym2_type(p, e, blocks) == jordan_type(oracle, p)
 
 
 # -- negligible filtering and the fusion image ---------------------------------------
