@@ -3,17 +3,18 @@
 The growth rate of an object of the fusion ring is carried exactly by its
 multiplicity vector; the attached real number is only a high-precision
 evaluation and is never used for equality decisions.  Recovery of the
-multiplicities from growth data is done by exact integer linear algebra
-in the cyclotomic ring Z[q] (q a primitive 2p-th root of unity), which
-realizes the Galois-conjugation uniqueness argument without floating
-point.
+multiplicities from growth data realizes the Galois-conjugation
+uniqueness argument without floating point: with q a primitive 2p-th
+root of unity, the growth rate of V and that of Sym^2 V - Lambda^2 V,
+written in the basis [1]_q .. [(p-1)/2]_q of the real subfield of Q(q),
+give m_k + m_{p-k} and m_k - m_{p-k} coefficient by coefficient, once the
+second is multiplied by [2]_q and folded by [j]_q = [p-j]_q.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from mpmath import mp
 
@@ -25,7 +26,6 @@ from .scalars import (
     CapExceeded,
     DomainError,
     FpScalar,
-    bareiss,
     check_prime,
 )
 from .verlinde import FusionElement, fp_dim, product
@@ -128,50 +128,13 @@ def module_growth_rate(v: JordanModule) -> GrowthRate:
 
 
 # ---------------------------------------------------------------------------
-# Exact recovery of multiplicities in the cyclotomic ring
+# Exact recovery of multiplicities from the folded q-integer identities
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _qpow_vec(p: int, exp: int) -> tuple[int, ...]:
-    """q^exp as an integer vector on the basis 1, q, ..., q^(p-2).
-
-    Uses q^(2p) = 1, q^p = -1, and the minimal polynomial
-    1 - q + q^2 - ... + q^(p-1) = 0 of a primitive 2p-th root of unity.
-    """
-    n = p - 1
-    e = exp % (2 * p)
-    sign = 1
-    if e >= p:
-        sign, e = -1, e - p
-    if e < n:
-        vec = [0] * n
-        vec[e] = sign
-        return tuple(vec)
-    # e == p - 1: reduce by the minimal polynomial
-    return tuple(sign * (-1) ** (j + 1) for j in range(n))
-
-
-def _qint_vec(p: int, k: int, power: int) -> tuple[int, ...]:
-    """[k] at q^power as an exact vector: sum of q^(power*(k-1-2i))."""
-    n = p - 1
-    acc = [0] * n
-    for i in range(k):
-        for j, c in enumerate(_qpow_vec(p, power * (k - 1 - 2 * i))):
-            acc[j] += c
-    return tuple(acc)
-
-
-def _solve_exact(columns: list[list[int]], rhs: list[int]) -> list[Fraction]:
-    """Unique exact solution of (columns) x = rhs, else DomainError."""
-    n = len(columns)
-    m = [[col[r] for col in columns] + [b] for r, b in enumerate(rhs)]
-    pivots, _ = bareiss(m, reduced=True)
-    if pivots and pivots[-1] == n:
-        raise DomainError("inconsistent growth data")
-    if len(pivots) < n:
-        raise DomainError("growth data does not determine the multiplicities")
-    return [Fraction(row[n], m[n - 1][n - 1]) for row in m[:n]]
+def _fold(j: int, p: int) -> int:
+    """The label carrying [j]_q in the basis [1]_q .. [h]_q: [j]_q = [p-j]_q."""
+    return min(j, p - j)
 
 
 def recover_multiplicities(
@@ -184,35 +147,37 @@ def recover_multiplicities(
     symmetric square minus that of the exterior square, in the same basis
     (entries may be negative).  The two identities
 
-        sum_k m_k [k]_q   = value(growth_vec)
-        sum_k m_k [k]_q^2 = value(square_diff_vec)
+        sum_k m_k [k]_q     = sum_j g_j [j]_q
+        sum_k m_k [k]_{q^2} = sum_j s_j [j]_q
 
-    pin the m_k down: the first determines m_k + m_{p-k}, the second,
-    after conjugating q^2 to -q, determines m_k - m_{p-k}.  Both are
-    solved simultaneously as one integer linear system over Z[q].
+    are read in the basis [1]_q .. [h]_q of the real subfield, h = (p-1)/2:
+    [j]_q is U_{j-1}(cos pi/p), and cos pi/p has degree h over Q.  Since
+    [j]_q = [p-j]_q, the first gives u_k = m_k + m_{p-k} = g_k + g_{p-k}.
+    Times [2]_q, the second reads sum_k m_k [2k]_q = sum_j s_j ([j+1]_q +
+    [j-1]_q), with [0]_q = [p]_q = 0 and [2k]_q = -[2(p-k)]_q, so that
+    v_k = m_k - m_{p-k} is the coefficient of [fold(2k)]_q, and k -> fold(2k)
+    is a bijection of 1..h.  Then m_k = (u_k + v_k)/2, m_{p-k} = (u_k - v_k)/2.
     """
     check_prime(p)
     if p == 2:
         raise DomainError("multiplicity recovery needs p > 2")
-    growth_vec = [int(x) for x in growth_vec]
-    square_diff_vec = [int(x) for x in square_diff_vec]
-    if len(growth_vec) != p - 1 or len(square_diff_vec) != p - 1:
+    g = [int(x) for x in growth_vec]
+    s = [int(x) for x in square_diff_vec]
+    if len(g) != p - 1 or len(s) != p - 1:
         raise DomainError(f"expected vectors of length {p - 1}")
-    n = p - 1
-    columns = []
-    for k in range(1, p):
-        col = list(_qint_vec(p, k, 1)) + list(_qint_vec(p, k, 2))
-        columns.append(col)
-    rhs = [0] * (2 * n)
-    for j in range(1, p):
-        vec = _qint_vec(p, j, 1)
-        for i, c in enumerate(vec):
-            rhs[i] += growth_vec[j - 1] * c
-            rhs[n + i] += square_diff_vec[j - 1] * c
-    solution = _solve_exact(columns, rhs)
-    if any(x.denominator != 1 or x < 0 for x in solution):
-        raise DomainError("no nonnegative integral solution for the multiplicities")
-    return tuple(int(x) for x in solution)
+    h = (p - 1) // 2
+    times_two = [0] * (h + 1)  # [2]_q * sum_j s_j [j]_q on [0]_q = [p]_q = 0, [1]_q, .., [h]_q
+    for j, c in enumerate(s, start=1):
+        times_two[_fold(j - 1, p)] += c
+        times_two[_fold(j + 1, p)] += c
+    m = [0] * (p - 1)
+    for k in range(1, h + 1):
+        u = g[k - 1] + g[p - k - 1]
+        v = times_two[_fold(2 * k, p)]
+        if (u + v) % 2 or abs(v) > u:
+            raise DomainError("no nonnegative integral solution for the multiplicities")
+        m[k - 1], m[p - k - 1] = (u + v) // 2, (u - v) // 2
+    return tuple(m)
 
 
 # ---------------------------------------------------------------------------
@@ -245,10 +210,6 @@ class GrowthReport:
             "iii": self.dimension_match,
             "iv": self.growth_below_dim,
         }
-
-    @property
-    def all_passed(self) -> bool:
-        return all(v is not False for v in self.checks().values())
 
 
 def invariant_report(v: JordanModule) -> GrowthReport:
@@ -311,24 +272,16 @@ class PadicDigits:
         return sum(d * self.p**i for i, d in enumerate(self.digits))
 
 
-def _divide_by_one_plus_z(series: list[int], p: int) -> list[int]:
-    out = []
-    prev = 0
-    for c in series:
-        cur = (c - prev) % p
-        out.append(cur)
-        prev = cur
-    return out
-
-
 def padic_digits(p: int, dims) -> PadicDigits:
     """Extract digits from the exterior-power dimension sequence.
 
     dims[n] is the categorical dimension of the n-th exterior power, as an
     F_p scalar (or plain integer), with dims[0] = 1.  The generating
-    function must factor as a product of (1 + z^(p^i))^(t_i); the digits
-    are peeled off greedily, and a sequence not of that form is rejected
-    loudly rather than approximated.
+    function must factor as a product of (1 + z^(p^i))^(t_i), and a
+    sequence not of that form is rejected loudly rather than approximated.
+    The digits are read off one level at a time: t = series[1] < p, so
+    series = Q(z^p) (1 + z)^t exactly when series[a*p + b] = series[a*p] *
+    C(t, b) mod p for every index, and the next level is Q, series[0::p].
     """
     check_prime(p)
     series = []
@@ -343,17 +296,18 @@ def padic_digits(p: int, dims) -> PadicDigits:
         raise DomainError("the dimension sequence must start with 1")
     digits = []
     while len(series) > 1:
-        t_i = series[1]
-        quotient = series
-        for _ in range(t_i):
-            quotient = _divide_by_one_plus_z(quotient, p)
-        for idx, c in enumerate(quotient):
-            if idx % p != 0 and c != 0:
+        t = series[1]
+        row = [1]  # C(t, b) mod p; the factor t - b + 1 zeroes it past t
+        for b in range(1, min(p, len(series))):
+            row.append(row[-1] * (t - b + 1) * pow(b, -1, p) % p)
+        for n, c in enumerate(series):
+            b = n % p
+            if c != series[n - b] * row[b] % p:
                 raise DomainError(
                     "dimension sequence is not a product of binomial factors"
                 )
-        digits.append(t_i)
-        series = quotient[0::p]
+        digits.append(t)
+        series = series[0::p]
     return PadicDigits(p, tuple(digits))
 
 

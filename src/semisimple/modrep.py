@@ -90,13 +90,18 @@ def jordan_type(U: np.ndarray, p: int) -> tuple[int, ...]:
     Computed from the rank profile of N = U - I: the multiplicity of a
     size-k block is rank(N^{k-1}) - 2 rank(N^k) + rank(N^{k+1}).  Powers
     are taken on a shrinking row basis of the row space, so the cost drops
-    with every step.
+    with every step.  The products are taken in float64, exact only while
+    every inner sum, at most n*(p-1)*max(N), stays below 2^53; a larger
+    matrix is refused with CapExceeded.
     """
     n = U.shape[0]
     if n == 0:
         return ()
     N = (U - np.eye(n, dtype=np.int64)) % p
-    Nf = N.astype(np.float64)  # entries < p, inner sums < 2^53: float matmul is exact
+    top = int(N.max())
+    if n * (p - 1) * top >= 2**53:
+        raise CapExceeded(f"exact float64 rank profile needs n*(p-1)*max(N) < 2^53, got {n}*{p - 1}*{top}")
+    Nf = N.astype(np.float64)
     ranks = [n]
     basis = row_echelon_mod_p(N, p)
     while basis.shape[0] > 0:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 from typing import Iterable
 
@@ -35,8 +36,12 @@ class CapExceeded(RuntimeError):
     """A computation was refused because it exceeds a configured size cap."""
 
 
+@lru_cache(maxsize=256)
 def is_prime(n: int) -> bool:
-    """Deterministic primality by trial division (intended range: n <= 97)."""
+    """Deterministic primality by trial division (intended range: n <= 97).
+
+    Memoized: every F_p scalar, arithmetic results included, checks its p.
+    """
     if n < 2 or n >= PRIME_CAP:
         return False
     if n < 4:
@@ -164,12 +169,6 @@ class TPolynomial:
     @classmethod
     def constant(cls, c: int) -> "TPolynomial":
         return cls((c,))
-
-    @classmethod
-    def monomial(cls, degree: int, c: int = 1) -> "TPolynomial":
-        if degree < 0:
-            raise DomainError("negative degree")
-        return cls((0,) * degree + (c,))
 
     # -- structure ----------------------------------------------------
 
@@ -459,18 +458,15 @@ def _divide_exactly(nums: list, d) -> list:
     return [q for q, _ in out]
 
 
-def bareiss(m: list[list], reduced: bool = False) -> tuple[list[int], int]:
+def bareiss(m: list[list]) -> tuple[list[int], int]:
     """Fraction-free (Bareiss) elimination of an integer or Z[t] matrix, in place.
 
     At each pivot, the entries right of the pivot column in every row below
-    it (in every other row, if reduced) become (pivot * entry - column
-    entry * pivot-row entry) / previous pivot; each division is exact, as
-    every entry is then a minor of the input.  Returns the pivot columns
-    and the sign of the row swaps.  The last pivot D = m[rank - 1][pivots[-1]],
-    times that sign, is the determinant of a square matrix of full rank.
-    Reduced, a column right of every pivot holds D times the reduced
-    echelon form: for an augmented [A | b] with a pivot in every column of
-    A and none in b, unknown i is m[i][-1] / D.
+    it become (pivot * entry - column entry * pivot-row entry) / previous
+    pivot; each division is exact, as every entry is then a minor of the
+    input.  Returns the pivot columns and the sign of the row swaps.  The
+    last pivot m[rank - 1][pivots[-1]], times that sign, is the determinant
+    of a square matrix of full rank.
     """
     rows = len(m)
     cols = len(m[0]) if rows else 0
@@ -489,10 +485,7 @@ def bareiss(m: list[list], reduced: bool = False) -> tuple[list[int], int]:
             sign = -sign
         top = m[r]
         pv = top[c]
-        for i in range(0 if reduced else r + 1, rows):
-            row = m[i]
-            if row is top:
-                continue
+        for row in m[r + 1:]:
             f = row[c]
             row[c + 1:] = _divide_exactly([pv * x - f * y for x, y in zip(row[c + 1:], top[c + 1:])], prev)
             row[c] -= f

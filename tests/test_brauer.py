@@ -394,6 +394,15 @@ def test_negligible_rank_exact_for_a_prime_above_the_int64_bound(monkeypatch):
     assert negligible_rank(obj, obj, FpScalar(3, 2**64 - 59)) == (2, 2)
 
 
+def test_is_prime_runs_once_per_modulus():
+    # every F_p arithmetic result checks its p; trial division up to
+    # sqrt(2^32 + 15) runs once, the other checks are cache hits
+    scalars.is_prime.cache_clear()
+    gram_matrix(BiObject(3, 1), BiObject(3, 1), FpScalar(3, 2**32 + 15))
+    info = scalars.is_prime.cache_info()
+    assert info.misses == 1 and info.hits > 0
+
+
 def test_negligible_rank_above_2d_minus_1_uses_a_small_prime(monkeypatch):
     # for p > 2d - 1 the rank is taken at an integer stand-in for t, mod a
     # small prime, and equals the rank of the Gram matrix mod p itself

@@ -263,3 +263,12 @@ def test_padic_large_binomial_in_bounded_time():
     assert doc["value"] == n
     assert len(doc["dims"]) == n + 1
     assert all(doc["dims"][k] == comb(n, k) % p for k in (0, 1, 2, 3, 81, 162, 243, 6561, 9999, 19683, n))
+
+
+def test_padic_binomial_at_a_large_prime_in_bounded_time():
+    # one digit, 20000 < p: the level check runs over 20001 terms once
+    n, p = 20000, 20011
+    doc = run_cli("padic", "--p", str(p), "--binomial", str(n), guard=30)
+    assert doc["digits"] == [n] and doc["value"] == n
+    assert len(doc["dims"]) == n + 1
+    assert all(doc["dims"][k] == comb(n, k) % p for k in (0, 1, 2, 3, 4000, 9999, 10000, 19999, n))

@@ -1,8 +1,10 @@
 """Growth invariant tests.
 
 Every numeric claim has an exact counterpart: growth rates are compared
-on multiplicity vectors, digit extraction against base-p expansions, and
-the recovery of multiplicities against the directly counted blocks.  The
+on multiplicity vectors, digit extraction against base-p expansions and
+against dividing out one (1 + z) at a time, and the recovery of
+multiplicities against the directly counted blocks and against the
+integer linear system over Z[q] that the two growth identities form.  The
 empirical length sequence is used only as a convergence witness.
 """
 
@@ -11,6 +13,8 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from mpmath import mp
 
 from semisimple.growth import (
@@ -149,6 +153,99 @@ def test_module_growth_rate_examples():
 # -- multiplicity recovery -------------------------------------------------------
 
 
+def qpow_vec(p, exp):
+    """q^exp on the basis 1, q, ..., q^(p-2) of Z[q], q a primitive 2p-th root
+    of unity: q^p = -1 and 1 - q + q^2 - ... + q^(p-1) = 0."""
+    e = exp % (2 * p)
+    sign = 1
+    if e >= p:
+        sign, e = -1, e - p
+    if e < p - 1:
+        return [sign if j == e else 0 for j in range(p - 1)]
+    return [sign * (-1) ** (j + 1) for j in range(p - 1)]
+
+
+def qint_vec(p, k, power):
+    """[k] at q^power on the same basis: the sum of q^(power*(k-1-2i))."""
+    acc = [0] * (p - 1)
+    for i in range(k):
+        for j, c in enumerate(qpow_vec(p, power * (k - 1 - 2 * i))):
+            acc[j] += c
+    return acc
+
+
+def zq_system_recover(p, cases):
+    """Both growth identities as one 2(p-1) x (p-1) system over Z, in the
+    power basis of Z[q], solved by Gauss-Jordan elimination over Fractions
+    for the right-hand sides of all (growth_vec, square_diff_vec) cases at
+    once.  Each outcome is a multiplicity tuple or a refusal message."""
+    n = p - 1
+    rows = [[Fraction(0)] * (n + len(cases)) for _ in range(2 * n)]
+    for k in range(1, p):
+        for i, (a, b) in enumerate(zip(qint_vec(p, k, 1), qint_vec(p, k, 2))):
+            rows[i][k - 1] += a
+            rows[n + i][k - 1] += b
+            for col, (g, s) in enumerate(cases, start=n):
+                rows[i][col] += g[k - 1] * a
+                rows[n + i][col] += s[k - 1] * a
+    r = 0
+    for c in range(n):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[c]:
+                rows[i] = [x - row[c] * y for x, y in zip(row, rows[r])]
+        r += 1
+    out = []
+    for col in range(n, n + len(cases)):
+        solution = [row[col] for row in rows[:n]]
+        if any(row[col] for row in rows[r:]):
+            out.append("inconsistent growth data")
+        elif r < n:
+            out.append("growth data does not determine the multiplicities")
+        elif any(x.denominator != 1 or x < 0 for x in solution):
+            out.append("no nonnegative integral solution for the multiplicities")
+        else:
+            out.append(tuple(int(x) for x in solution))
+    return out
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except DomainError as exc:
+        return str(exc)
+
+
+def psi2_vector(p, m):
+    """Sym^2 - Lambda^2 of sum_k m_k L_k in the q-integer basis, by the
+    Clebsch-Gordan form Sym^2 V_k - Lambda^2 V_k = sum_i (-1)^i V_(2k-1-2i),
+    read at q with [p]_q = 0 and [p + j]_q = -[j]_q."""
+    out = [0] * (p - 1)
+    for k, mult in enumerate(m, start=1):
+        for i in range(k):
+            j, sign = 2 * k - 1 - 2 * i, (-1) ** i
+            if j > p:
+                j, sign = j - p, -sign
+            if j != p:
+                out[j - 1] += sign * mult
+    return out
+
+
+def move_carriers(rng, p, vec):
+    """The same value on other carriers: weight moved between [j] and [p-j]."""
+    vec = list(vec)
+    for j in range(1, p):
+        t = rng.randint(min(0, vec[j - 1]), max(0, vec[j - 1]))
+        vec[j - 1] -= t
+        vec[p - j - 1] += t
+    return vec
+
+
+
 def test_recover_examples():
     v = J(5, 2)
     assert recover_multiplicities(5, (0, 1, 0, 0), square_difference_vector(v)) == (0, 1, 0, 0)
@@ -198,6 +295,38 @@ def test_square_identity_holds_numerically():
                     mult * q_int(p, k, 2) for k, mult in enumerate(m, start=1) if mult
                 )
                 assert abs(lhs - rhs) < eps
+
+
+def test_recover_matches_the_zq_system_on_module_data():
+    rng = random.Random(89)
+    for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
+        data = []
+        for _ in range(6):
+            v = random_small_module(rng, p, min(p - 1, 8))
+            data.append((to_verlinde(v).multiplicities, square_difference_vector(v)))
+        for _ in range(6):
+            m = tuple(rng.choice((0, 0, 1, 2)) for _ in range(p - 1))
+            data.append((m, psi2_vector(p, m)))
+        cases, expected = [], []
+        for m, diff in data:
+            cases += [(m, diff), (move_carriers(rng, p, m), move_carriers(rng, p, diff))]
+            expected += [m, m]
+        for _ in range(6):  # moved carriers with the growth value perturbed
+            m, diff = rng.choice(data)
+            g = move_carriers(rng, p, m)
+            g[rng.randrange(p - 1)] += rng.choice((-1, 1))
+            cases.append((g, diff))
+        oracle = zq_system_recover(p, cases)
+        assert oracle[:len(expected)] == expected
+        assert [outcome(recover_multiplicities, p, g, s) for g, s in cases] == oracle
+
+
+@given(st.data())
+def test_recover_matches_the_zq_system_on_integer_vectors(data):
+    p = data.draw(st.sampled_from((3, 5, 7, 11, 13, 17, 19, 23)))
+    vec = st.lists(st.integers(-3, 6), min_size=p - 1, max_size=p - 1)
+    g, s = data.draw(vec), data.draw(vec)
+    assert [outcome(recover_multiplicities, p, g, s)] == zq_system_recover(p, [(g, s)])
 
 
 def test_recover_round_trip_random_modules():
@@ -264,6 +393,44 @@ def test_padic_digits_binomial_example():
     got = padic_digits(5, dims)
     assert got.digits == (2, 1)
     assert got.as_integer() == 7
+
+
+def peel_digits(p, dims):
+    """Digits by dividing out (1 + z) t times over the whole series, then
+    requiring the quotient to be a series in z^p."""
+    series = [int(x) % p for x in dims]
+    if not series or series[0] != 1:
+        raise DomainError("the dimension sequence must start with 1")
+    digits = []
+    while len(series) > 1:
+        t = series[1]
+        for _ in range(t):
+            prev, out = 0, []
+            for c in series:
+                prev = (c - prev) % p
+                out.append(prev)
+            series = out
+        if any(c for i, c in enumerate(series) if i % p):
+            raise DomainError("dimension sequence is not a product of binomial factors")
+        digits.append(t)
+        series = series[0::p]
+    return tuple(digits)
+
+
+def test_padic_digits_match_the_peel():
+    rng = random.Random(97)
+    for p in (2, 3, 5, 7, 11, 13):
+        for _ in range(120):
+            n = rng.randint(0, 3 * p * p)
+            seq = [comb(n, k) % p for k in range(rng.choice((n + 1, rng.randint(1, n + 2 * p))))]
+            kind = rng.randrange(3)
+            if kind == 1:  # one coefficient off
+                i = rng.randrange(len(seq))
+                seq[i] = (seq[i] + rng.randint(1, p - 1)) % p
+            elif kind == 2:
+                seq = [1] + [rng.randrange(p) for _ in range(rng.randint(0, 3 * p))]
+            got = outcome(lambda: padic_digits(p, seq).digits)
+            assert got == outcome(peel_digits, p, seq)
 
 
 def test_padic_digits_lucas_random():

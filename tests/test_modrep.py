@@ -27,7 +27,7 @@ from semisimple.modrep import (
     to_verlinde,
     unipotent_matrix,
 )
-from semisimple.scalars import CapExceeded, DomainError
+from semisimple.scalars import CapExceeded, DomainError, rank_mod_p
 from semisimple.verlinde import FusionElement
 
 
@@ -155,6 +155,23 @@ def test_jordan_type_reads_off_the_unipotent():
             blocks = tuple(b for b in blocks if b <= p)
             U = unipotent_matrix(blocks)
             assert jordan_type(U, p) == tuple(sorted(blocks, reverse=True))
+
+
+@pytest.mark.parametrize("p", [2**27 - 39, 2**31 - 1])
+def test_jordan_type_refuses_entries_too_large_for_exact_float_products(p):
+    # N^2 = 0 mod p because y*z + w*v = 0 mod p, but the float64 product
+    # rounds y*z + w*v (about p^2 > 2^53) and would report N^2 != 0, type (3, 1, 1)
+    y, z, w = p - 2, p - 3, p - 5
+    v = -y * z * pow(w, -1, p) % p
+    N = np.zeros((5, 5), dtype=np.int64)
+    N[0, 1], N[0, 2], N[0, 3], N[2, 4], N[3, 4] = 1, y, w, z, v
+    square = [[sum(int(N[i, k]) * int(N[k, j]) for k in range(5)) % p for j in range(5)] for i in range(5)]
+    ranks = [5, rank_mod_p(N.tolist(), p), rank_mod_p(square, p)]
+    assert ranks == [5, 2, 0]  # exact profile: blocks (2, 2, 1)
+    with pytest.raises(CapExceeded, match="2\\^53"):
+        jordan_type(np.eye(5, dtype=np.int64) + N, p)
+    # the bound is n*(p-1)*max(N): entries at most 2 stay exact far past p = 2^31
+    assert jordan_type(unipotent_matrix((3, 2)), p) == (3, 2)
 
 
 # -- tensor ----------------------------------------------------------------------
