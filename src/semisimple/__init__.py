@@ -47,7 +47,6 @@ from .verlinde import (
     fusion_table,
     in_plus_subring,
     is_invertible,
-    perron_frobenius_dim,
     product,
 )
 from .growth import (

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from mpmath import mp
 
-from .modrep import JordanModule, exterior_power, sym2, ext2, to_verlinde
+from .modrep import JordanModule, _check_induced_dim, sym2, ext2, to_verlinde
 from .partitions import Partition, dim_schur, dim_sym_irrep, enumerate_in_box
 from .scalars import (
     NUMERIC_TOL,
@@ -333,9 +333,20 @@ def binomials_mod_p(n: int, p: int, length: int) -> list[int]:
 
 
 def exterior_dimension_sequence(v: JordanModule) -> list[FpScalar]:
-    """Categorical dimensions of all exterior powers of v, computed by the
-    induced-matrix route (independent of any binomial identity)."""
-    return [FpScalar(exterior_power(v, k).dim, v.p) for k in range(v.dim + 1)]
+    """Categorical dimensions of the exterior powers Lambda^0 v .. Lambda^d v.
+
+    Lambda^k v has dimension C(d, k), d = dim v, so the sequence is the
+    binomial row of d mod p and depends on d alone; no power is built.
+    The requests the exterior powers themselves refuse are refused all the
+    same: p = 2, and a power whose dimension exceeds the induced-matrix cap.
+    """
+    if v.p == 2:
+        raise DomainError("exterior powers are only offered for p > 2")
+    d, c = v.dim, 1
+    for k in range(d // 2 + 1):  # C(d, k) rises up to k = d/2
+        _check_induced_dim(c)
+        c = c * (d - k) // (k + 1)
+    return [FpScalar(x, v.p) for x in binomials_mod_p(d, v.p, d + 1)]
 
 
 # ---------------------------------------------------------------------------

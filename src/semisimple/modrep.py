@@ -5,6 +5,11 @@ matrix of order dividing p^e.  Tensor, symmetric, and exterior
 constructions are decomposed by rank profiles of nilpotent powers over
 F_p (second differences of ranks), never by closed-form tables; the
 closed forms serve as independent test oracles instead.
+
+Only the exterior powers Lambda^k V with k <= dim V / 2 are computed:
+the wedge pairing Lambda^k V (x) Lambda^(d-k) V -> Lambda^d V = det is
+perfect, det U = 1 and V* = V, so Lambda^(d-k) V = Lambda^k V in every
+characteristic.
 """
 
 from __future__ import annotations
@@ -40,7 +45,8 @@ class JordanModule:
         check_prime(self.p)
         if self.e < 1:
             raise DomainError("order exponent must be >= 1")
-        if self.p**self.e > ORDER_CAP:
+        # p >= 2, so e past the cap's bit length already puts p^e past the cap
+        if self.e > ORDER_CAP.bit_length() or self.p**self.e > ORDER_CAP:
             raise CapExceeded(
                 f"group order {self.p}^{self.e} exceeds the cap {ORDER_CAP}"
             )
@@ -206,7 +212,9 @@ def ext2(v: JordanModule) -> JordanModule:
 
     Characteristic-free (offered at p = 2 as well, where sym2 is not).
     """
-    return JordanModule(v.p, v.e, _wedge_type(v.p, v.e, v.blocks, 2))
+    if v.dim < 2:
+        return JordanModule(v.p, v.e, ())
+    return JordanModule(v.p, v.e, _wedge_type(v.p, v.e, v.blocks, min(2, v.dim - 2)))
 
 
 def exterior_power(v: JordanModule, k: int) -> JordanModule:
@@ -215,7 +223,7 @@ def exterior_power(v: JordanModule, k: int) -> JordanModule:
         raise DomainError("exterior powers are only offered for p > 2")
     if not 0 <= k <= v.dim:
         raise DomainError(f"exterior power degree {k} outside [0, {v.dim}]")
-    return JordanModule(v.p, v.e, _wedge_type(v.p, v.e, v.blocks, k))
+    return JordanModule(v.p, v.e, _wedge_type(v.p, v.e, v.blocks, min(k, v.dim - k)))
 
 
 def non_negligible_part(v: JordanModule) -> JordanModule:

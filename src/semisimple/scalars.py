@@ -258,11 +258,6 @@ class TPolynomial:
 
     def evaluate(self, x):
         """Horner evaluation at an int, Fraction, or FpScalar."""
-        if isinstance(x, FpScalar):
-            acc = FpScalar(0, x.p)
-            for c in reversed(self.coeffs):
-                acc = acc * x + FpScalar(c, x.p)
-            return acc
         acc = x - x  # zero of the right kind
         for c in reversed(self.coeffs):
             acc = acc * x + c

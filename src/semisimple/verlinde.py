@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
 from mpmath import mp
 
 from .scalars import WORKING_DPS, DomainError, FpScalar, check_prime, q_int
@@ -150,38 +149,6 @@ def fp_dim(x: FusionElement):
             if m:
                 total += m * q_int(x.p, k, 1)
         return total
-
-
-def perron_frobenius_dim(x: FusionElement, tol: float = 1e-12, max_iter: int = 100000) -> float:
-    """Largest eigenvalue of the multiplication matrix of x, by power iteration.
-
-    Numeric validation witness for fp_dim; iterates on M + I so periodic
-    multiplication matrices (permutations) still converge.
-    """
-    if x.is_zero:
-        raise DomainError("zero element has no Perron-Frobenius eigenvalue")
-    p = x.p
-    n = p - 1
-    M = np.zeros((n, n))
-    for j in range(1, n + 1):
-        col = [0] * n
-        for i, a in enumerate(x.multiplicities, start=1):
-            if a == 0:
-                continue
-            for c, mult in enumerate(_fusion_multiplicities(p, i, j)):
-                col[c] += a * mult
-        M[:, j - 1] = col
-    shifted = M + np.eye(n)
-    v = np.ones(n)
-    lam = 0.0
-    for _ in range(max_iter):
-        w = shifted @ v
-        new_lam = float(np.max(w))
-        w /= new_lam
-        if abs(new_lam - lam) < tol and float(np.max(np.abs(w - v))) < tol:
-            return new_lam - 1.0
-        v, lam = w, new_lam
-    raise RuntimeError("power iteration did not converge")
 
 
 def is_invertible(x: FusionElement) -> bool:

@@ -190,6 +190,15 @@ def test_cap_exceeded_exit_code(capsys):
     assert code == 4
 
 
+@pytest.mark.parametrize("command", ["decompose", "invariants", "padic"])
+def test_huge_order_exponent_is_refused_at_once(capsys, command):
+    start = time.perf_counter()
+    code, _, err = run(capsys, command, "--p", "2", "--e", "100000000000", "--blocks", "1")
+    assert time.perf_counter() - start < 1
+    assert code == 4
+    assert err == "cap exceeded: group order 2^100000000000 exceeds the cap 64\n"
+
+
 def test_cap_override_warns(capsys):
     import semisimple.modrep as modrep
 
@@ -249,6 +258,13 @@ def test_padic_exterior_powers_of_a_large_block_in_bounded_time():
     doc = run_cli("padic", "--p", "13", "--blocks", "12", guard=30)
     assert doc["dims"] == [1 if k % 2 == 0 else 12 for k in range(13)]
     assert doc["digits"] == [12] and doc["value"] == 12
+
+
+def test_padic_exterior_powers_at_a_large_prime_in_bounded_time():
+    # C(14, 7) = 3432 is under the induced-dimension cap; the digits need no power
+    doc = run_cli("padic", "--p", "61", "--blocks", "14", guard=30)
+    assert doc["dims"] == [comb(14, k) % 61 for k in range(15)]
+    assert doc["digits"] == [14]
 
 
 def test_rank_mod_a_prime_above_the_int64_bound_in_bounded_time():

@@ -2,12 +2,15 @@
 
 Every numeric claim has an exact counterpart: growth rates are compared
 on multiplicity vectors, digit extraction against base-p expansions and
-against dividing out one (1 + z) at a time, and the recovery of
-multiplicities against the directly counted blocks and against the
-integer linear system over Z[q] that the two growth identities form.  The
-empirical length sequence is used only as a convergence witness.
+against dividing out one (1 + z) at a time, the binomial exterior-power
+dimensions against the Jordan types of the induced matrices, and the
+recovery of multiplicities against the directly counted blocks and
+against the integer linear system over Z[q] that the two growth
+identities form.  The empirical length sequence is used only as a
+convergence witness.
 """
 
+import json
 import random
 from fractions import Fraction
 from math import comb
@@ -33,7 +36,9 @@ from semisimple.growth import (
     square_difference_vector,
     tensor_power_length,
 )
-from semisimple.modrep import JordanModule, ext2, sym2, to_verlinde
+from semisimple import modrep
+from semisimple.cli import main
+from semisimple.modrep import JordanModule, ext2, exterior_power, sym2, to_verlinde
 from semisimple.partitions import Partition, dim_sym_irrep, enumerate_in_box
 from semisimple.scalars import WORKING_DPS, CapExceeded, DomainError, FpScalar, q_int
 from semisimple.verlinde import FusionElement, fp_dim, is_invertible
@@ -457,6 +462,48 @@ def test_padic_digits_exterior_path():
     seq = exterior_dimension_sequence(v)
     assert [x.value for x in seq] == [comb(7, n) % 5 for n in range(8)]
     assert padic_digits(5, seq).as_integer() == 7
+
+
+def block_multisets(n, top):
+    """Every multiset of block sizes <= top summing to n, largest first."""
+    if n == 0:
+        yield ()
+    for first in range(min(n, top), 0, -1):
+        for rest in block_multisets(n - first, first):
+            yield (first,) + rest
+
+
+def test_exterior_dimension_sequence_matches_the_induced_matrix_route():
+    # every module of dimension <= 8 at p^e <= 64: the dimensions of the
+    # Jordan types of the induced matrices, and the digits they give
+    for p in (3, 5, 7, 11, 13):
+        for e in (1, 2):
+            if p**e > 64:
+                continue
+            for d in range(1, 9):
+                for blocks in block_multisets(d, p**e):
+                    v = JordanModule(p, e, blocks)
+                    seq = exterior_dimension_sequence(v)
+                    assert [FpScalar(exterior_power(v, k).dim, p) for k in range(d + 1)] == seq
+                    assert padic_digits(p, seq).as_integer() == d
+
+
+def test_exterior_dimension_sequence_builds_no_matrix(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("no induced matrix or rank profile is needed")
+
+    for name in ("jordan_type", "_induced_matrix", "_wedge_type"):
+        monkeypatch.setattr(modrep, name, refuse)
+    seq = exterior_dimension_sequence(JordanModule(7, 2, (12, 2)))
+    assert [x.value for x in seq] == [comb(14, n) % 7 for n in range(15)]
+    assert main(["padic", "--p", "13", "--blocks", "12,1"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["dims"] == [comb(13, n) % 13 for n in range(14)] and doc["digits"] == [0, 1]
+    # the refusals of the exterior powers themselves stand, and come first
+    with pytest.raises(CapExceeded, match="induced matrix of dimension 5005 exceeds the cap 4096"):
+        exterior_dimension_sequence(JordanModule(13, 1, (12, 3)))
+    with pytest.raises(DomainError, match="only offered for p > 2"):
+        exterior_dimension_sequence(JordanModule(2, 1, (2, 1)))
 
 
 def test_padic_digits_fail_loudly():

@@ -300,7 +300,8 @@ def test_exterior_power_example_dimension():
 def test_induced_matrices_match_minor_and_pair_oracles(p):
     # every module of dimension <= 7 at orders p and p^2: the direct
     # expansion against the k x k minors of U (and, for p > 2, against the
-    # Sym^2 expansion over all pairs of entries of U), then the Jordan types
+    # Sym^2 expansion over all pairs of entries of U), then the Jordan types;
+    # for p > 2 also exterior_power, which builds Lambda^(d-k) for k > d/2
     for e in (1, 2):
         for blocks in block_lists(7, p**e):
             d = sum(blocks)
@@ -309,6 +310,8 @@ def test_induced_matrices_match_minor_and_pair_oracles(p):
                 oracle = minor_wedge_matrix(blocks, k, p)
                 assert np.array_equal(_induced_matrix(blocks, basis, alternating=True) % p, oracle)
                 assert _wedge_type(p, e, blocks, k) == jordan_type(oracle, p)
+                if p > 2:
+                    assert exterior_power(JordanModule(p, e, blocks), k).blocks == jordan_type(oracle, p)
             if p > 2:
                 basis = list(itertools.combinations_with_replacement(range(d), 2))
                 oracle = expanded_sym2_matrix(blocks, p)

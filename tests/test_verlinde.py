@@ -8,6 +8,7 @@ power-iteration eigenvalue.
 
 import random
 
+import numpy as np
 import pytest
 from mpmath import mp
 
@@ -22,7 +23,6 @@ from semisimple.verlinde import (
     fusion_table,
     in_plus_subring,
     is_invertible,
-    perron_frobenius_dim,
     product,
 )
 
@@ -122,6 +122,27 @@ def test_cat_dim_examples():
     for p in (3, 5, 7, 11):
         assert cat_dim(simple(p, p - 1)) == FpScalar(-1, p)
     assert cat_dim(FusionElement(5, (0, 1, 0, 1))) == FpScalar(1, 5)
+
+
+def perron_frobenius_dim(x, tol=1e-12, max_iter=100000):
+    """Largest eigenvalue of the multiplication matrix of x, by power iteration.
+
+    Iterates on M + I so periodic multiplication matrices (permutations)
+    still converge.  Column j of M is the product x (x) L_j.
+    """
+    n = x.p - 1
+    M = np.array([product(x, simple(x.p, j)).multiplicities for j in range(1, n + 1)], dtype=float).T
+    shifted = M + np.eye(n)
+    v = np.ones(n)
+    lam = 0.0
+    for _ in range(max_iter):
+        w = shifted @ v
+        new_lam = float(np.max(w))
+        w /= new_lam
+        if abs(new_lam - lam) < tol and float(np.max(np.abs(w - v))) < tol:
+            return new_lam - 1.0
+        v, lam = w, new_lam
+    raise RuntimeError("power iteration did not converge")
 
 
 def test_fp_dim_examples():
