@@ -1,10 +1,28 @@
 """Modular representations of cyclic p-groups as Jordan block multisets.
 
 A representation of Z/p^e over F_p is the Jordan type of a unipotent
-matrix of order dividing p^e.  Tensor, symmetric, and exterior
-constructions are decomposed by rank profiles of nilpotent powers over
-F_p (second differences of ranks), never by closed-form tables; the
-closed forms serve as independent test oracles instead.
+matrix of order dividing p^e.  Tensor products of two blocks are read off
+a graded Smith form; symmetric and exterior squares and powers off rank
+profiles of nilpotent powers of their induced matrices over F_p (second
+differences of ranks).  Neither uses a closed-form table: the closed
+forms (Clebsch-Gordan, the e = 1 tensor, squares) serve as independent
+test oracles instead, as does the rank profile of the Kronecker product.
+
+J_m (x) J_n, m <= n, is the Jordan type of x + y acting on
+A = F_p[x, y]/(x^m, y^n): U_m (x) U_n - I acts as x + y + xy =
+x + y(1 + x), and y -> y(1 + x) is an automorphism of A because 1 + x is
+a unit (Norman 1995; Iima-Iwamatsu 2009).  Put t = x + y and substitute
+y = t - x: as an F_p[t]-module, A is the cokernel of multiplication by
+(t - x)^n on F_p[t][x]/(x^m) = F_p[t]^m (basis 1, x, ..., x^(m-1)).  That
+map is an m x m lower-triangular Toeplitz matrix with entry
+(-1)^(r-c) C(n, r-c) t^(n-r+c) at (r, c), and the Jordan block sizes are
+its Smith exponents over F_p[t].  Every entry is a scalar times the power
+of t fixed by its position, so a nonzero entry of least degree divides
+every other entry.  Taking it as pivot and clearing its row and column is
+a rank-1 update of the scalars mod p, after which every remaining entry is
+still homogeneous of the same degree.  So m scalar pivots, each of least
+degree, give the block sizes as their degrees, which sum to
+deg det = mn; no mn-dimensional matrix is built.
 
 Only the exterior powers Lambda^k V with k <= dim V / 2 are computed:
 the wedge pairing Lambda^k V (x) Lambda^(d-k) V -> Lambda^d V = det is
@@ -21,12 +39,13 @@ from math import comb
 
 import numpy as np
 
-from .scalars import CapExceeded, DomainError, check_prime, row_echelon_mod_p
+from .scalars import CapExceeded, DomainError, check_prime, residue_dtype, row_echelon_mod_p
 from .verlinde import FusionElement
 
-#: Largest supported group order p^e for direct matrix computation.
-#: Overridable (e.g. by the CLI) at the caller's risk: the worst per-pair
-#: Kronecker block is (p^e)^2-dimensional.
+#: Largest supported group order p^e.  Overridable (e.g. by the CLI) at the
+#: caller's risk.  A tensor pair costs one elimination of at most
+#: p^e x p^e scalars (no (p^e)^2-dimensional Kronecker matrix is built);
+#: squares and exterior powers are bounded by INDUCED_DIM_CAP as well.
 ORDER_CAP = 64
 
 #: Largest induced-matrix dimension for symmetric/exterior constructions.
@@ -78,18 +97,6 @@ class JordanModule:
         return cls(int(doc["p"]), int(doc.get("e", 1)), tuple(doc["blocks"]))
 
 
-def unipotent_matrix(blocks: tuple[int, ...]) -> np.ndarray:
-    """Block-diagonal unipotent with one Jordan block (eigenvalue 1) per size."""
-    n = sum(blocks)
-    U = np.eye(n, dtype=np.int64)
-    offset = 0
-    for b in blocks:
-        for i in range(b - 1):
-            U[offset + i, offset + i + 1] = 1
-        offset += b
-    return U
-
-
 def jordan_type(U: np.ndarray, p: int) -> tuple[int, ...]:
     """Jordan block sizes of a unipotent matrix over F_p.
 
@@ -132,14 +139,27 @@ def jordan_type(U: np.ndarray, p: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def _tensor_pair(p: int, e: int, m: int, n: int) -> tuple[int, ...]:
+    """Jordan type of J_m (x) J_n: the Smith exponents of (t - x)^n on
+    F_p[t][x]/(x^m), by least-degree pivots (see the module docstring)."""
     if m > n:
         m, n = n, m
-    U = np.kron(unipotent_matrix((m,)), unipotent_matrix((n,))) % p
-    return jordan_type(U, p)
+    lag = np.subtract.outer(np.arange(m), np.arange(m))  # r - c
+    coef = np.array([(-1) ** j * comb(n, j) % p for j in range(m)], dtype=residue_dtype(p))
+    M = np.tril(coef[lag % m])
+    degree = n - lag
+    blocks = []
+    for _ in range(m):
+        r, c = np.unravel_index(np.where(M != 0, degree, m + n).argmin(), M.shape)
+        blocks.append(int(degree[r, c]))
+        column = M[:, c] * pow(int(M[r, c]), -1, p) % p
+        M = (M - np.outer(column, M[r])) % p
+    if sum(blocks) != m * n:
+        raise RuntimeError(f"Jordan blocks {blocks} do not sum to the dimension {m * n}")
+    return tuple(sorted(blocks, reverse=True))
 
 
 def jordan_tensor(a: JordanModule, b: JordanModule) -> JordanModule:
-    """Jordan type of the Kronecker product, computed blockwise over F_p."""
+    """Jordan type of the Kronecker product: one graded Smith form per pair of blocks."""
     if (a.p, a.e) != (b.p, b.e):
         raise DomainError("tensor factors must share p and order exponent")
     counts: dict[int, int] = {}
@@ -161,7 +181,7 @@ def _check_induced_dim(dim: int):
 
 
 def _induced_matrix(blocks: tuple[int, ...], basis: list[tuple[int, ...]], alternating: bool) -> np.ndarray:
-    """Matrix of U = unipotent_matrix(blocks) on degree-k monomials in e_0, e_1, ...
+    """Matrix of the unipotent U with Jordan blocks `blocks` on degree-k monomials in e_0, e_1, ...
 
     basis lists the monomials as sorted index tuples; column j is the image
     of basis[j].  U e_i is e_i + e_(i-1), or e_i at the start of a block,

@@ -365,13 +365,19 @@ def q_int(p: int, k: int, power: int = 1):
 # ---------------------------------------------------------------------------
 
 
+def residue_dtype(p: int):
+    """Array dtype for exact elimination mod p: int64 while a product of two
+    residues, at most (p-1)^2, fits; for larger p Python ints (object), which
+    never wrap."""
+    return np.int64 if (p - 1) ** 2 < 2**63 else object
+
+
 def row_echelon_mod_p(matrix, p: int) -> np.ndarray:
     """Row echelon basis of the row space over F_p (nonzero rows only).
 
-    Eliminates in int64 while a product of two residues, at most (p-1)^2,
-    fits; for larger p on Python ints (an object array), which never wrap.
+    Eliminates in residue_dtype(p), so no product of residues wraps.
     """
-    A = np.array(matrix, dtype=np.int64 if (p - 1) ** 2 < 2**63 else object)
+    A = np.array(matrix, dtype=residue_dtype(p))
     if A.ndim != 2:
         raise DomainError("expected a 2-d matrix")
     A %= p

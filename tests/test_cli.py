@@ -227,6 +227,29 @@ def test_cap_order_override_lasts_one_call(capsys):
         JordanModule(2, 7, (3,))
 
 
+@pytest.mark.parametrize("p, e, m", [(2, 6, 63), (7, 2, 42)])
+def test_tensor_with_a_full_block_at_the_order_cap_in_bounded_time(capsys, p, e, m):
+    # J_m (x) J_(p^e) = m J_(p^e): the full block is projective
+    q = p**e
+    modrep._tensor_pair.cache_clear()
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "decompose", "--p", str(p), "--e", str(e), "--blocks", str(q), "--op", "tensor",
+                       "--with-blocks", str(m))
+    assert time.perf_counter() - start < 2
+    assert code == 0
+    assert json.loads(out)["blocks"] == [q] * m
+
+
+def test_tensor_at_a_prime_above_the_int64_bound(capsys):
+    # (p - 1)^2 > 2^63, and m + n - 1 <= p for every pair: Clebsch-Gordan
+    p = 4294967311
+    code, out, _ = run(capsys, "decompose", "--p", str(p), "--blocks", "5,4", "--with-blocks", "6,3",
+                       "--cap-order", str(p))
+    assert code == 0
+    clebsch_gordan = [abs(m - n) + 2 * i - 1 for m in (5, 4) for n in (6, 3) for i in range(1, min(m, n) + 1)]
+    assert json.loads(out)["blocks"] == sorted(clebsch_gordan, reverse=True)
+
+
 def test_rank_at_the_degree_cap(capsys):
     # End([3,3]) has degree 6, the default cap: a 720 x 720 Gram matrix
     start = time.perf_counter()

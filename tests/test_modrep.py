@@ -1,8 +1,10 @@
 """Jordan block decomposition tests.
 
-The decompositions themselves come from rank profiles over F_p; the
-classical Clebsch-Gordan closed form (valid whenever m + n - 1 <= p) and
-plain dimension bookkeeping serve as the independent oracles.
+Tensor pairs come from a graded Smith form, squares and exterior powers
+from rank profiles over F_p.  The independent oracles are the rank profile
+of the dense Kronecker product U_m (x) U_n (built here, nowhere in the
+library), the classical Clebsch-Gordan closed form (valid whenever
+m + n - 1 <= p), and plain dimension bookkeeping.
 """
 
 import itertools
@@ -16,6 +18,7 @@ from semisimple.modrep import (
     JordanModule,
     _induced_matrix,
     _sym2_type,
+    _tensor_pair,
     _wedge_type,
     dual,
     ext2,
@@ -25,7 +28,6 @@ from semisimple.modrep import (
     non_negligible_part,
     sym2,
     to_verlinde,
-    unipotent_matrix,
 )
 from semisimple.scalars import CapExceeded, DomainError, rank_mod_p
 from semisimple.verlinde import FusionElement
@@ -33,6 +35,23 @@ from semisimple.verlinde import FusionElement
 
 def J(p, *blocks, e=1):
     return JordanModule(p, e, blocks)
+
+
+def unipotent_matrix(blocks: tuple[int, ...]) -> np.ndarray:
+    """Block-diagonal unipotent with one Jordan block (eigenvalue 1) per size."""
+    n = sum(blocks)
+    U = np.eye(n, dtype=np.int64)
+    offset = 0
+    for b in blocks:
+        for i in range(b - 1):
+            U[offset + i, offset + i + 1] = 1
+        offset += b
+    return U
+
+
+def kronecker_tensor_pair(p, m, n):
+    """J_m (x) J_n from the rank profile of the dense mn-dimensional Kronecker product."""
+    return jordan_type(np.kron(unipotent_matrix((m,)), unipotent_matrix((n,))) % p, p)
 
 
 def clebsch_gordan(m, n):
@@ -195,6 +214,20 @@ def test_tensor_classical_range_matches_clebsch_gordan():
                 if m + n - 1 <= p:
                     expected = clebsch_gordan(m, n)
                     assert jordan_tensor(J(p, m), J(p, n)).blocks == expected
+
+
+def test_tensor_pairs_match_the_kronecker_rank_profile():
+    # every pair at every order p^e <= 16 (436 pairs), then a seeded sample
+    # at the larger orders, kept to m*n <= 600 so the dense oracle stays cheap
+    orders = [(p, e) for p in (2, 3, 5, 7, 11, 13) for e in (1, 2, 3, 4) if p**e <= 16]
+    pairs = [(p, e, m, n) for p, e in orders for m in range(1, p**e + 1) for n in range(m, p**e + 1)]
+    assert len(pairs) == 436
+    rng = random.Random(43)
+    for p, e in [(5, 2), (3, 3), (2, 5), (7, 2), (2, 6)]:
+        small = [(m, n) for m in range(1, p**e + 1) for n in range(1, p**e + 1) if m * n <= 600]
+        pairs += [(p, e, m, n) for m, n in rng.sample(small, 6)]
+    for p, e, m, n in pairs:
+        assert _tensor_pair(p, e, m, n) == kronecker_tensor_pair(p, m, n), (p, e, m, n)
 
 
 def test_tensor_dimension_bookkeeping():
