@@ -141,10 +141,8 @@ def cmd_decompose(args):
 
 
 def _plancherel_doc(p: int, d: int, cap: int) -> dict:
-    return {
-        "square_sum": growth.plancherel_square_sum(p, d, cap),
-        "bound": _fmt_real(growth.plancherel_bound(p, d, cap)),
-    }
+    total = growth.plancherel_square_sum(p, d, cap)
+    return {"square_sum": total, "bound": _fmt_real(growth.plancherel_root(p, total))}
 
 
 def _improved_doc(p: int, d: int, cap: int) -> dict:

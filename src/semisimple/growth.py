@@ -19,7 +19,7 @@ from fractions import Fraction
 from mpmath import mp
 
 from .modrep import JordanModule, _check_induced_dim, sym2, ext2, to_verlinde
-from .partitions import Partition, dim_schur, dim_sym_irrep, enumerate_in_box
+from .partitions import Partition, box_partitions, dimensions, factorial_table
 from .scalars import (
     NUMERIC_TOL,
     WORKING_DPS,
@@ -367,14 +367,19 @@ def plancherel_square_sum(p: int, d: int, cap: int = BOUNDS_PRIME_CAP) -> int:
     the d x (p-d) box: the box-confinement mass of the Plancherel measure,
     scaled by (p-1)!."""
     _check_bounds_args(p, d, cap)
-    return sum(dim_sym_irrep(lam) ** 2 for lam in enumerate_in_box(p - 1, d, p - d))
+    fact = factorial_table(p - 1)
+    return sum(dimensions(parts, fact)[0] ** 2 for parts in box_partitions(p - 1, d, p - d))
+
+
+def plancherel_root(p: int, square_sum: int):
+    """The Plancherel bound (square_sum)^(1/(2(p-1))), at working precision."""
+    with mp.workdps(WORKING_DPS):
+        return mp.root(mp.mpf(square_sum), 2 * (p - 1))
 
 
 def plancherel_bound(p: int, d: int, cap: int = BOUNDS_PRIME_CAP):
     """Growth lower bound (square_sum)^(1/(2(p-1))), at working precision."""
-    total = plancherel_square_sum(p, d, cap)
-    with mp.workdps(WORKING_DPS):
-        return mp.root(mp.mpf(total), 2 * (p - 1))
+    return plancherel_root(p, plancherel_square_sum(p, d, cap))
 
 
 @dataclass(frozen=True)
@@ -400,17 +405,18 @@ class ImprovedBound:
 
 
 def improved_bound(p: int, d: int, cap: int = BOUNDS_PRIME_CAP) -> ImprovedBound:
+    """One pass over the partitions of p-1 with at most d rows: row_sum,
+    box_sum (first part at most p-d) and the first largest Schur dimension."""
     _check_bounds_args(p, d, cap)
-    rows_constrained = enumerate_in_box(p - 1, d, p - 1)
-    best = None
-    best_lam = None
-    row_sum = 0
-    for lam in rows_constrained:
-        dim_s = dim_schur(lam, d)
-        row_sum += dim_sym_irrep(lam)
-        if best is None or dim_s > best:
-            best, best_lam = dim_s, lam
-    box_sum = sum(dim_sym_irrep(lam) for lam in enumerate_in_box(p - 1, d, p - d))
+    fact = factorial_table(p + d - 2)
+    best, best_parts, row_sum, box_sum = 0, (), 0, 0
+    for parts in box_partitions(p - 1, d, p - 1):
+        f, dim_s = dimensions(parts, fact, d)
+        row_sum += f
+        if parts[0] <= p - d:
+            box_sum += f
+        if dim_s > best:
+            best, best_parts = dim_s, parts
     ratio = Fraction(d ** (p - 1), best)
     with mp.workdps(WORKING_DPS):
         bound = mp.root(mp.mpf(ratio.numerator) / ratio.denominator, p - 1)
@@ -419,7 +425,7 @@ def improved_bound(p: int, d: int, cap: int = BOUNDS_PRIME_CAP) -> ImprovedBound
         d=d,
         bound=bound,
         max_schur_dim=best,
-        max_partition=best_lam,
+        max_partition=Partition(best_parts),
         ratio=ratio,
         row_sum=row_sum,
         box_sum=box_sum,

@@ -2,11 +2,20 @@
 
 A representation of Z/p^e over F_p is the Jordan type of a unipotent
 matrix of order dividing p^e.  Tensor products of two blocks are read off
-a graded Smith form; symmetric and exterior squares and powers off rank
-profiles of nilpotent powers of their induced matrices over F_p (second
-differences of ranks).  Neither uses a closed-form table: the closed
-forms (Clebsch-Gordan, the e = 1 tensor, squares) serve as independent
-test oracles instead, as does the rank profile of the Kronecker product.
+a graded Smith form; symmetric and exterior squares and powers of one
+block off rank profiles of nilpotent powers of their induced matrices
+over F_p (second differences of ranks).  Those of a sum of blocks split
+by the natural isomorphisms, exact in every characteristic,
+
+    Lambda^k(A + B) = sum_i Lambda^i A (x) Lambda^(k-i) B,
+    Sym^2(A + B) = Sym^2 A + A (x) B + Sym^2 B,
+
+with A the first block, so the cross terms are tensor pairs and no
+induced matrix spans two blocks.  The cap on the induced dimension is
+still checked on the whole module first.  Nothing uses a closed-form
+table: the closed forms (Clebsch-Gordan, the e = 1 tensor, squares) serve
+as independent test oracles instead, as do the rank profiles of the
+Kronecker product and of the induced matrix of the whole module.
 
 J_m (x) J_n, m <= n, is the Jordan type of x + y acting on
 A = F_p[x, y]/(x^m, y^n): U_m (x) U_n - I acts as x + y + xy =
@@ -158,19 +167,16 @@ def _tensor_pair(p: int, e: int, m: int, n: int) -> tuple[int, ...]:
     return tuple(sorted(blocks, reverse=True))
 
 
+def _tensor_blocks(p: int, e: int, xs: tuple[int, ...], ys: tuple[int, ...]) -> tuple[int, ...]:
+    """Block sizes of (+) J_m (x) (+) J_n, descending: one graded Smith form per pair of blocks."""
+    return tuple(sorted((size for m in xs for n in ys for size in _tensor_pair(p, e, m, n)), reverse=True))
+
+
 def jordan_tensor(a: JordanModule, b: JordanModule) -> JordanModule:
-    """Jordan type of the Kronecker product: one graded Smith form per pair of blocks."""
+    """Jordan type of the Kronecker product, pair of blocks by pair of blocks."""
     if (a.p, a.e) != (b.p, b.e):
         raise DomainError("tensor factors must share p and order exponent")
-    counts: dict[int, int] = {}
-    for m in a.blocks:
-        for n in b.blocks:
-            for size in _tensor_pair(a.p, a.e, m, n):
-                counts[size] = counts.get(size, 0) + 1
-    blocks = tuple(
-        size for size in sorted(counts, reverse=True) for _ in range(counts[size])
-    )
-    return JordanModule(a.p, a.e, blocks)
+    return JordanModule(a.p, a.e, _tensor_blocks(a.p, a.e, a.blocks, b.blocks))
 
 
 def _check_induced_dim(dim: int):
@@ -204,18 +210,32 @@ def _induced_matrix(blocks: tuple[int, ...], basis: list[tuple[int, ...]], alter
 
 @lru_cache(maxsize=None)
 def _sym2_type(p: int, e: int, blocks: tuple[int, ...]) -> tuple[int, ...]:
-    """Jordan type on V(x)V modulo antisymmetric tensors, basis e_i.e_j (i <= j)."""
+    """Jordan type on V(x)V modulo antisymmetric tensors, basis e_i.e_j (i <= j);
+    split as Sym^2 A + A (x) B + Sym^2 B over V = A + B, A the first block."""
     d = sum(blocks)
     _check_induced_dim(d * (d + 1) // 2)
+    if len(blocks) > 1:
+        head, rest = blocks[:1], blocks[1:]
+        pieces = _sym2_type(p, e, head) + _tensor_blocks(p, e, head, rest) + _sym2_type(p, e, rest)
+        return tuple(sorted(pieces, reverse=True))
     basis = list(itertools.combinations_with_replacement(range(d), 2))
     return jordan_type(_induced_matrix(blocks, basis, alternating=False) % p, p)
 
 
 @lru_cache(maxsize=None)
 def _wedge_type(p: int, e: int, blocks: tuple[int, ...], k: int) -> tuple[int, ...]:
-    """Jordan type on the k-th exterior power, basis e_i1 ^ ... ^ e_ik (i1 < ... < ik)."""
+    """Jordan type on the k-th exterior power, basis e_i1 ^ ... ^ e_ik (i1 < ... < ik);
+    split as the sum of Lambda^i A (x) Lambda^(k-i) B over V = A + B, A the first block."""
     d = sum(blocks)
     _check_induced_dim(comb(d, k))
+    if len(blocks) > 1:
+        head, rest = blocks[:1], blocks[1:]
+        a, b = blocks[0], d - blocks[0]
+        pieces = []
+        for i in range(max(0, k - b), min(k, a) + 1):
+            pieces += _tensor_blocks(p, e, _wedge_type(p, e, head, min(i, a - i)),
+                                     _wedge_type(p, e, rest, min(k - i, b - k + i)))
+        return tuple(sorted(pieces, reverse=True))
     basis = list(itertools.combinations(range(d), k))
     return jordan_type(_induced_matrix(blocks, basis, alternating=True) % p, p)
 

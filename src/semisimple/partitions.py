@@ -1,15 +1,28 @@
-"""Integer partitions, hook lengths, and box-constrained enumeration.
+"""Integer partitions, their dimension formulas, and box-constrained enumeration.
 
-Dimensions of symmetric-group irreducibles come from the hook length
-formula; dimensions of Schur modules S^lam(K^d) from the hook content
-formula.  Enumeration inside a rows x cols box is the workhorse of the
-tensor-power lower bounds.
+For a partition lam of n with l parts put l_i = lam_i + l - 1 - i
+(i = 0 .. l-1), the first-column hook lengths.  The Frobenius formula
+gives the dimension of the symmetric-group irreducible,
+
+    f_lam = n! prod_{i<j} (l_i - l_j) / prod_i l_i!,
+
+and the content product turns it into the dimension of the Schur module,
+
+    dim S^lam(K^d) = f_lam prod_i (d - i + lam_i - 1)! / (d - i - 1)! / n!,
+
+zero when lam has more than d rows.  Both come from one factorial table,
+and a quotient that is not integral raises RuntimeError.  The hook length
+and hook content formulas are the test oracles.  Enumeration inside a
+rows x cols box is one recursive generator of part tuples; the tensor-power
+lower bounds consume it directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
+from itertools import accumulate, combinations, starmap
+from math import prod
+from operator import mul, sub
 
 from .scalars import DomainError
 
@@ -38,83 +51,73 @@ class Partition:
     def __iter__(self):
         return iter(self.parts)
 
-    def conjugate(self) -> "Partition":
-        if not self.parts:
-            return Partition(())
-        out = [0] * self.parts[0]
-        for part in self.parts:
-            for j in range(part):
-                out[j] += 1
-        return Partition(tuple(out))
-
-    def hook_lengths(self) -> list[list[int]]:
-        conj = self.conjugate().parts
-        return [
-            [self.parts[i] - j + conj[j] - i - 1 for j in range(self.parts[i])]
-            for i in range(len(self.parts))
-        ]
-
     def __str__(self):
         return "(" + ",".join(map(str, self.parts)) + ")"
 
 
-def enumerate_in_box(n: int, rows: int, cols: int) -> list[Partition]:
-    """All partitions of n with at most `rows` parts, each at most `cols`.
-
-    Returned in ascending lexicographic order of the part tuples, each
-    partition exactly once.
-    """
+def box_partitions(n: int, rows: int, cols: int):
+    """Part tuples of the partitions of n with at most `rows` parts, each
+    at most `cols`, in ascending lexicographic order, each exactly once."""
     if n < 0 or rows < 0 or cols < 0:
         raise DomainError("box parameters must be nonnegative")
-    out: list[Partition] = []
+    prefix: list[int] = []
 
-    def descend(remaining: int, max_rows: int, max_part: int, prefix: list[int]):
-        if remaining == 0:
-            out.append(Partition(tuple(prefix)))
-            return
+    def descend(remaining: int, max_rows: int, max_part: int):
         if max_rows == 0 or max_part == 0:
             return
         # smallest admissible first part keeps the output lexicographic
-        lo = -(-remaining // max_rows)  # ceil
-        for a in range(lo, min(max_part, remaining) + 1):
-            prefix.append(a)
-            descend(remaining - a, max_rows - 1, a, prefix)
-            prefix.pop()
+        for a in range(-(-remaining // max_rows), min(max_part, remaining) + 1):
+            if a == remaining:
+                yield (*prefix, a)
+            else:
+                prefix.append(a)
+                yield from descend(remaining - a, max_rows - 1, a)
+                prefix.pop()
 
-    descend(n, rows, cols, [])
-    return out
+    return descend(n, rows, cols) if n else iter([()])
+
+
+def enumerate_in_box(n: int, rows: int, cols: int) -> list[Partition]:
+    """The partitions of box_partitions(n, rows, cols), in its order."""
+    return [Partition(parts) for parts in box_partitions(n, rows, cols)]
+
+
+def factorial_table(m: int) -> list[int]:
+    """0!, 1!, .., m!"""
+    return list(accumulate(range(1, m + 1), mul, initial=1))
+
+
+def dimensions(parts: tuple[int, ...], fact: list[int], d: int = 0) -> tuple[int, int]:
+    """(f_lam, dim S^lam(K^d)) of the part tuple lam by the Frobenius formula.
+
+    fact is factorial_table(m) with m >= n, and m >= n + d - 1 when lam
+    has at most d rows; otherwise the Schur dimension is 0 (so d = 0 skips it).
+    """
+    ell = len(parts)
+    firsts = [x - j for j, x in enumerate(parts, 1 - ell)]  # the l_i
+    vandermonde = prod(starmap(sub, combinations(firsts, 2)))
+    hooks = prod(map(fact.__getitem__, firsts))
+    f, rem = divmod(fact[sum(parts)] * vandermonde, hooks)
+    if rem:
+        raise RuntimeError(f"the Frobenius quotient of {parts} is not integral")
+    if ell > d:
+        return f, 0
+    contents = prod([fact[d - 1 - i + x] // fact[d - 1 - i] for i, x in enumerate(parts)])
+    schur, rem = divmod(vandermonde * contents, hooks)
+    if rem:
+        raise RuntimeError(f"the content product of {parts} at d={d} is not integral")
+    return f, schur
 
 
 def dim_sym_irrep(lam: Partition) -> int:
-    """Dimension of the symmetric-group irreducible attached to lam (hook lengths)."""
+    """Dimension of the symmetric-group irreducible attached to lam."""
     if not lam.parts:
         raise DomainError("empty partition has no symmetric-group label")
-    num = factorial(lam.size)
-    for row in lam.hook_lengths():
-        for h in row:
-            num, rem = divmod(num, h)
-            if rem != 0:
-                raise RuntimeError(f"the hook lengths of {lam} do not divide {lam.size}!")
-    return num
+    return dimensions(lam.parts, factorial_table(lam.size))[0]
 
 
 def dim_schur(lam: Partition, d: int) -> int:
-    """Dimension of the Schur module S^lam(K^d) by the hook content formula.
-
-    Zero exactly when lam has more than d rows.  The numerator is
-    accumulated as one big integer and divided once at the end, so no
-    intermediate value is ever non-integral.
-    """
+    """Dimension of the Schur module S^lam(K^d); zero exactly when lam has more than d rows."""
     if len(lam.parts) > d:
         return 0
-    num = 1
-    hooks = 1
-    hook_rows = lam.hook_lengths()
-    for i, part in enumerate(lam.parts):
-        for j in range(part):
-            num *= d + j - i
-            hooks *= hook_rows[i][j]
-    q, rem = divmod(num, hooks)
-    if rem != 0:
-        raise RuntimeError(f"the hook product of {lam} does not divide its content product at d={d}")
-    return q
+    return dimensions(lam.parts, factorial_table(lam.size + d), d)[1]

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from math import comb
 from pathlib import Path
 
@@ -259,6 +260,28 @@ def test_rank_at_the_degree_cap(capsys):
     assert json.loads(out)["rank"] == 513
 
 
+def test_improved_bound_at_the_prime_cap_in_bounded_time(capsys):
+    # one pass over the ~10^5 partitions of 46 with at most 23 rows
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "bounds", "improved", "--p", "47", "--d", "23")
+    assert time.perf_counter() - start < 30
+    assert code == 0
+    doc = json.loads(out)
+    assert Fraction(doc["ratio"]) == Fraction(23**46, doc["M"])
+    assert sum(doc["max_partition"]) == 46 and len(doc["max_partition"]) <= 23
+    assert doc["row_sum"] * doc["M"] >= 23**46 and doc["box_sum"] <= doc["row_sum"]
+
+
+def test_square_refused_by_the_induced_cap_at_once(capsys):
+    # Sym^2 of dimension 91 is 4186-dimensional: refused on the total
+    # dimension before any block is split off or any matrix is built
+    start = time.perf_counter()
+    code, out, err = run(capsys, "decompose", "--p", "7", "--e", "2", "--blocks", "49,42", "--op", "sym2")
+    assert time.perf_counter() - start < 1
+    assert code == 4 and out == ""
+    assert err == "cap exceeded: induced matrix of dimension 4186 exceeds the cap 4096\n"
+
+
 def test_selftest_passes(capsys):
     code, out, _ = run(capsys, "selftest", "--seed", "1")
     assert code == 0
@@ -294,6 +317,13 @@ def test_rank_mod_a_prime_above_the_int64_bound_in_bounded_time():
     # at the degree-6 cap; 3 + c = 0 mod p only for the content c = -3
     doc = run_cli("brauer", "rank", "--r", "3", "--s", "3", "--t", "3", "--mod", "4294967311", guard=30)
     assert doc["rank"] == schur_weyl_homdim(3, BiObject(3, 3), BiObject(3, 3)) == 513
+
+
+def test_exterior_square_at_the_induced_cap_in_bounded_time():
+    # Lambda^2 (J_49 + J_42) = Lambda^2 J_49 + J_49 (x) J_42 + Lambda^2 J_42, 4095-dimensional;
+    # the blocks are those of the rank profile of the whole 4095 x 4095 induced matrix
+    doc = run_cli("decompose", "--p", "7", "--e", "2", "--blocks", "49,42", "--op", "ext2", guard=30)
+    assert doc["blocks"] == [49] * 83 + [7] * 4
 
 
 def test_padic_large_binomial_in_bounded_time():

@@ -1,10 +1,12 @@
 """Jordan block decomposition tests.
 
 Tensor pairs come from a graded Smith form, squares and exterior powers
-from rank profiles over F_p.  The independent oracles are the rank profile
-of the dense Kronecker product U_m (x) U_n (built here, nowhere in the
-library), the classical Clebsch-Gordan closed form (valid whenever
-m + n - 1 <= p), and plain dimension bookkeeping.
+of single blocks from rank profiles over F_p, and those of sums from their
+direct-sum splitting.  The independent oracles are the rank profile of the
+dense Kronecker product U_m (x) U_n (built here, nowhere in the library),
+the rank profile of the induced matrix of the whole module, the classical
+Clebsch-Gordan closed form (valid whenever m + n - 1 <= p), and plain
+dimension bookkeeping.
 """
 
 import itertools
@@ -52,6 +54,17 @@ def unipotent_matrix(blocks: tuple[int, ...]) -> np.ndarray:
 def kronecker_tensor_pair(p, m, n):
     """J_m (x) J_n from the rank profile of the dense mn-dimensional Kronecker product."""
     return jordan_type(np.kron(unipotent_matrix((m,)), unipotent_matrix((n,))) % p, p)
+
+
+def whole_module_type(p, blocks, k=None):
+    """Lambda^k V (Sym^2 V when k is None) from the rank profile of one
+    induced matrix on the whole module, with no direct-sum splitting."""
+    d = sum(blocks)
+    if k is None:
+        basis = list(itertools.combinations_with_replacement(range(d), 2))
+    else:
+        basis = list(itertools.combinations(range(d), k))
+    return jordan_type(_induced_matrix(blocks, basis, alternating=k is not None) % p, p)
 
 
 def clebsch_gordan(m, n):
@@ -350,6 +363,19 @@ def test_induced_matrices_match_minor_and_pair_oracles(p):
                 oracle = expanded_sym2_matrix(blocks, p)
                 assert np.array_equal(_induced_matrix(blocks, basis, alternating=False) % p, oracle)
                 assert _sym2_type(p, e, blocks) == jordan_type(oracle, p)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_direct_sum_splitting_matches_the_whole_module_route(p):
+    # every module of dimension <= 8 at orders p and p^2, every k and Sym^2
+    _wedge_type.cache_clear()
+    _sym2_type.cache_clear()
+    for e in (1, 2):
+        for blocks in block_lists(8, p**e):
+            v = JordanModule(p, e, blocks)
+            for k in range(v.dim + 1):
+                assert exterior_power(v, k).blocks == whole_module_type(p, blocks, k)
+            assert sym2(v).blocks == whole_module_type(p, blocks)
 
 
 # -- negligible filtering and the fusion image ---------------------------------------

@@ -1,19 +1,25 @@
 """Partition enumeration and dimension formula tests.
 
-Oracles: a standalone partition counter for cardinalities, and a
+Oracles: a standalone partition counter for cardinalities, a
 semistandard-tableau counter for Schur module dimensions (weight
-enumeration, no hook lengths involved).
+enumeration, no hook lengths involved), and the hook length and hook
+content formulas for the Frobenius-formula kernel.  The growth bounds are
+compared with the two-pass route over the hook formulas that they replaced.
 """
 
 from math import factorial
 
 import pytest
 
+from semisimple.growth import improved_bound, plancherel_square_sum
 from semisimple.partitions import (
     Partition,
+    box_partitions,
     dim_schur,
     dim_sym_irrep,
+    dimensions,
     enumerate_in_box,
+    factorial_table,
 )
 from semisimple.scalars import DomainError
 
@@ -57,6 +63,55 @@ def count_ssyt(shape, d):
     return fill(0, {})
 
 
+def conjugate(parts):
+    """The column lengths of a partition."""
+    return tuple(sum(1 for x in parts if x > j) for j in range(parts[0] if parts else 0))
+
+
+def hook_lengths(lam):
+    """Hook length of every cell (i, j) of lam, row by row."""
+    conj = conjugate(lam.parts)
+    return [[lam.parts[i] - j + conj[j] - i - 1 for j in range(lam.parts[i])] for i in range(len(lam.parts))]
+
+
+def hook_dim(lam):
+    """f_lam = n! / (product of the hook lengths)."""
+    num = factorial(lam.size)
+    for row in hook_lengths(lam):
+        for h in row:
+            num, rem = divmod(num, h)
+            assert rem == 0
+    return num
+
+
+def hook_content_dim(lam, d):
+    """dim S^lam(K^d) = product of (d + j - i) / product of the hook lengths."""
+    if len(lam.parts) > d:
+        return 0
+    num, hooks = 1, 1
+    for i, row in enumerate(hook_lengths(lam)):
+        for j, h in enumerate(row):
+            num *= d + j - i
+            hooks *= h
+    q, rem = divmod(num, hooks)
+    assert rem == 0
+    return q
+
+
+def two_pass_improved(p, d):
+    """improved_bound's exact fields as it computed them before: the hook
+    formulas over the row-constrained partitions, then over the box again."""
+    best = best_lam = None
+    row_sum = 0
+    for lam in enumerate_in_box(p - 1, d, p - 1):
+        dim_s = hook_content_dim(lam, d)
+        row_sum += hook_dim(lam)
+        if best is None or dim_s > best:
+            best, best_lam = dim_s, lam
+    box_sum = sum(hook_dim(lam) for lam in enumerate_in_box(p - 1, d, p - d))
+    return best, best_lam, row_sum, box_sum
+
+
 def test_partition_validation():
     with pytest.raises(DomainError):
         Partition((1, 2))
@@ -67,7 +122,7 @@ def test_partition_validation():
 def test_conjugate_involution():
     for n in range(9):
         for lam in enumerate_in_box(n, n, n):
-            assert lam.conjugate().conjugate() == lam
+            assert conjugate(conjugate(lam.parts)) == lam.parts
 
 
 def test_enumerate_in_box_examples():
@@ -133,3 +188,47 @@ def test_weighted_dimension_identity():
                 for lam in enumerate_in_box(n, d, n)
             )
             assert total == d**n
+
+
+def test_kernel_matches_the_hook_formulas():
+    # every partition of n <= 20: f_lam, and dim S^lam(K^d) for every d <= 8
+    for n in range(21):
+        for lam in enumerate_in_box(n, n, n):
+            fact = factorial_table(n + 8)
+            f = hook_dim(lam) if n else 1
+            for d in range(9):
+                assert dimensions(lam.parts, fact, d) == (f, hook_content_dim(lam, d))
+                assert dim_schur(lam, d) == hook_content_dim(lam, d)
+            if n:
+                assert dim_sym_irrep(lam) == f
+
+
+def test_kernel_refuses_a_non_integral_quotient():
+    fact = factorial_table(9)
+    assert dimensions((2, 2), fact, 5) == (2, 50)
+    with pytest.raises(RuntimeError, match="Frobenius"):
+        dimensions((2, 2), fact[:3] + [7] + fact[4:], 5)  # 3! read as 7
+    with pytest.raises(RuntimeError, match="content"):
+        dimensions((2, 2), fact[:6] + [24 * 31] + fact[7:], 5)  # 6!/4! read as 31
+
+
+def test_box_partitions_are_the_box_filter_of_all_partitions():
+    # the unconstrained enumeration is checked against the partition counter above
+    for n in range(11):
+        everything = list(box_partitions(n, n, n))
+        for rows in range(6):
+            for cols in range(6):
+                inside = [lam for lam in everything if len(lam) <= rows and all(x <= cols for x in lam)]
+                assert list(box_partitions(n, rows, cols)) == inside
+    with pytest.raises(DomainError):
+        box_partitions(3, -1, 2)
+
+
+def test_bounds_match_the_two_pass_hook_route():
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23):
+        for d in range(1, p):
+            imp = improved_bound(p, d)
+            assert (imp.max_schur_dim, imp.max_partition, imp.row_sum, imp.box_sum) == two_pass_improved(p, d)
+            assert plancherel_square_sum(p, d) == sum(
+                hook_dim(lam) ** 2 for lam in enumerate_in_box(p - 1, d, p - d)
+            )
