@@ -19,7 +19,7 @@ from fractions import Fraction
 from mpmath import mp
 
 from .modrep import JordanModule, _check_induced_dim, sym2, ext2, to_verlinde
-from .partitions import Partition, box_partitions, dimensions, factorial_table
+from .partitions import Partition, box_partitions, dimensions
 from .scalars import (
     NUMERIC_TOL,
     WORKING_DPS,
@@ -367,8 +367,7 @@ def plancherel_square_sum(p: int, d: int, cap: int = BOUNDS_PRIME_CAP) -> int:
     the d x (p-d) box: the box-confinement mass of the Plancherel measure,
     scaled by (p-1)!."""
     _check_bounds_args(p, d, cap)
-    fact = factorial_table(p - 1)
-    return sum(dimensions(parts, fact)[0] ** 2 for parts in box_partitions(p - 1, d, p - d))
+    return sum(dimensions(parts)[0] ** 2 for parts in box_partitions(p - 1, d, p - d))
 
 
 def plancherel_root(p: int, square_sum: int):
@@ -408,10 +407,9 @@ def improved_bound(p: int, d: int, cap: int = BOUNDS_PRIME_CAP) -> ImprovedBound
     """One pass over the partitions of p-1 with at most d rows: row_sum,
     box_sum (first part at most p-d) and the first largest Schur dimension."""
     _check_bounds_args(p, d, cap)
-    fact = factorial_table(p + d - 2)
     best, best_parts, row_sum, box_sum = 0, (), 0, 0
     for parts in box_partitions(p - 1, d, p - 1):
-        f, dim_s = dimensions(parts, fact, d)
+        f, dim_s = dimensions(parts, d)
         row_sum += f
         if parts[0] <= p - d:
             box_sum += f

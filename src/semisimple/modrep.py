@@ -225,9 +225,14 @@ def _sym2_type(p: int, e: int, blocks: tuple[int, ...]) -> tuple[int, ...]:
 @lru_cache(maxsize=None)
 def _wedge_type(p: int, e: int, blocks: tuple[int, ...], k: int) -> tuple[int, ...]:
     """Jordan type on the k-th exterior power, basis e_i1 ^ ... ^ e_ik (i1 < ... < ik);
-    split as the sum of Lambda^i A (x) Lambda^(k-i) B over V = A + B, A the first block."""
+    split as the sum of Lambda^i A (x) Lambda^(k-i) B over V = A + B, A the first block.
+
+    Lambda^0 V = K and Lambda^1 V = V are read off directly; for k >= 2 the
+    cap keeps d <= 91, which bounds the depth of the split."""
     d = sum(blocks)
     _check_induced_dim(comb(d, k))
+    if k <= 1:
+        return blocks if k else (1,)
     if len(blocks) > 1:
         head, rest = blocks[:1], blocks[1:]
         a, b = blocks[0], d - blocks[0]

@@ -20,6 +20,7 @@ lower bounds consume it directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate, combinations, starmap
 from math import prod
 from operator import mul, sub
@@ -82,22 +83,24 @@ def enumerate_in_box(n: int, rows: int, cols: int) -> list[Partition]:
     return [Partition(parts) for parts in box_partitions(n, rows, cols)]
 
 
-def factorial_table(m: int) -> list[int]:
+@lru_cache(maxsize=32)
+def factorial_table(m: int) -> tuple[int, ...]:
     """0!, 1!, .., m!"""
-    return list(accumulate(range(1, m + 1), mul, initial=1))
+    return tuple(accumulate(range(1, m + 1), mul, initial=1))
 
 
-def dimensions(parts: tuple[int, ...], fact: list[int], d: int = 0) -> tuple[int, int]:
+def dimensions(parts: tuple[int, ...], d: int = 0) -> tuple[int, int]:
     """(f_lam, dim S^lam(K^d)) of the part tuple lam by the Frobenius formula.
 
-    fact is factorial_table(m) with m >= n, and m >= n + d - 1 when lam
-    has at most d rows; otherwise the Schur dimension is 0 (so d = 0 skips it).
+    The Schur dimension is 0 when lam has more than d rows, so the default
+    d = 0 costs nothing beyond f_lam.
     """
-    ell = len(parts)
+    n, ell = sum(parts), len(parts)
+    fact = factorial_table(n if ell > d else n + d - 1)
     firsts = [x - j for j, x in enumerate(parts, 1 - ell)]  # the l_i
     vandermonde = prod(starmap(sub, combinations(firsts, 2)))
     hooks = prod(map(fact.__getitem__, firsts))
-    f, rem = divmod(fact[sum(parts)] * vandermonde, hooks)
+    f, rem = divmod(fact[n] * vandermonde, hooks)
     if rem:
         raise RuntimeError(f"the Frobenius quotient of {parts} is not integral")
     if ell > d:
@@ -113,11 +116,11 @@ def dim_sym_irrep(lam: Partition) -> int:
     """Dimension of the symmetric-group irreducible attached to lam."""
     if not lam.parts:
         raise DomainError("empty partition has no symmetric-group label")
-    return dimensions(lam.parts, factorial_table(lam.size))[0]
+    return dimensions(lam.parts)[0]
 
 
 def dim_schur(lam: Partition, d: int) -> int:
     """Dimension of the Schur module S^lam(K^d); zero exactly when lam has more than d rows."""
     if len(lam.parts) > d:
         return 0
-    return dimensions(lam.parts, factorial_table(lam.size + d), d)[1]
+    return dimensions(lam.parts, d)[1]

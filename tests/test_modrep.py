@@ -378,6 +378,16 @@ def test_direct_sum_splitting_matches_the_whole_module_route(p):
             assert sym2(v).blocks == whole_module_type(p, blocks)
 
 
+def test_exterior_powers_of_many_blocks_at_degrees_0_and_1():
+    # Lambda^0 V = K and Lambda^1 V = V; no split recursion, whatever the number of blocks
+    for blocks in [(1,) * 3000, (3, 2, 1) * 600]:
+        v = JordanModule(3, 1, blocks)
+        assert exterior_power(v, 0).blocks == exterior_power(v, v.dim).blocks == (1,)
+        assert exterior_power(v, 1).blocks == exterior_power(v, v.dim - 1).blocks == v.blocks
+    with pytest.raises(CapExceeded):
+        exterior_power(JordanModule(3, 1, (1,) * 4097), 1)
+
+
 # -- negligible filtering and the fusion image ---------------------------------------
 
 
