@@ -43,8 +43,6 @@ from fractions import Fraction
 from math import factorial
 from types import MappingProxyType
 
-import numpy as np
-
 from .partitions import dim_sym_irrep, enumerate_in_box
 from .scalars import (
     CapExceeded,
@@ -474,6 +472,8 @@ def _gram_exponents(d: int) -> np.ndarray:
     cycle is counted at its smallest point: x starts a cycle when no later
     point of its orbit under the composite is smaller.
     """
+    import numpy as np
+
     n = factorial(d)
     perms = np.array(list(itertools.permutations(range(d))), dtype=np.uint8).reshape(n, d)
     inverses = np.argsort(perms, axis=1).astype(np.uint8)
@@ -533,6 +533,8 @@ def negligible_rank(source: BiObject, target: BiObject, t_value, cap: int = DEGR
     which it equals the rank over Q of a rational t or of an integer
     stand-in for t in F_p (see the module docstring).
     """
+    import numpy as np
+
     if t_value == "symbolic" or not isinstance(t_value, (int, Fraction, FpScalar)):
         raise DomainError("negligible rank needs an exact (rational or F_p) parameter value")
     d = _hom_degree(source, target, cap)

@@ -12,11 +12,8 @@ import argparse
 import csv
 import io
 import json
-import random
 import sys
 from fractions import Fraction
-
-from mpmath import mp
 
 from . import brauer, growth, modrep, verlinde
 from .brauer import BiObject, DiagramMorphism
@@ -31,6 +28,8 @@ class UsageError(Exception):
 
 
 def _fmt_real(x) -> str:
+    from mpmath import mp
+
     with mp.workdps(WORKING_DPS):
         return mp.nstr(x, REAL_DIGITS)
 
@@ -97,7 +96,7 @@ def _warn_cap(name: str, value: int) -> None:
 def cmd_fusion(args):
     p = args.p
     if args.table:
-        table = verlinde.fusion_table(p)
+        table = verlinde.fusion_table(p, args.cap_fusion_entries)
         doc = {
             "p": p,
             "table": [
@@ -110,7 +109,7 @@ def cmd_fusion(args):
         return doc, rows
     if args.i is None or args.j is None:
         raise UsageError("fusion needs either --table or both --i and --j")
-    x = verlinde.fusion(p, args.i, args.j)
+    x = verlinde.fusion(p, args.i, args.j, args.cap_fusion_entries)
     doc = {"p": p, "i": args.i, "j": args.j, "m": list(x.multiplicities), "pretty": str(x)}
     rows = [["i", "j"] + [f"m{k}" for k in range(1, p)], [args.i, args.j, *x.multiplicities]]
     return doc, rows
@@ -337,6 +336,8 @@ def _selftest_dimension_identity() -> bool:
 
 
 def _selftest_recovery(seed: int) -> bool:
+    import random
+
     rng = random.Random(seed)
     for p in (5, 7, 11, 13):
         for _ in range(20):
@@ -394,6 +395,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_fusion.add_argument("--i", type=int)
     p_fusion.add_argument("--j", type=int)
     p_fusion.add_argument("--table", action="store_true")
+    p_fusion.add_argument("--cap-fusion-entries", dest="cap_fusion_entries", type=int,
+                          default=verlinde.FUSION_ENTRY_CAP)
     add_format(p_fusion)
 
     p_dec = sub.add_parser("decompose", help="tensor/symmetric/exterior decompositions of Jordan modules")
@@ -469,6 +472,8 @@ def _apply_caps(args) -> None:
         _warn_cap("the hom-space degree cap", args.cap_brauer_degree)
     if getattr(args, "cap_bounds_p", None) not in (None, growth.BOUNDS_PRIME_CAP):
         _warn_cap("the bounds enumeration cap", args.cap_bounds_p)
+    if getattr(args, "cap_fusion_entries", None) not in (None, verlinde.FUSION_ENTRY_CAP):
+        _warn_cap("the fusion document cap", args.cap_fusion_entries)
 
 
 def main(argv=None) -> int:

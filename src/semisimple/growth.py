@@ -16,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from mpmath import mp
-
 from .modrep import JordanModule, _check_induced_dim, sym2, ext2, to_verlinde
 from .partitions import Partition, box_partitions, dimensions
 from .scalars import (
@@ -52,6 +50,8 @@ class GrowthRate:
     numeric: object = None
 
     def __post_init__(self):
+        from mpmath import mp
+
         check_prime(self.p)
         m = tuple(int(x) for x in self.m)
         object.__setattr__(self, "m", m)
@@ -214,6 +214,8 @@ class GrowthReport:
 
 def invariant_report(v: JordanModule) -> GrowthReport:
     """Compute the dimension/growth consistency checks for an order-p module."""
+    from mpmath import mp
+
     if v.e != 1:
         raise DomainError("invariant checks apply to order-p modules only")
     m = to_verlinde(v).multiplicities
@@ -372,6 +374,8 @@ def plancherel_square_sum(p: int, d: int, cap: int = BOUNDS_PRIME_CAP) -> int:
 
 def plancherel_root(p: int, square_sum: int):
     """The Plancherel bound (square_sum)^(1/(2(p-1))), at working precision."""
+    from mpmath import mp
+
     with mp.workdps(WORKING_DPS):
         return mp.root(mp.mpf(square_sum), 2 * (p - 1))
 
@@ -406,6 +410,8 @@ class ImprovedBound:
 def improved_bound(p: int, d: int, cap: int = BOUNDS_PRIME_CAP) -> ImprovedBound:
     """One pass over the partitions of p-1 with at most d rows: row_sum,
     box_sum (first part at most p-d) and the first largest Schur dimension."""
+    from mpmath import mp
+
     _check_bounds_args(p, d, cap)
     best, best_parts, row_sum, box_sum = 0, (), 0, 0
     for parts in box_partitions(p - 1, d, p - 1):

@@ -46,8 +46,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
-import numpy as np
-
 from .scalars import CapExceeded, DomainError, check_prime, residue_dtype, row_echelon_mod_p
 from .verlinde import FusionElement
 
@@ -116,6 +114,8 @@ def jordan_type(U: np.ndarray, p: int) -> tuple[int, ...]:
     every inner sum, at most n*(p-1)*max(N), stays below 2^53; a larger
     matrix is refused with CapExceeded.
     """
+    import numpy as np
+
     n = U.shape[0]
     if n == 0:
         return ()
@@ -150,6 +150,8 @@ def jordan_type(U: np.ndarray, p: int) -> tuple[int, ...]:
 def _tensor_pair(p: int, e: int, m: int, n: int) -> tuple[int, ...]:
     """Jordan type of J_m (x) J_n: the Smith exponents of (t - x)^n on
     F_p[t][x]/(x^m), by least-degree pivots (see the module docstring)."""
+    import numpy as np
+
     if m > n:
         m, n = n, m
     lag = np.subtract.outer(np.arange(m), np.arange(m))  # r - c
@@ -196,6 +198,8 @@ def _induced_matrix(blocks: tuple[int, ...], basis: list[tuple[int, ...]], alter
     an exterior power (alternating) the lowered indices stay in order and
     an image with a repeated index is zero; a symmetric image is sorted.
     """
+    import numpy as np
+
     starts = set(itertools.accumulate(blocks[:-1], initial=0))
     index = {mono: n for n, mono in enumerate(basis)}
     M = np.zeros((len(basis), len(basis)), dtype=np.int64)

@@ -14,9 +14,6 @@ from functools import lru_cache
 from math import lcm
 from typing import Iterable
 
-import numpy as np
-from mpmath import mp
-
 #: Decimal digits used for every high-precision numeric evaluation.
 WORKING_DPS = 50
 
@@ -24,8 +21,13 @@ WORKING_DPS = 50
 #: always checked on integer data instead; this is only for derived reals.
 NUMERIC_TOL = 1e-30
 
-#: Largest modulus for which primality is verified (trial division).
+#: Moduli at or above this are not accepted as primes.  Below it the
+#: Miller-Rabin bases of is_prime decide primality exactly.
 PRIME_CAP = 2**64
+
+#: The first 12 primes; as Miller-Rabin bases they are exact for every
+#: n < 3.18 * 10^23 (Sorenson and Webster 2015), which covers PRIME_CAP.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 class DomainError(ValueError):
@@ -38,21 +40,28 @@ class CapExceeded(RuntimeError):
 
 @lru_cache(maxsize=256)
 def is_prime(n: int) -> bool:
-    """Deterministic primality by trial division (intended range: n <= 97).
+    """Deterministic Miller-Rabin primality for n < PRIME_CAP; False from there on.
 
     Memoized: every F_p scalar, arithmetic results included, checks its p.
     """
     if n < 2 or n >= PRIME_CAP:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -351,6 +360,8 @@ def q_int(p: int, k: int, power: int = 1):
     power=1 gives the ordinary q-integer, power=2 the q^2 variant.  Computed
     at WORKING_DPS digits; deterministic across runs.
     """
+    from mpmath import mp
+
     check_prime(p)
     if not 1 <= k <= p - 1:
         raise DomainError(f"label k={k} outside [1, {p - 1}]")
@@ -369,6 +380,8 @@ def residue_dtype(p: int):
     """Array dtype for exact elimination mod p: int64 while a product of two
     residues, at most (p-1)^2, fits; for larger p Python ints (object), which
     never wrap."""
+    import numpy as np
+
     return np.int64 if (p - 1) ** 2 < 2**63 else object
 
 
@@ -377,6 +390,8 @@ def row_echelon_mod_p(matrix, p: int) -> np.ndarray:
 
     Eliminates in residue_dtype(p), so no product of residues wraps.
     """
+    import numpy as np
+
     A = np.array(matrix, dtype=residue_dtype(p))
     if A.ndim != 2:
         raise DomainError("expected a 2-d matrix")
@@ -406,6 +421,8 @@ def row_echelon_mod_p(matrix, p: int) -> np.ndarray:
 
 def _row_echelon_mod_2(A: np.ndarray) -> np.ndarray:
     """Bit-packed XOR elimination; one uint64 word holds 64 matrix columns."""
+    import numpy as np
+
     rows, cols = A.shape
     if rows == 0 or cols == 0:
         return A[:0]

@@ -13,9 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from mpmath import mp
+from .scalars import WORKING_DPS, CapExceeded, DomainError, FpScalar, check_prime, q_int
 
-from .scalars import WORKING_DPS, DomainError, FpScalar, check_prime, q_int
+#: Most multiplicities one fusion document may list: p - 1 for a product,
+#: (p - 1)^3 for the whole table, so every table up to p = 257 is allowed.
+#: The vectors are dense, so their cost grows with p, not with the answer.
+FUSION_ENTRY_CAP = 2**24
 
 
 @dataclass(frozen=True)
@@ -101,13 +104,20 @@ def _fusion_multiplicities(p: int, i: int, j: int) -> tuple[int, ...]:
     return tuple(m)
 
 
-def fusion(p: int, i: int, j: int) -> FusionElement:
+def _check_fusion_args(p: int, count: int, cap: int):
+    check_prime(p)
+    if count > cap:
+        raise CapExceeded(f"fusion document of {count} multiplicities exceeds the cap {cap}")
+
+
+def fusion(p: int, i: int, j: int, cap: int = FUSION_ENTRY_CAP) -> FusionElement:
     """Product L_i (x) L_j by the truncated Clebsch-Gordan rule.
 
     The summands are L_{|i-j|+2l-1} for l = 1 .. min(i, j, p-i, p-j); all
-    multiplicities are 0 or 1.
+    multiplicities are 0 or 1.  Refused when its p - 1 multiplicities
+    exceed `cap`.
     """
-    check_prime(p)
+    _check_fusion_args(p, p - 1, cap)
     if not (1 <= i <= p - 1 and 1 <= j <= p - 1):
         raise DomainError(f"labels ({i}, {j}) outside [1, {p - 1}]")
     return FusionElement(p, _fusion_multiplicities(p, i, j))
@@ -143,6 +153,8 @@ def cat_dim(x: FusionElement) -> FpScalar:
 
 def fp_dim(x: FusionElement):
     """Frobenius-Perron dimension: sum of m_k [k]_q at high precision."""
+    from mpmath import mp
+
     with mp.workdps(WORKING_DPS):
         total = mp.mpf(0)
         for k, m in enumerate(x.multiplicities, start=1):
@@ -169,11 +181,14 @@ def in_plus_subring(x: FusionElement) -> bool:
     return all(m == 0 for k, m in enumerate(x.multiplicities, start=1) if k % 2 == 0)
 
 
-def fusion_table(p: int) -> list[tuple[int, int, FusionElement]]:
-    """The full (p-1) x (p-1) fusion table, rows ordered by (i, j)."""
-    check_prime(p)
+def fusion_table(p: int, cap: int = FUSION_ENTRY_CAP) -> list[tuple[int, int, FusionElement]]:
+    """The full (p-1) x (p-1) fusion table, rows ordered by (i, j).
+
+    Refused when its (p-1)^3 multiplicities exceed `cap`.
+    """
+    _check_fusion_args(p, (p - 1) ** 3, cap)
     return [
-        (i, j, fusion(p, i, j))
+        (i, j, fusion(p, i, j, cap))
         for i in range(1, p)
         for j in range(1, p)
     ]

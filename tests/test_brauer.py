@@ -395,8 +395,8 @@ def test_negligible_rank_exact_for_a_prime_above_the_int64_bound(monkeypatch):
 
 
 def test_is_prime_runs_once_per_modulus():
-    # every F_p arithmetic result checks its p; trial division up to
-    # sqrt(2^32 + 15) runs once, the other checks are cache hits
+    # every F_p arithmetic result checks its p; the primality test of
+    # 2^32 + 15 runs once, the other checks are cache hits
     scalars.is_prime.cache_clear()
     gram_matrix(BiObject(3, 1), BiObject(3, 1), FpScalar(3, 2**32 + 15))
     info = scalars.is_prime.cache_info()

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import semisimple
-from semisimple import modrep
+from semisimple import modrep, verlinde
 from semisimple.brauer import BiObject, DiagramMorphism, compose, schur_weyl_homdim
 from semisimple.cli import main
 from semisimple.modrep import JordanModule
@@ -191,6 +191,28 @@ def test_cap_exceeded_exit_code(capsys):
     assert code == 4
 
 
+@pytest.mark.parametrize("p", ["2147483647", "2305843009213693951"])
+def test_fusion_at_a_huge_prime_is_refused_at_once(capsys, p):
+    # one product would list p - 1 multiplicities
+    start = time.perf_counter()
+    code, out, err = run(capsys, "fusion", "--p", p, "--i", "1", "--j", "1")
+    assert time.perf_counter() - start < 1
+    assert code == 4 and out == ""
+    assert err == f"cap exceeded: fusion document of {int(p) - 1} multiplicities exceeds the cap 16777216\n"
+
+
+def test_fusion_cap_counts_every_multiplicity_of_the_table(capsys):
+    # the table at p lists (p - 1)^3 multiplicities; p = 257 is the largest under the default cap
+    assert verlinde.FUSION_ENTRY_CAP == 256**3
+    code, _, err = run(capsys, "fusion", "--p", "7", "--table", "--cap-fusion-entries", "215")
+    assert code == 4 and "216 multiplicities" in err
+    code, out, err = run(capsys, "fusion", "--p", "7", "--table", "--cap-fusion-entries", "216")
+    assert code == 0 and "warning" in err
+    assert out == run(capsys, "fusion", "--p", "7", "--table")[1]
+    code, _, _ = run(capsys, "fusion", "--p", "263", "--table")
+    assert code == 4
+
+
 @pytest.mark.parametrize("command", ["decompose", "invariants", "padic"])
 def test_huge_order_exponent_is_refused_at_once(capsys, command):
     start = time.perf_counter()
@@ -341,3 +363,43 @@ def test_padic_binomial_at_a_large_prime_in_bounded_time():
     assert doc["digits"] == [n] and doc["value"] == n
     assert len(doc["dims"]) == n + 1
     assert all(doc["dims"][k] == comb(n, k) % p for k in (0, 1, 2, 3, 4000, 9999, 10000, 19999, n))
+
+
+#: Runs the CLI on the argv in sys.argv[1] (JSON; null: only `import semisimple`)
+#: and prints the exit code and which of numpy and mpmath were imported.
+_IMPORT_PROBE = """
+import contextlib, io, json, sys
+argv = json.loads(sys.argv[1])
+code = None
+if argv is None:
+    import semisimple
+else:
+    from semisimple.cli import main
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+print(json.dumps([code, [name for name in ("numpy", "mpmath") if name in sys.modules]]))
+"""
+
+
+@pytest.mark.parametrize("argv, code, loaded", [
+    (None, None, []),
+    (["fusion", "--p", "5", "--i", "3", "--j", "3"], 0, []),
+    (["fusion", "--p", "5", "--table"], 0, []),
+    (["padic", "--p", "3", "--binomial", "17"], 0, []),
+    (["padic", "--p", "5", "--blocks", "5,2"], 0, []),
+    (["brauer", "homdim", "--n", "2", "--r", "3", "--s", "0"], 0, []),
+    (["fusion", "--p", "5"], 2, []),
+    (["invariants", "--p", "5", "--blocks", "3,2"], 0, ["mpmath"]),
+    (["bounds", "plancherel", "--p", "5", "--d", "2"], 0, ["mpmath"]),
+    (["bounds", "improved", "--p", "7", "--d", "2"], 0, ["mpmath"]),
+    # the probe sees an import: these requests need numpy
+    (["brauer", "rank", "--r", "1", "--s", "1", "--t", "7/2"], 0, ["numpy"]),
+    (["decompose", "--p", "5", "--blocks", "3", "--op", "tensor", "--with-blocks", "3"], 0, ["numpy"]),
+])
+def test_requests_import_numpy_and_mpmath_only_when_they_use_them(argv, code, loaded):
+    src = str(Path(semisimple.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, json.dumps(argv)], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [code, loaded]

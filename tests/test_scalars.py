@@ -13,6 +13,7 @@ import pytest
 from mpmath import mp
 
 from semisimple.scalars import (
+    PRIME_CAP,
     WORKING_DPS,
     DomainError,
     FpScalar,
@@ -45,6 +46,18 @@ def cofactor_det(m):
         minor = [[row[k] for k in range(n) if k != j] for row in m[1:]]
         total += (-1) ** j * Fraction(m[0][j]) * cofactor_det(minor)
     return total
+
+
+def trial_division_is_prime(n):
+    """Primality by trial division up to sqrt(n)."""
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
 
 
 def minor_rank(m):
@@ -137,6 +150,26 @@ def test_fp_scalar_no_mixed_moduli():
 
 def test_is_prime_small():
     assert [n for n in range(2, 30) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+
+
+def test_is_prime_matches_trial_division_below_10_5():
+    assert all(is_prime.__wrapped__(n) == trial_division_is_prime(n) for n in range(-2, 10**5))
+
+
+@pytest.mark.parametrize("n", [
+    3215031751,  # strong pseudoprime to the bases 2, 3, 5 and 7
+    3825123056546413051,  # strong pseudoprime to every prime base up to 23
+    2**61 - 1,  # a Mersenne prime; trial division would take 1.5 * 10^9 steps
+])
+def test_is_prime_on_strong_pseudoprimes_and_a_large_prime(n):
+    assert is_prime(n) == (n == 2**61 - 1)
+    if n != 2**61 - 1:
+        assert not trial_division_is_prime(n)
+
+
+def test_is_prime_false_from_the_cap_on():
+    assert is_prime(PRIME_CAP - 59)  # the largest prime below 2^64
+    assert not is_prime(PRIME_CAP + 13)  # prime, but past the cap
 
 
 # -- q-integers -------------------------------------------------------------
