@@ -2,20 +2,27 @@
 
 A representation of Z/p^e over F_p is the Jordan type of a unipotent
 matrix of order dividing p^e.  Tensor products of two blocks are read off
-a graded Smith form; symmetric and exterior squares and powers of one
-block off rank profiles of nilpotent powers of their induced matrices
-over F_p (second differences of ranks).  Those of a sum of blocks split
-by the natural isomorphisms, exact in every characteristic,
+a graded Smith form; exterior powers of one block off rank profiles of
+nilpotent powers of their induced matrices over F_p (second differences
+of ranks).  Those of a sum of blocks split by the natural isomorphism,
+exact in every characteristic,
 
     Lambda^k(A + B) = sum_i Lambda^i A (x) Lambda^(k-i) B,
-    Sym^2(A + B) = Sym^2 A + A (x) B + Sym^2 B,
 
 with A the first block, so the cross terms are tensor pairs and no
 induced matrix spans two blocks.  The cap on the induced dimension is
 still checked on the whole module first.  Nothing uses a closed-form
 table: the closed forms (Clebsch-Gordan, the e = 1 tensor, squares) serve
 as independent test oracles instead, as do the rank profiles of the
-Kronecker product and of the induced matrix of the whole module.
+Kronecker product and of the induced matrices of the whole module.
+
+The symmetric square builds no matrix of its own.  The flip c of the two
+factors of V (x) V commutes with U (x) U and c^2 = 1, so for p odd, where
+2 is invertible, the idempotents (1 + c)/2 and (1 - c)/2 split
+V (x) V = Sym^2 V + Lambda^2 V as modules.  Jordan types add over a
+direct sum, so the type of Sym^2 V is that of V (x) V (tensor pairs)
+minus that of Lambda^2 V.  At p = 2 the two idempotents do not exist and
+Sym^2 V need not be a summand, so the symmetric square is refused there.
 
 J_m (x) J_n, m <= n, is the Jordan type of x + y acting on
 A = F_p[x, y]/(x^m, y^n): U_m (x) U_n - I acts as x + y + xy =
@@ -42,12 +49,13 @@ characteristic.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
 from .scalars import CapExceeded, DomainError, check_prime, residue_dtype, row_echelon_mod_p
-from .verlinde import FusionElement
+from .verlinde import FUSION_ENTRY_CAP, FusionElement
 
 #: Largest supported group order p^e.  Overridable (e.g. by the CLI) at the
 #: caller's risk.  A tensor pair costs one elimination of at most
@@ -147,13 +155,11 @@ def jordan_type(U: np.ndarray, p: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _tensor_pair(p: int, e: int, m: int, n: int) -> tuple[int, ...]:
-    """Jordan type of J_m (x) J_n: the Smith exponents of (t - x)^n on
-    F_p[t][x]/(x^m), by least-degree pivots (see the module docstring)."""
+def _tensor_pair(p: int, m: int, n: int) -> tuple[int, ...]:
+    """Jordan type of J_m (x) J_n, m <= n: the Smith exponents of (t - x)^n
+    on F_p[t][x]/(x^m), by least-degree pivots (see the module docstring)."""
     import numpy as np
 
-    if m > n:
-        m, n = n, m
     lag = np.subtract.outer(np.arange(m), np.arange(m))  # r - c
     coef = np.array([(-1) ** j * comb(n, j) % p for j in range(m)], dtype=residue_dtype(p))
     M = np.tril(coef[lag % m])
@@ -169,16 +175,17 @@ def _tensor_pair(p: int, e: int, m: int, n: int) -> tuple[int, ...]:
     return tuple(sorted(blocks, reverse=True))
 
 
-def _tensor_blocks(p: int, e: int, xs: tuple[int, ...], ys: tuple[int, ...]) -> tuple[int, ...]:
+def _tensor_blocks(p: int, xs: tuple[int, ...], ys: tuple[int, ...]) -> tuple[int, ...]:
     """Block sizes of (+) J_m (x) (+) J_n, descending: one graded Smith form per pair of blocks."""
-    return tuple(sorted((size for m in xs for n in ys for size in _tensor_pair(p, e, m, n)), reverse=True))
+    pairs = (_tensor_pair(p, min(m, n), max(m, n)) for m in xs for n in ys)
+    return tuple(sorted((size for pair in pairs for size in pair), reverse=True))
 
 
 def jordan_tensor(a: JordanModule, b: JordanModule) -> JordanModule:
     """Jordan type of the Kronecker product, pair of blocks by pair of blocks."""
     if (a.p, a.e) != (b.p, b.e):
         raise DomainError("tensor factors must share p and order exponent")
-    return JordanModule(a.p, a.e, _tensor_blocks(a.p, a.e, a.blocks, b.blocks))
+    return JordanModule(a.p, a.e, _tensor_blocks(a.p, a.blocks, b.blocks))
 
 
 def _check_induced_dim(dim: int):
@@ -188,15 +195,15 @@ def _check_induced_dim(dim: int):
         )
 
 
-def _induced_matrix(blocks: tuple[int, ...], basis: list[tuple[int, ...]], alternating: bool) -> np.ndarray:
-    """Matrix of the unipotent U with Jordan blocks `blocks` on degree-k monomials in e_0, e_1, ...
+def _induced_matrix(blocks: tuple[int, ...], basis: list[tuple[int, ...]]) -> np.ndarray:
+    """Matrix of Lambda^k U, U unipotent with Jordan blocks `blocks`, on e_i1 ^ ... ^ e_ik.
 
-    basis lists the monomials as sorted index tuples; column j is the image
-    of basis[j].  U e_i is e_i + e_(i-1), or e_i at the start of a block,
-    so the image of a monomial is the sum of the at most 2^k monomials got
-    by lowering some of its indices by one, each with coefficient +1.  In
-    an exterior power (alternating) the lowered indices stay in order and
-    an image with a repeated index is zero; a symmetric image is sorted.
+    basis lists the wedges as increasing index tuples; column j is the
+    image of basis[j].  U e_i is e_i + e_(i-1), or e_i at the start of a
+    block, so the image of a wedge is the sum of the at most 2^k wedges got
+    by lowering some of its indices by one, each with coefficient +1: the
+    lowered indices stay in order, and an image with a repeated index is
+    zero.
     """
     import numpy as np
 
@@ -205,29 +212,13 @@ def _induced_matrix(blocks: tuple[int, ...], basis: list[tuple[int, ...]], alter
     M = np.zeros((len(basis), len(basis)), dtype=np.int64)
     for col, mono in enumerate(basis):
         for image in itertools.product(*((i,) if i in starts else (i, i - 1) for i in mono)):
-            image = tuple(sorted(image))
-            if alternating and len(set(image)) < len(image):
-                continue
-            M[index[image], col] += 1
+            if len(set(image)) == len(image):
+                M[index[image], col] += 1
     return M
 
 
 @lru_cache(maxsize=None)
-def _sym2_type(p: int, e: int, blocks: tuple[int, ...]) -> tuple[int, ...]:
-    """Jordan type on V(x)V modulo antisymmetric tensors, basis e_i.e_j (i <= j);
-    split as Sym^2 A + A (x) B + Sym^2 B over V = A + B, A the first block."""
-    d = sum(blocks)
-    _check_induced_dim(d * (d + 1) // 2)
-    if len(blocks) > 1:
-        head, rest = blocks[:1], blocks[1:]
-        pieces = _sym2_type(p, e, head) + _tensor_blocks(p, e, head, rest) + _sym2_type(p, e, rest)
-        return tuple(sorted(pieces, reverse=True))
-    basis = list(itertools.combinations_with_replacement(range(d), 2))
-    return jordan_type(_induced_matrix(blocks, basis, alternating=False) % p, p)
-
-
-@lru_cache(maxsize=None)
-def _wedge_type(p: int, e: int, blocks: tuple[int, ...], k: int) -> tuple[int, ...]:
+def _wedge_type(p: int, blocks: tuple[int, ...], k: int) -> tuple[int, ...]:
     """Jordan type on the k-th exterior power, basis e_i1 ^ ... ^ e_ik (i1 < ... < ik);
     split as the sum of Lambda^i A (x) Lambda^(k-i) B over V = A + B, A the first block.
 
@@ -242,18 +233,24 @@ def _wedge_type(p: int, e: int, blocks: tuple[int, ...], k: int) -> tuple[int, .
         a, b = blocks[0], d - blocks[0]
         pieces = []
         for i in range(max(0, k - b), min(k, a) + 1):
-            pieces += _tensor_blocks(p, e, _wedge_type(p, e, head, min(i, a - i)),
-                                     _wedge_type(p, e, rest, min(k - i, b - k + i)))
+            pieces += _tensor_blocks(p, _wedge_type(p, head, min(i, a - i)),
+                                     _wedge_type(p, rest, min(k - i, b - k + i)))
         return tuple(sorted(pieces, reverse=True))
     basis = list(itertools.combinations(range(d), k))
-    return jordan_type(_induced_matrix(blocks, basis, alternating=True) % p, p)
+    return jordan_type(_induced_matrix(blocks, basis) % p, p)
 
 
 def sym2(v: JordanModule) -> JordanModule:
-    """Symmetric square: V(x)V modulo antisymmetric tensors, for p > 2."""
+    """Symmetric square, for p > 2: the complement of Lambda^2 V in V (x) V
+    (see the module docstring)."""
     if v.p == 2:
         raise DomainError("the square does not split into Sym/Ext at p = 2")
-    return JordanModule(v.p, v.e, _sym2_type(v.p, v.e, v.blocks))
+    _check_induced_dim(v.dim * (v.dim + 1) // 2)
+    square = Counter(_tensor_blocks(v.p, v.blocks, v.blocks))
+    wedge = Counter(_wedge_type(v.p, v.blocks, min(2, v.dim - 2)) if v.dim >= 2 else ())
+    if wedge - square:
+        raise RuntimeError(f"the type of Lambda^2 V is not contained in that of V (x) V for V = {v}")
+    return JordanModule(v.p, v.e, tuple((square - wedge).elements()))
 
 
 def ext2(v: JordanModule) -> JordanModule:
@@ -263,7 +260,7 @@ def ext2(v: JordanModule) -> JordanModule:
     """
     if v.dim < 2:
         return JordanModule(v.p, v.e, ())
-    return JordanModule(v.p, v.e, _wedge_type(v.p, v.e, v.blocks, min(2, v.dim - 2)))
+    return JordanModule(v.p, v.e, _wedge_type(v.p, v.blocks, min(2, v.dim - 2)))
 
 
 def exterior_power(v: JordanModule, k: int) -> JordanModule:
@@ -272,7 +269,7 @@ def exterior_power(v: JordanModule, k: int) -> JordanModule:
         raise DomainError("exterior powers are only offered for p > 2")
     if not 0 <= k <= v.dim:
         raise DomainError(f"exterior power degree {k} outside [0, {v.dim}]")
-    return JordanModule(v.p, v.e, _wedge_type(v.p, v.e, v.blocks, min(k, v.dim - k)))
+    return JordanModule(v.p, v.e, _wedge_type(v.p, v.blocks, min(k, v.dim - k)))
 
 
 def non_negligible_part(v: JordanModule) -> JordanModule:
@@ -280,20 +277,17 @@ def non_negligible_part(v: JordanModule) -> JordanModule:
     return JordanModule(v.p, v.e, tuple(b for b in v.blocks if b % v.p != 0))
 
 
-def dual(v: JordanModule) -> JordanModule:
-    """The dual module; equal to v since the inverse-transpose of a unipotent
-    Jordan block is conjugate to the block itself."""
-    return v
-
-
 def to_verlinde(v: JordanModule) -> FusionElement:
     """Image in the fusion ring: m_k counts blocks of size k, 1 <= k <= p-1.
 
     Only defined for e = 1; blocks of size p have categorical dimension 0
-    and vanish.
+    and vanish.  Refused when its p - 1 multiplicities exceed the fusion
+    document cap.
     """
     if v.e != 1:
         raise DomainError("only order-p modules land in the fusion ring")
+    if v.p - 1 > FUSION_ENTRY_CAP:
+        raise CapExceeded(f"fusion-ring image of {v.p - 1} multiplicities exceeds the cap {FUSION_ENTRY_CAP}")
     m = [0] * (v.p - 1)
     for b in v.blocks:
         if b < v.p:

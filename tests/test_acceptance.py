@@ -57,7 +57,6 @@ def report(number, ok, text):
 
 def cold_caches():
     modrep_mod._tensor_pair.cache_clear()
-    modrep_mod._sym2_type.cache_clear()
     modrep_mod._wedge_type.cache_clear()
 
 

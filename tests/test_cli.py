@@ -201,6 +201,16 @@ def test_fusion_at_a_huge_prime_is_refused_at_once(capsys, p):
     assert err == f"cap exceeded: fusion document of {int(p) - 1} multiplicities exceeds the cap 16777216\n"
 
 
+def test_invariants_at_a_huge_prime_is_refused_at_once(capsys):
+    # the fusion-ring image of the module would list p - 1 multiplicities
+    start = time.perf_counter()
+    code, out, err = run(capsys, "invariants", "--p", "2147483647", "--blocks", "1", "--cap-order", "2147483647")
+    assert time.perf_counter() - start < 1
+    assert code == 4 and out == ""
+    assert err == ("warning: overriding the group-order cap to 2147483647; large values need memory and time\n"
+                   "cap exceeded: fusion-ring image of 2147483646 multiplicities exceeds the cap 16777216\n")
+
+
 def test_fusion_cap_counts_every_multiplicity_of_the_table(capsys):
     # the table at p lists (p - 1)^3 multiplicities; p = 257 is the largest under the default cap
     assert verlinde.FUSION_ENTRY_CAP == 256**3

@@ -1,12 +1,13 @@
 """Jordan block decomposition tests.
 
-Tensor pairs come from a graded Smith form, squares and exterior powers
-of single blocks from rank profiles over F_p, and those of sums from their
-direct-sum splitting.  The independent oracles are the rank profile of the
-dense Kronecker product U_m (x) U_n (built here, nowhere in the library),
-the rank profile of the induced matrix of the whole module, the classical
-Clebsch-Gordan closed form (valid whenever m + n - 1 <= p), and plain
-dimension bookkeeping.
+Tensor pairs come from a graded Smith form, exterior powers of single
+blocks from rank profiles over F_p, those of sums from their direct-sum
+splitting, and symmetric squares as V (x) V minus Lambda^2 V.  The
+independent oracles are the rank profile of the dense Kronecker product
+U_m (x) U_n and of the symmetric induced matrix Sym^2 U (both built here,
+nowhere in the library), the rank profile of the exterior induced matrix
+of the whole module, the classical Clebsch-Gordan closed form (valid
+whenever m + n - 1 <= p), and plain dimension bookkeeping.
 """
 
 import itertools
@@ -16,13 +17,12 @@ from math import comb
 import numpy as np
 import pytest
 
+from semisimple import modrep
 from semisimple.modrep import (
     JordanModule,
     _induced_matrix,
-    _sym2_type,
     _tensor_pair,
     _wedge_type,
-    dual,
     ext2,
     exterior_power,
     jordan_tensor,
@@ -56,15 +56,29 @@ def kronecker_tensor_pair(p, m, n):
     return jordan_type(np.kron(unipotent_matrix((m,)), unipotent_matrix((n,))) % p, p)
 
 
+def symmetric_induced_matrix(blocks):
+    """Sym^2 U on the monomials e_i e_j (i <= j): U e_i is e_i + e_(i-1), or
+    e_i at the start of a block, so the image of e_i e_j is the sum of the
+    at most 4 monomials got by lowering some of i, j by one."""
+    d = sum(blocks)
+    starts = set(itertools.accumulate(blocks[:-1], initial=0))
+    basis = list(itertools.combinations_with_replacement(range(d), 2))
+    index = {mono: n for n, mono in enumerate(basis)}
+    M = np.zeros((len(basis), len(basis)), dtype=np.int64)
+    for col, mono in enumerate(basis):
+        for image in itertools.product(*((i,) if i in starts else (i, i - 1) for i in mono)):
+            M[index[tuple(sorted(image))], col] += 1
+    return M
+
+
 def whole_module_type(p, blocks, k=None):
     """Lambda^k V (Sym^2 V when k is None) from the rank profile of one
-    induced matrix on the whole module, with no direct-sum splitting."""
-    d = sum(blocks)
+    induced matrix on the whole module, with no direct-sum splitting and
+    no use of V (x) V."""
     if k is None:
-        basis = list(itertools.combinations_with_replacement(range(d), 2))
-    else:
-        basis = list(itertools.combinations(range(d), k))
-    return jordan_type(_induced_matrix(blocks, basis, alternating=k is not None) % p, p)
+        return jordan_type(symmetric_induced_matrix(blocks) % p, p)
+    basis = list(itertools.combinations(range(sum(blocks)), k))
+    return jordan_type(_induced_matrix(blocks, basis) % p, p)
 
 
 def clebsch_gordan(m, n):
@@ -240,7 +254,14 @@ def test_tensor_pairs_match_the_kronecker_rank_profile():
         small = [(m, n) for m in range(1, p**e + 1) for n in range(1, p**e + 1) if m * n <= 600]
         pairs += [(p, e, m, n) for m, n in rng.sample(small, 6)]
     for p, e, m, n in pairs:
-        assert _tensor_pair(p, e, m, n) == kronecker_tensor_pair(p, m, n), (p, e, m, n)
+        assert _tensor_pair(p, min(m, n), max(m, n)) == kronecker_tensor_pair(p, m, n), (p, e, m, n)
+
+
+def test_tensor_pairs_share_one_cache_entry_in_either_order():
+    _tensor_pair.cache_clear()
+    assert jordan_tensor(J(7, 2), J(7, 5)) == jordan_tensor(J(7, 5), J(7, 2))
+    assert jordan_tensor(J(7, 2, e=2), J(7, 5, e=2)).blocks == (6, 4)
+    assert _tensor_pair.cache_info().currsize == 1
 
 
 def test_tensor_dimension_bookkeeping():
@@ -297,12 +318,14 @@ def test_square_dimensions():
 
 
 def test_square_decomposition_recombines():
+    # Sym^2 V + Lambda^2 V = V (x) V for p odd, each square from its own
+    # whole-module induced matrix and the tensor square from tensor pairs
     rng = random.Random(37)
     for p in (3, 5, 7):
         for _ in range(12):
             v = random_module(rng, p, 6)
-            combined = tuple(sorted(sym2(v).blocks + ext2(v).blocks, reverse=True))
-            assert combined == jordan_tensor(v, v).blocks
+            combined = whole_module_type(p, v.blocks) + whole_module_type(p, v.blocks, 2)
+            assert tuple(sorted(combined, reverse=True)) == jordan_tensor(v, v).blocks
 
 
 def test_sym2_refused_at_two():
@@ -310,6 +333,12 @@ def test_sym2_refused_at_two():
         sym2(J(2, 2))
     # ext2 is characteristic-free
     assert ext2(J(2, 2)).dim == 1
+
+
+def test_sym2_fails_loudly_when_lambda2_is_not_inside_the_tensor_square(monkeypatch):
+    monkeypatch.setattr(modrep, "_wedge_type", lambda p, blocks, k: (4,))
+    with pytest.raises(RuntimeError, match="not contained"):
+        sym2(J(5, 3))
 
 
 def test_ext2_of_a_line_is_zero():
@@ -345,37 +374,42 @@ def test_exterior_power_example_dimension():
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_induced_matrices_match_minor_and_pair_oracles(p):
     # every module of dimension <= 7 at orders p and p^2: the direct
-    # expansion against the k x k minors of U (and, for p > 2, against the
-    # Sym^2 expansion over all pairs of entries of U), then the Jordan types;
-    # for p > 2 also exterior_power, which builds Lambda^(d-k) for k > d/2
+    # expansion against the k x k minors of U, then the Jordan types; for
+    # p > 2 also exterior_power, which builds Lambda^(d-k) for k > d/2, and
+    # the test-side Sym^2 induced matrix against the expansion over all
+    # pairs of entries of U, whose type sym2 must give
     for e in (1, 2):
         for blocks in block_lists(7, p**e):
             d = sum(blocks)
             for k in range(d + 1):
                 basis = list(itertools.combinations(range(d), k))
                 oracle = minor_wedge_matrix(blocks, k, p)
-                assert np.array_equal(_induced_matrix(blocks, basis, alternating=True) % p, oracle)
-                assert _wedge_type(p, e, blocks, k) == jordan_type(oracle, p)
+                assert np.array_equal(_induced_matrix(blocks, basis) % p, oracle)
+                assert _wedge_type(p, blocks, k) == jordan_type(oracle, p)
                 if p > 2:
                     assert exterior_power(JordanModule(p, e, blocks), k).blocks == jordan_type(oracle, p)
             if p > 2:
-                basis = list(itertools.combinations_with_replacement(range(d), 2))
                 oracle = expanded_sym2_matrix(blocks, p)
-                assert np.array_equal(_induced_matrix(blocks, basis, alternating=False) % p, oracle)
-                assert _sym2_type(p, e, blocks) == jordan_type(oracle, p)
+                assert np.array_equal(symmetric_induced_matrix(blocks) % p, oracle)
+                assert sym2(JordanModule(p, e, blocks)).blocks == jordan_type(oracle, p)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_direct_sum_splitting_matches_the_whole_module_route(p):
     # every module of dimension <= 8 at orders p and p^2, every k and Sym^2
     _wedge_type.cache_clear()
-    _sym2_type.cache_clear()
     for e in (1, 2):
         for blocks in block_lists(8, p**e):
             v = JordanModule(p, e, blocks)
             for k in range(v.dim + 1):
                 assert exterior_power(v, k).blocks == whole_module_type(p, blocks, k)
             assert sym2(v).blocks == whole_module_type(p, blocks)
+
+
+@pytest.mark.parametrize("p, e, b", [(5, 2, 25), (3, 3, 27)])
+def test_sym2_of_a_full_block_matches_the_symmetric_induced_matrix(p, e, b):
+    v = JordanModule(p, e, (b,))
+    assert sym2(v).blocks == whole_module_type(p, (b,))
 
 
 def test_exterior_powers_of_many_blocks_at_degrees_0_and_1():
@@ -403,8 +437,3 @@ def test_to_verlinde():
     assert to_verlinde(J(5, 2, 2, 5)) == FusionElement(5, (0, 2, 0, 0))
     with pytest.raises(DomainError):
         to_verlinde(J(2, 3, e=2))
-
-
-def test_dual_is_identity_on_block_multisets():
-    v = J(7, 4, 2, 1)
-    assert dual(v) == v
