@@ -18,7 +18,7 @@ from fractions import Fraction
 from . import brauer, growth, modrep, verlinde
 from .brauer import BiObject, DiagramMorphism
 from .modrep import JordanModule
-from .scalars import WORKING_DPS, CapExceeded, DomainError, FpScalar
+from .scalars import CapExceeded, DomainError, FpScalar
 
 REAL_DIGITS = 30  # significant digits printed for any numeric value
 
@@ -28,10 +28,9 @@ class UsageError(Exception):
 
 
 def _fmt_real(x) -> str:
-    from mpmath import mp
+    from .reals import ctx
 
-    with mp.workdps(WORKING_DPS):
-        return mp.nstr(x, REAL_DIGITS)
+    return ctx.nstr(x, REAL_DIGITS)
 
 
 def _parse_blocks(text: str) -> tuple[int, ...]:
@@ -70,6 +69,13 @@ def _entry_str(x) -> str:
     return str(x)
 
 
+def _render(build):
+    try:  # str() refuses an integer past sys.get_int_max_str_digits()
+        return build()
+    except ValueError as exc:
+        raise CapExceeded(f"the answer has an integer of more than {sys.get_int_max_str_digits()} digits") from exc
+
+
 def _emit(doc, rows, fmt: str) -> None:
     if fmt == "json":
         sys.stdout.write(json.dumps(doc, indent=2) + "\n")
@@ -79,13 +85,6 @@ def _emit(doc, rows, fmt: str) -> None:
         for row in rows:
             writer.writerow(row)
         sys.stdout.write(buf.getvalue())
-
-
-def _warn_cap(name: str, value: int) -> None:
-    print(
-        f"warning: overriding {name} to {value}; large values need memory and time",
-        file=sys.stderr,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -115,16 +114,16 @@ def cmd_fusion(args):
     return doc, rows
 
 
-def _module_from_args(args) -> JordanModule:
-    return JordanModule(args.p, args.e, _parse_blocks(args.blocks))
+def _module_from_args(args, blocks: str) -> JordanModule:
+    return JordanModule(args.p, args.e, _parse_blocks(blocks), args.cap_order)
 
 
 def cmd_decompose(args):
-    v = _module_from_args(args)
+    v = _module_from_args(args, args.blocks)
     if args.op == "tensor":
         if args.with_blocks is None:
             raise UsageError("--op tensor needs --with-blocks")
-        w = JordanModule(args.p, args.e, _parse_blocks(args.with_blocks))
+        w = _module_from_args(args, args.with_blocks)
         result = modrep.jordan_tensor(v, w)
     elif args.op == "sym2":
         result = modrep.sym2(v)
@@ -157,7 +156,7 @@ def _improved_doc(p: int, d: int, cap: int) -> dict:
 
 
 def cmd_invariants(args):
-    v = _module_from_args(args)
+    v = _module_from_args(args, args.blocks)
     report = growth.invariant_report(v)
     doc = {
         "p": report.p,
@@ -199,7 +198,7 @@ def cmd_padic(args):
     if (args.blocks is None) == (args.binomial is None):
         raise UsageError("padic needs exactly one of --blocks or --binomial")
     if args.blocks is not None:
-        v = JordanModule(p, args.e, _parse_blocks(args.blocks))
+        v = _module_from_args(args, args.blocks)
         dims = growth.exterior_dimension_sequence(v)
         source = {"blocks": list(v.blocks)}
     else:
@@ -244,7 +243,7 @@ def cmd_brauer(args):
         source, target = _objects_from_args(args)
         t_value = _parse_t(args.t, args.mod)
         matrix = brauer.gram_matrix(source, target, t_value, cap=cap)
-        entries = [[_entry_str(x) for x in row] for row in matrix]
+        entries = _render(lambda: [[_entry_str(x) for x in row] for row in matrix])
         return entries, entries
     if args.brauer_op == "rank":
         source, target = _objects_from_args(args)
@@ -264,10 +263,11 @@ def cmd_brauer(args):
     try:
         f = DiagramMorphism.from_json(json.loads(args.f))
         g = DiagramMorphism.from_json(json.loads(args.g))
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+    except DomainError:
+        raise
+    except (ValueError, KeyError, TypeError) as exc:  # ValueError: bad JSON, or an integer past the digit limit
         raise UsageError(f"cannot parse morphism JSON: {exc}") from exc
-    result = brauer.compose(f, g)
-    doc = result.to_json()
+    doc = _render(brauer.compose(f, g).to_json)
     rows = [["pairs", "coeff"]] + [
         [json.dumps(term["pairs"]), term["coeff"]] for term in doc["terms"]
     ]
@@ -406,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dec.add_argument("--op", choices=("tensor", "sym2", "ext2", "wedge"), default="tensor")
     p_dec.add_argument("--with-blocks", dest="with_blocks")
     p_dec.add_argument("--k", type=int)
-    p_dec.add_argument("--cap-order", dest="cap_order", type=int)
+    p_dec.add_argument("--cap-order", dest="cap_order", type=int, default=modrep.ORDER_CAP)
     add_format(p_dec)
 
     p_inv = sub.add_parser("invariants", help="growth rate and dimension checks for a module")
@@ -414,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_inv.add_argument("--e", type=int, default=1)
     p_inv.add_argument("--blocks", required=True)
     p_inv.add_argument("--bounds", action="store_true", help="include partition lower bounds")
-    p_inv.add_argument("--cap-order", dest="cap_order", type=int)
+    p_inv.add_argument("--cap-order", dest="cap_order", type=int, default=modrep.ORDER_CAP)
     p_inv.add_argument("--cap-bounds-p", dest="cap_bounds_p", type=int, default=growth.BOUNDS_PRIME_CAP)
     add_format(p_inv)
 
@@ -424,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_pad.add_argument("--blocks")
     p_pad.add_argument("--binomial", type=int, help="use the binomial sequence of this integer")
     p_pad.add_argument("--length", type=int, help="series length for the binomial path")
-    p_pad.add_argument("--cap-order", dest="cap_order", type=int)
+    p_pad.add_argument("--cap-order", dest="cap_order", type=int, default=modrep.ORDER_CAP)
     add_format(p_pad)
 
     p_br = sub.add_parser("brauer", help="walled diagram hom spaces, Gram matrices, ranks")
@@ -464,16 +464,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_caps(args) -> None:
-    if getattr(args, "cap_order", None) is not None:
-        _warn_cap("the group-order cap", args.cap_order)
-        modrep.ORDER_CAP = args.cap_order
-    if getattr(args, "cap_brauer_degree", None) not in (None, brauer.DEGREE_CAP):
-        _warn_cap("the hom-space degree cap", args.cap_brauer_degree)
-    if getattr(args, "cap_bounds_p", None) not in (None, growth.BOUNDS_PRIME_CAP):
-        _warn_cap("the bounds enumeration cap", args.cap_bounds_p)
-    if getattr(args, "cap_fusion_entries", None) not in (None, verlinde.FUSION_ENTRY_CAP):
-        _warn_cap("the fusion document cap", args.cap_fusion_entries)
+def _warn_caps(args) -> None:
+    """Warn on stderr about each --cap-* option set to other than its default."""
+    for name, default, cap in (("cap_order", modrep.ORDER_CAP, "the group-order cap"),
+                               ("cap_brauer_degree", brauer.DEGREE_CAP, "the hom-space degree cap"),
+                               ("cap_bounds_p", growth.BOUNDS_PRIME_CAP, "the bounds enumeration cap"),
+                               ("cap_fusion_entries", verlinde.FUSION_ENTRY_CAP, "the fusion document cap")):
+        value = getattr(args, name, default)
+        if value != default:
+            print(f"warning: overriding {cap} to {value}; large values need memory and time", file=sys.stderr)
 
 
 def main(argv=None) -> int:
@@ -494,9 +493,8 @@ def main(argv=None) -> int:
         "brauer": cmd_brauer,
         "bounds": cmd_bounds,
     }
-    order_cap = modrep.ORDER_CAP  # --cap-order raises it for this call only
     try:
-        _apply_caps(args)
+        _warn_caps(args)
         if args.command == "selftest":
             return cmd_selftest(args)
         doc, rows = handlers[args.command](args)
@@ -511,8 +509,6 @@ def main(argv=None) -> int:
     except CapExceeded as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return 4
-    finally:
-        modrep.ORDER_CAP = order_cap
 
 
 if __name__ == "__main__":

@@ -20,7 +20,6 @@ from .modrep import JordanModule, _check_induced_dim, sym2, ext2, to_verlinde
 from .partitions import Partition, box_partitions, dimensions
 from .scalars import (
     NUMERIC_TOL,
-    WORKING_DPS,
     CapExceeded,
     DomainError,
     FpScalar,
@@ -50,7 +49,7 @@ class GrowthRate:
     numeric: object = None
 
     def __post_init__(self):
-        from mpmath import mp
+        from .reals import ctx
 
         check_prime(self.p)
         m = tuple(int(x) for x in self.m)
@@ -59,9 +58,8 @@ class GrowthRate:
             raise DomainError("invalid multiplicity vector")
         value = fp_dim(FusionElement(self.p, m))
         object.__setattr__(self, "numeric", value)
-        with mp.workdps(WORKING_DPS):
-            if not (self.is_zero or value >= 1 - mp.mpf(NUMERIC_TOL)):
-                raise RuntimeError(f"Frobenius-Perron dimension {value} of a nonzero growth rate is below 1")
+        if not (self.is_zero or value >= 1 - ctx.mpf(NUMERIC_TOL)):
+            raise RuntimeError(f"Frobenius-Perron dimension {value} of a nonzero growth rate is below 1")
 
     @property
     def is_zero(self) -> bool:
@@ -214,8 +212,6 @@ class GrowthReport:
 
 def invariant_report(v: JordanModule) -> GrowthReport:
     """Compute the dimension/growth consistency checks for an order-p module."""
-    from mpmath import mp
-
     if v.e != 1:
         raise DomainError("invariant checks apply to order-p modules only")
     m = to_verlinde(v).multiplicities
@@ -224,10 +220,7 @@ def invariant_report(v: JordanModule) -> GrowthReport:
     divisibility = (v.dim - weighted) % v.p == 0
     dimension_match = (v.dim == weighted) if v.dim <= v.p - 1 else None
     faithful = any(b >= 2 for b in v.blocks)
-    below = None
-    if faithful:
-        with mp.workdps(WORKING_DPS):
-            below = bool(rate.numeric < v.dim)
+    below = bool(rate.numeric < v.dim) if faithful else None
     return GrowthReport(
         p=v.p,
         dim=v.dim,
@@ -374,10 +367,9 @@ def plancherel_square_sum(p: int, d: int, cap: int = BOUNDS_PRIME_CAP) -> int:
 
 def plancherel_root(p: int, square_sum: int):
     """The Plancherel bound (square_sum)^(1/(2(p-1))), at working precision."""
-    from mpmath import mp
+    from .reals import ctx
 
-    with mp.workdps(WORKING_DPS):
-        return mp.root(mp.mpf(square_sum), 2 * (p - 1))
+    return ctx.root(ctx.mpf(square_sum), 2 * (p - 1))
 
 
 def plancherel_bound(p: int, d: int, cap: int = BOUNDS_PRIME_CAP):
@@ -410,7 +402,7 @@ class ImprovedBound:
 def improved_bound(p: int, d: int, cap: int = BOUNDS_PRIME_CAP) -> ImprovedBound:
     """One pass over the partitions of p-1 with at most d rows: row_sum,
     box_sum (first part at most p-d) and the first largest Schur dimension."""
-    from mpmath import mp
+    from .reals import ctx
 
     _check_bounds_args(p, d, cap)
     best, best_parts, row_sum, box_sum = 0, (), 0, 0
@@ -422,12 +414,10 @@ def improved_bound(p: int, d: int, cap: int = BOUNDS_PRIME_CAP) -> ImprovedBound
         if dim_s > best:
             best, best_parts = dim_s, parts
     ratio = Fraction(d ** (p - 1), best)
-    with mp.workdps(WORKING_DPS):
-        bound = mp.root(mp.mpf(ratio.numerator) / ratio.denominator, p - 1)
     return ImprovedBound(
         p=p,
         d=d,
-        bound=bound,
+        bound=ctx.root(ctx.mpf(ratio.numerator) / ratio.denominator, p - 1),
         max_schur_dim=best,
         max_partition=Partition(best_parts),
         ratio=ratio,

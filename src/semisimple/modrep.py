@@ -50,17 +50,17 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from math import comb
 
 from .scalars import CapExceeded, DomainError, check_prime, residue_dtype, row_echelon_mod_p
 from .verlinde import FUSION_ENTRY_CAP, FusionElement
 
-#: Largest supported group order p^e.  Overridable (e.g. by the CLI) at the
-#: caller's risk.  A tensor pair costs one elimination of at most
-#: p^e x p^e scalars (no (p^e)^2-dimensional Kronecker matrix is built);
-#: squares and exterior powers are bounded by INDUCED_DIM_CAP as well.
+#: Default largest group order p^e; JordanModule(..., cap=...) raises it at
+#: the caller's risk, for that module and those derived from it.  A tensor
+#: pair costs one elimination of at most p^e x p^e scalars; squares and
+#: exterior powers are bounded by INDUCED_DIM_CAP as well.
 ORDER_CAP = 64
 
 #: Largest induced-matrix dimension for symmetric/exterior constructions.
@@ -74,15 +74,16 @@ class JordanModule:
     p: int
     e: int
     blocks: tuple[int, ...]
+    cap: int = field(default=ORDER_CAP, compare=False, repr=False)  # bounds p^e; not part of the value
 
     def __post_init__(self):
         check_prime(self.p)
         if self.e < 1:
             raise DomainError("order exponent must be >= 1")
         # p >= 2, so e past the cap's bit length already puts p^e past the cap
-        if self.e > ORDER_CAP.bit_length() or self.p**self.e > ORDER_CAP:
+        if self.e > self.cap.bit_length() or self.p**self.e > self.cap:
             raise CapExceeded(
-                f"group order {self.p}^{self.e} exceeds the cap {ORDER_CAP}"
+                f"group order {self.p}^{self.e} exceeds the cap {self.cap}"
             )
         blocks = tuple(sorted((int(b) for b in self.blocks), reverse=True))
         object.__setattr__(self, "blocks", blocks)
@@ -185,7 +186,7 @@ def jordan_tensor(a: JordanModule, b: JordanModule) -> JordanModule:
     """Jordan type of the Kronecker product, pair of blocks by pair of blocks."""
     if (a.p, a.e) != (b.p, b.e):
         raise DomainError("tensor factors must share p and order exponent")
-    return JordanModule(a.p, a.e, _tensor_blocks(a.p, a.blocks, b.blocks))
+    return replace(a, blocks=_tensor_blocks(a.p, a.blocks, b.blocks))
 
 
 def _check_induced_dim(dim: int):
@@ -250,7 +251,7 @@ def sym2(v: JordanModule) -> JordanModule:
     wedge = Counter(_wedge_type(v.p, v.blocks, min(2, v.dim - 2)) if v.dim >= 2 else ())
     if wedge - square:
         raise RuntimeError(f"the type of Lambda^2 V is not contained in that of V (x) V for V = {v}")
-    return JordanModule(v.p, v.e, tuple((square - wedge).elements()))
+    return replace(v, blocks=tuple((square - wedge).elements()))
 
 
 def ext2(v: JordanModule) -> JordanModule:
@@ -259,8 +260,8 @@ def ext2(v: JordanModule) -> JordanModule:
     Characteristic-free (offered at p = 2 as well, where sym2 is not).
     """
     if v.dim < 2:
-        return JordanModule(v.p, v.e, ())
-    return JordanModule(v.p, v.e, _wedge_type(v.p, v.blocks, min(2, v.dim - 2)))
+        return replace(v, blocks=())
+    return replace(v, blocks=_wedge_type(v.p, v.blocks, min(2, v.dim - 2)))
 
 
 def exterior_power(v: JordanModule, k: int) -> JordanModule:
@@ -269,12 +270,12 @@ def exterior_power(v: JordanModule, k: int) -> JordanModule:
         raise DomainError("exterior powers are only offered for p > 2")
     if not 0 <= k <= v.dim:
         raise DomainError(f"exterior power degree {k} outside [0, {v.dim}]")
-    return JordanModule(v.p, v.e, _wedge_type(v.p, v.blocks, min(k, v.dim - k)))
+    return replace(v, blocks=_wedge_type(v.p, v.blocks, min(k, v.dim - k)))
 
 
 def non_negligible_part(v: JordanModule) -> JordanModule:
     """Drop every block whose size is divisible by p (the negligible summands)."""
-    return JordanModule(v.p, v.e, tuple(b for b in v.blocks if b % v.p != 0))
+    return replace(v, blocks=tuple(b for b in v.blocks if b % v.p != 0))
 
 
 def to_verlinde(v: JordanModule) -> FusionElement:

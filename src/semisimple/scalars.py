@@ -154,6 +154,9 @@ class FpScalar:
 
 _TERM_RE = re.compile(r"^(\d+)?(?:\*?t(?:\^(\d+))?)?$")
 
+#: Largest term degree TPolynomial.parse accepts, checked before the dense coefficient list is built.
+PARSE_DEGREE_CAP = 2**16
+
 
 class TPolynomial:
     """Integer-coefficient polynomial in the loop parameter t.
@@ -336,6 +339,8 @@ class TPolynomial:
                 k = int(exp) if exp is not None else 1
             else:
                 k = 0
+            if k > PARSE_DEGREE_CAP:
+                raise CapExceeded(f"term degree {k} exceeds the cap {PARSE_DEGREE_CAP}")
             coeffs[k] = coeffs.get(k, 0) + sign * c
         if not coeffs:
             return cls()
@@ -360,15 +365,14 @@ def q_int(p: int, k: int, power: int = 1):
     power=1 gives the ordinary q-integer, power=2 the q^2 variant.  Computed
     at WORKING_DPS digits; deterministic across runs.
     """
-    from mpmath import mp
+    from .reals import ctx
 
     check_prime(p)
     if not 1 <= k <= p - 1:
         raise DomainError(f"label k={k} outside [1, {p - 1}]")
     if power not in (1, 2):
         raise DomainError("power must be 1 or 2")
-    with mp.workdps(WORKING_DPS):
-        return mp.sinpi(mp.mpf(k * power) / p) / mp.sinpi(mp.mpf(power) / p)
+    return ctx.sinpi(ctx.mpf(k * power) / p) / ctx.sinpi(ctx.mpf(power) / p)
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +396,7 @@ def row_echelon_mod_p(matrix, p: int) -> np.ndarray:
     """
     import numpy as np
 
-    A = np.array(matrix, dtype=residue_dtype(p))
+    A = np.array(matrix, dtype=residue_dtype(p), order="C")  # mod 2 views rows as uint64 words
     if A.ndim != 2:
         raise DomainError("expected a 2-d matrix")
     A %= p

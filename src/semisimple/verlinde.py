@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .scalars import WORKING_DPS, CapExceeded, DomainError, FpScalar, check_prime, q_int
+from .scalars import CapExceeded, DomainError, FpScalar, check_prime, q_int
 
 #: Most multiplicities one fusion document may list: p - 1 for a product,
 #: (p - 1)^3 for the whole table, so every table up to p = 257 is allowed.
@@ -153,14 +153,9 @@ def cat_dim(x: FusionElement) -> FpScalar:
 
 def fp_dim(x: FusionElement):
     """Frobenius-Perron dimension: sum of m_k [k]_q at high precision."""
-    from mpmath import mp
+    from .reals import ctx
 
-    with mp.workdps(WORKING_DPS):
-        total = mp.mpf(0)
-        for k, m in enumerate(x.multiplicities, start=1):
-            if m:
-                total += m * q_int(x.p, k, 1)
-        return total
+    return sum((m * q_int(x.p, k, 1) for k, m in enumerate(x.multiplicities, start=1) if m), ctx.mpf(0))
 
 
 def is_invertible(x: FusionElement) -> bool:

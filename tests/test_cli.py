@@ -1,5 +1,7 @@
 """Command-line surface tests: exit codes, determinism, round trips."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -10,6 +12,8 @@ from math import comb
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import semisimple
 from semisimple import modrep, verlinde
@@ -128,6 +132,37 @@ def test_compose_round_trip(capsys):
     assert result == T * a
 
 
+def _identity_json(coeff: str) -> str:
+    """The identity of [1, 0] times `coeff`, a JSON value spliced in as text:
+    json.dumps cannot write an integer past Python's int-string digit limit."""
+    return '{"source": [1, 0], "target": [1, 0], "terms": [{"pairs": [[0, 1]], "coeff": %s}]}' % coeff
+
+
+@pytest.mark.parametrize("coeff, code, err", [
+    ("9" * 4301, 2, "error: cannot parse morphism JSON: Exceeds the limit (4300 digits)"),
+    ('"%s"' % ("9" * 4301), 2, "error: cannot parse morphism JSON: Exceeds the limit (4300 digits)"),
+    ('"t^100000000000"', 4, "cap exceeded: term degree 100000000000 exceeds the cap 65536\n"),
+    # malformed coefficients stay domain errors, although DomainError is a ValueError
+    ('"t^65536 + x"', 3, "domain error: cannot parse polynomial term 'x'\n"),
+    ("1.5", 3, "domain error: diagram coefficients must be integer polynomials, got float\n"),
+], ids=["long-integer", "long-integer-string", "huge-degree", "bad-term", "float"])
+def test_compose_refuses_oversized_numbers_at_once(capsys, coeff, code, err):
+    start = time.perf_counter()
+    got = run(capsys, "brauer", "compose", "--f", _identity_json(coeff), "--g", _identity_json("1"))
+    assert time.perf_counter() - start < 1
+    assert got[:2] == (code, "")
+    assert got[2].startswith(err)
+
+
+@pytest.mark.parametrize("argv", [
+    ["compose", "--f", _identity_json("9" * 3000), "--g", _identity_json("9" * 3000)],
+    ["gram", "--r", "2", "--s", "1", "--t", "9" * 1500],
+], ids=["compose", "gram"])
+def test_answers_past_the_int_string_digit_limit_are_refused(capsys, argv):
+    # a 6000-digit coefficient, and Gram entries t^3 of 4500 digits
+    assert run(capsys, "brauer", *argv) == (4, "", "cap exceeded: the answer has an integer of more than 4300 digits\n")
+
+
 def test_rank_document(capsys):
     code, out, _ = run(capsys, "brauer", "rank", "--r", "1", "--s", "1", "--t", "7/2")
     assert code == 0
@@ -233,19 +268,18 @@ def test_huge_order_exponent_is_refused_at_once(capsys, command):
 
 
 def test_cap_override_warns(capsys):
-    import semisimple.modrep as modrep
-
-    old = modrep.ORDER_CAP
-    try:
-        code, out, err = run(
-            capsys, "decompose", "--p", "2", "--e", "7", "--blocks", "3", "--op", "ext2",
-            "--cap-order", "128",
-        )
-        assert code == 0
-        assert "warning" in err
-        assert json.loads(out)["blocks"] == [3]
-    finally:
-        modrep.ORDER_CAP = old
+    code, out, err = run(
+        capsys, "decompose", "--p", "2", "--e", "7", "--blocks", "3", "--op", "ext2",
+        "--cap-order", "128",
+    )
+    assert code == 0
+    assert "warning" in err
+    assert json.loads(out)["blocks"] == [3]
+    # like the other --cap-* flags, the default value given explicitly is no override
+    code, out, err = run(capsys, "decompose", "--p", "2", "--e", "6", "--blocks", "3", "--op", "ext2",
+                         "--cap-order", "64")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["blocks"] == [3]
 
 
 def test_cap_order_override_lasts_one_call(capsys):
@@ -258,6 +292,22 @@ def test_cap_order_override_lasts_one_call(capsys):
     assert modrep.ORDER_CAP == 64
     with pytest.raises(CapExceeded):
         JordanModule(2, 7, (3,))
+
+
+def test_cap_order_override_changes_no_global_during_the_call(capsys, monkeypatch):
+    # another caller, here one inside the request, still gets the default cap
+    tensor_pair = modrep._tensor_pair
+
+    def checked(*args):
+        with pytest.raises(CapExceeded):
+            JordanModule(2, 7, (3,))
+        return tensor_pair(*args)
+
+    monkeypatch.setattr(modrep, "_tensor_pair", checked)
+    code, out, _ = run(capsys, "decompose", "--p", "2", "--e", "7", "--blocks", "3", "--with-blocks", "2",
+                       "--cap-order", "128")
+    assert code == 0
+    assert json.loads(out)["blocks"] == [4, 2]
 
 
 @pytest.mark.parametrize("p, e, m", [(2, 6, 63), (7, 2, 42)])
@@ -413,3 +463,98 @@ def test_requests_import_numpy_and_mpmath_only_when_they_use_them(argv, code, lo
                           env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [code, loaded]
+
+
+# -- fuzzing: every request ends in an answer or a documented refusal -----------
+
+
+def _mostly(good, bad):
+    """A value of `good`, or about one time in eight one of `bad`."""
+    return st.integers(0, 7).flatmap(lambda k: good if k else st.sampled_from(bad))
+
+
+def _int(lo, hi, huge=False):
+    """Mostly an integer in [lo, hi]; else lo - 1, not an integer, past
+    Python's int-string digit limit, or, where that is refused at once, 10^30."""
+    return _mostly(st.integers(lo, hi), [lo - 1, "x", "9" * 5000, *([10**30] if huge else [])])
+
+
+def _command(*head, flags=(), required=None, **optional):
+    """argv of `head`, any of `flags`, `--name value` for every required
+    option and for each optional one drawn."""
+    def option(name, value):
+        return value.map(lambda v: [f"--{name.replace('_', '-')}", str(v)])
+
+    parts = [option(name, value) for name, value in (required or {}).items()]
+    parts += [st.none() | option(name, value) for name, value in optional.items()]
+    return st.tuples(st.lists(st.sampled_from(flags), unique=True) if flags else st.just([]), *parts).map(
+        lambda drawn: [*head, *drawn[0], *(token for pair in drawn[1:] if pair for token in pair)])
+
+
+_FORMAT = st.sampled_from(["json", "csv"])
+#: Huge primes too: the default caps refuse them before anything p-sized is built.
+_PRIME = _mostly(st.sampled_from([2, 3, 5, 7, 13]), [0, 4, 2147483647, 2**61 - 1, 2**64 + 13, "x", "9" * 5000])
+_BLOCKS = _mostly(st.lists(st.integers(1, 16), min_size=1, max_size=4).map(lambda xs: ",".join(map(str, xs))),
+                  ["", "0", "17", "1,,2", "x"])
+_ORDER = dict(e=_int(1, 3, huge=True), cap_order=_int(1, 300))
+_T = st.sampled_from(["symbolic", "3", "-2", "7/2", "-5/3", "1/0", "t", "9" * 1500, "9" * 5000])
+_COEFF = st.sampled_from([
+    "2", "-3", "true", "1.5", "null", '"t^3 - 2t"', '"x"', '"t^65536"', '"t^65537"', '"t^100000000000"',
+    "9" * 3000, "9" * 4301, '"' + "9" * 4301 + '"',
+])
+_DIAGRAM = st.sampled_from([
+    ("[1, 0]", "[1, 0]", "[[0, 1]]"), ("[1, 1]", "[1, 1]", "[[0, 1], [2, 3]]"),
+    ("[1, 1]", "[1, 1]", "[[0, 2], [1, 3]]"), ("[1, 0]", "[0, 1]", "[[0, 1]]"), ("[1]", "[1, 0]", "[]"),
+])
+
+
+def _morphism(diagram, coeffs):
+    source, target, pairs = diagram
+    terms = ", ".join(f'{{"pairs": {pairs}, "coeff": {c}}}' for c in coeffs)
+    return f'{{"source": {source}, "target": {target}, "terms": [{terms}]}}'
+
+
+_MORPHISM = _mostly(st.builds(_morphism, _DIAGRAM, st.lists(_COEFF, min_size=1, max_size=2)),
+                    ["", "[]", "{}", "{", '{"source": [1, 0], "target": [1, 0], "pairs": [[0, 1]]}'])
+
+#: argv for every subcommand, sized so that no example starts a large
+#: allocation or a request that no cap bounds yet (`padic --binomial`
+#: past 10^4, `brauer homdim` past degree 8), and so that each answers in
+#: well under a second (Lambda^4 J_16 takes seconds).
+_ARGV = st.one_of(
+    _command("fusion", flags=["--table"], required=dict(p=_PRIME), i=_int(1, 12, huge=True),
+             j=_int(1, 12, huge=True), cap_fusion_entries=_int(0, 10**4), format=_FORMAT),
+    _command("decompose", required=dict(p=_PRIME, blocks=_BLOCKS), **_ORDER, with_blocks=_BLOCKS,
+             k=_int(0, 3, huge=True), op=st.sampled_from(["tensor", "sym2", "ext2", "wedge", "cube"]), format=_FORMAT),
+    _command("invariants", flags=["--bounds"], required=dict(p=_PRIME, blocks=_BLOCKS), **_ORDER,
+             cap_bounds_p=_int(2, 31), format=_FORMAT),
+    _command("padic", required=dict(p=_PRIME), **_ORDER, blocks=_BLOCKS, binomial=_int(0, 10**4),
+             length=_int(0, 10**4), format=_FORMAT),
+    _command("brauer", "homdim", required=dict(n=_int(1, 50, huge=True), r=_int(0, 4), s=_int(0, 4)),
+             u=_int(0, 4), v=_int(0, 4), cap_brauer_degree=_int(0, 6), format=_FORMAT),
+    *(_command("brauer", op, required=dict(r=_int(0, 2), s=_int(0, 2), t=_T), u=_int(0, 2), v=_int(0, 2),
+               mod=_PRIME, cap_brauer_degree=_int(0, 6), format=_FORMAT) for op in ("gram", "rank")),
+    _command("brauer", "compose", required=dict(f=_MORPHISM, g=_MORPHISM), cap_brauer_degree=_int(0, 6),
+             format=_FORMAT),
+    *(_command("bounds", kind, required=dict(p=_PRIME, d=_int(1, 12, huge=True)), cap_bounds_p=_int(2, 31),
+               format=_FORMAT) for kind in ("plancherel", "improved")),
+    _command("selftest", seed=_int(0, 10**6, huge=True), format=_FORMAT),
+    st.lists(st.sampled_from(["fusion", "brauer", "rank", "--p", "5", "--t", "-5/3", "--help", "--table", "="]),
+             max_size=5),
+)
+
+
+#: Wall-time bound on one fuzzed request; the slowest takes about 0.2 s.
+FUZZ_SECONDS = 5
+
+
+@settings(max_examples=500)
+@given(_ARGV)
+def test_cli_answers_or_refuses_every_request_in_bounded_time(argv):
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert time.perf_counter() - start < FUZZ_SECONDS
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()

@@ -593,3 +593,16 @@ def test_non_invertible_simples_growth_floor():
                 if abs(rate.numeric - golden) < eps:
                     equality_cases.append((p, k))
         assert equality_cases == [(5, 2), (5, 3)]
+
+
+def test_reals_leave_mpmaths_global_precision_alone(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("mpmath's process-wide precision was changed")
+
+    monkeypatch.setattr(mp, "workdps", refuse)
+    assert fp_dim(FusionElement.simple(7, 3)) > 2
+    assert invariant_report(JordanModule(7, 1, (3, 2))).growth_below_dim
+    assert plancherel_bound(5, 2) > 1
+    assert improved_bound(7, 2).bound > 1
+    assert main(["invariants", "--p", "5", "--blocks", "3,2", "--bounds"]) == 0
+    assert "b_numeric" in capsys.readouterr().out

@@ -169,6 +169,18 @@ def test_module_validation():
         JordanModule(2, 7, (1,))
 
 
+def test_a_raised_order_cap_travels_with_the_module():
+    # a cap passed to one module bounds every module derived from it, and no other
+    for v in (JordanModule(2, 7, (3,), cap=128), JordanModule(3, 4, (5,), cap=81)):
+        derived = [jordan_tensor(v, v), ext2(v), non_negligible_part(v), ext2(jordan_tensor(v, v))]
+        if v.p > 2:
+            derived += [sym2(v), exterior_power(v, 0), exterior_power(v, 2)]
+        assert all(w.cap == v.cap and (w.p, w.e) == (v.p, v.e) for w in derived)
+        assert v == JordanModule(v.p, v.e, v.blocks, cap=v.p**v.e + 1)  # the cap is not part of the value
+        with pytest.raises(CapExceeded):
+            JordanModule(v.p, v.e, v.blocks)
+
+
 def test_blocks_are_a_sorted_multiset():
     assert J(5, 1, 3, 1).blocks == (3, 1, 1)
     assert J(5, 2, 3) == J(5, 3, 2)

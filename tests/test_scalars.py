@@ -13,8 +13,10 @@ import pytest
 from mpmath import mp
 
 from semisimple.scalars import (
+    PARSE_DEGREE_CAP,
     PRIME_CAP,
     WORKING_DPS,
+    CapExceeded,
     DomainError,
     FpScalar,
     T,
@@ -319,3 +321,21 @@ def test_mod2_echelon_matches_generic_elimination():
         if echelon.size:
             # the echelon rows span the same row space
             assert rank_mod_p(np.vstack([m, echelon]), 2) == want
+
+
+def test_mod2_echelon_of_transposed_and_fortran_ordered_input():
+    # the packed words view each row's bytes as uint64, whatever the input's layout
+    import numpy as np
+
+    m = np.random.default_rng(5).integers(0, 2, size=(20, 200)).astype(np.int64)
+    for x in (m, m.T):
+        want = rank_mod_p(np.ascontiguousarray(x), 2)
+        assert rank_mod_p(x, 2) == want
+        assert rank_mod_p(np.asfortranarray(x), 2) == want
+
+
+def test_poly_parse_refuses_a_degree_past_the_cap_before_allocating():
+    assert TPolynomial.parse(f"t^{PARSE_DEGREE_CAP}") == TPolynomial([0] * PARSE_DEGREE_CAP + [1])
+    for text in (f"t^{PARSE_DEGREE_CAP + 1}", "1 + t^100000000000"):
+        with pytest.raises(CapExceeded):
+            TPolynomial.parse(text)

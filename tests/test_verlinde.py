@@ -7,6 +7,9 @@ power-iteration eigenvalue.
 """
 
 import random
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -155,6 +158,38 @@ def test_fp_dim_examples():
         largest = max(r.real for r in roots)
         assert abs(fp_dim(simple(7, 3)) - largest) < mp.mpf("1e-30")
         assert abs(fp_dim(simple(7, 3)) - mp.mpf("2.2469796037174670610500097680")) < mp.mpf("1e-27")
+
+
+def test_fp_dim_keeps_its_precision_while_another_thread_lowers_mpmaths():
+    # the reals come from a private context, so another thread's mp.workdps
+    # cannot lower their precision part way through a sum
+    rng = random.Random(23)
+    elements = [random_element(rng, 23) for _ in range(20)]
+    expected = [fp_dim(x) for x in elements]
+    stop = threading.Event()
+
+    def lower_precision():
+        while not stop.is_set():
+            with mp.workdps(15):
+                mp.mpf(1) / 3
+
+    other = threading.Thread(target=lower_precision)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    other.start()
+    done = wrong = 0
+    try:
+        end = time.perf_counter() + 1
+        while time.perf_counter() < end:
+            for x, want in zip(elements, expected):
+                wrong += fp_dim(x) != want
+                done += 1
+    finally:
+        stop.set()
+        other.join(10)
+        sys.setswitchinterval(interval)
+    assert not other.is_alive()
+    assert done > 100 and wrong == 0
 
 
 def test_dimension_homomorphisms():
