@@ -10,8 +10,11 @@ Endpoint numbering (the normal form all comparisons use): bottom row left
 to right, then top row left to right.  In each row the up-arrows come
 first: bottom indices [0, r) point up and [r, r+s) point down; with
 B = r + s, top indices [B, B+u) point up and [B+u, B+u+v) point down.
-A pair inside one row joins an up and a down endpoint; a pair across the
-rows joins two endpoints of the same direction.
+`_class_starts` gives these four class starts, and validation, the hom
+basis and juxtaposition all read them there.  A pair inside one row joins
+an up and a down endpoint; a pair across the rows joins two endpoints of
+the same direction.  Stacking and closing both follow the alternating
+walks of two overlaid matchings (`_walks`).
 
 Gram matrices are group matrices of S_d.  A hom space of degree d has one
 basis diagram per permutation sigma of range(d), and the trace pairing of
@@ -38,6 +41,7 @@ taken as at a rational t.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -85,15 +89,12 @@ class BiObject:
         return f"[{self.r},{self.s}]"
 
 
-def _endpoint_kind(source: BiObject, target: BiObject, i: int) -> tuple[int, int]:
-    """(row, direction) of endpoint i: row 0 = bottom, direction 0 = up."""
+def _class_starts(source: BiObject, target: BiObject) -> tuple[int, int, int, int]:
+    """First endpoint of each class in the normal form: bottom ups, bottom
+    downs, top ups, top downs, of source.r, source.s, target.r and target.s
+    endpoints.  Class c has its row in bit 1 and its direction in bit 0."""
     bottom = source.total
-    if i < bottom:
-        return 0, (0 if i < source.r else 1)
-    j = i - bottom
-    if j >= target.total:
-        raise DomainError(f"endpoint {i} out of range")
-    return 1, (0 if j < target.r else 1)
+    return 0, source.r, bottom, bottom + target.r
 
 
 @dataclass(frozen=True)
@@ -111,13 +112,12 @@ class WalledDiagram:
         seen = [x for pair in pairs for x in pair]
         if sorted(seen) != list(range(k)):
             raise DomainError("pairs do not form a perfect matching of the endpoints")
+        starts = _class_starts(self.source, self.target)
         for x, y in pairs:
-            row_x, dir_x = _endpoint_kind(self.source, self.target, x)
-            row_y, dir_y = _endpoint_kind(self.source, self.target, y)
-            if row_x == row_y:
-                if dir_x == dir_y:
-                    raise DomainError(f"pair {(x, y)} joins two same-direction endpoints in one row")
-            elif dir_x != dir_y:
+            differ = (bisect_right(starts, x) - 1) ^ (bisect_right(starts, y) - 1)  # bit 1 row, bit 0 direction
+            if differ == 0:
+                raise DomainError(f"pair {(x, y)} joins two same-direction endpoints in one row")
+            if differ == 3:
                 raise DomainError(f"pair {(x, y)} changes arrow direction across the rows")
 
     def flip(self) -> "WalledDiagram":
@@ -174,9 +174,9 @@ def hom_basis(source: BiObject, target: BiObject, cap: int = DEGREE_CAP) -> list
     d = _hom_degree(source, target, cap)
     if d is None:
         return []
-    bottom = source.total
-    outgoing = list(range(source.r)) + [bottom + target.r + i for i in range(target.s)]
-    incoming = [source.r + i for i in range(source.s)] + [bottom + i for i in range(target.r)]
+    bottom_up, bottom_down, _, top_down = _class_starts(source, target)
+    outgoing = [*range(bottom_up, bottom_down), *range(top_down, top_down + target.s)]
+    incoming = range(bottom_down, top_down)  # bottom downs, then top ups
     out = []
     for perm in itertools.permutations(range(d)):
         pairs = tuple((outgoing[i], incoming[perm[i]]) for i in range(d))
@@ -184,13 +184,46 @@ def hom_basis(source: BiObject, target: BiObject, cap: int = DEGREE_CAP) -> list
     return out
 
 
+def _walks(first: list, second: list, ends) -> tuple[dict[int, int], int]:
+    """Follow two overlaid matchings on the nodes 0..n-1, alternating.
+
+    first[v] and second[v] are v's partners, or None where that matching
+    misses v.  Each node in `ends` is met by one matching and every other
+    node by both, so the components are paths between two ends plus closed
+    cycles.  Returns the far end of the path from each end, and the number
+    of cycles.
+    """
+    far: dict[int, int] = {}
+    seen = [False] * len(first)
+    for v in ends:
+        if v in far:
+            continue
+        here, there = (first, second) if first[v] is not None else (second, first)
+        cur = here[v]
+        while there[cur] is not None:
+            seen[cur] = True
+            here, there = there, here
+            cur = here[cur]
+        far[v], far[cur] = cur, v
+    cycles = 0
+    for v in range(len(first)):
+        if seen[v] or first[v] is None or second[v] is None:
+            continue
+        cycles += 1
+        cur = v
+        while not seen[cur]:
+            seen[cur] = seen[first[cur]] = True
+            cur = second[first[cur]]
+    return far, cycles
+
+
 def _stack(top: WalledDiagram, bottom: WalledDiagram) -> tuple[WalledDiagram, int]:
     """Stack `bottom` (A -> B) under `top` (B -> C); return (diagram, loops).
 
     Shared node ids: 0..a-1 the A endpoints, a..a+b-1 the middle row,
     a+b..a+b+c-1 the C endpoints.  Every middle node carries exactly one
-    edge from each diagram, so components are boundary-to-boundary paths
-    plus closed middle cycles; each cycle contributes one loop.
+    edge from each diagram, so the walks join boundary nodes in pairs,
+    and each closed middle cycle contributes one loop.
     """
     if bottom.target != top.source:
         raise DomainError(
@@ -198,110 +231,44 @@ def _stack(top: WalledDiagram, bottom: WalledDiagram) -> tuple[WalledDiagram, in
         )
     a = bottom.source.total
     b = bottom.target.total
-    c = top.target.total
-    g_adj: dict[int, int] = {}
-    for x, y in bottom.pairs:  # endpoints already live on ids 0..a+b-1
-        g_adj[x] = y
-        g_adj[y] = x
-    f_adj: dict[int, int] = {}
-    for x, y in top.pairs:  # shift by a: middle ids a..a+b-1, C ids a+b..
-        f_adj[a + x] = a + y
-        f_adj[a + y] = a + x
-
-    def is_middle(v: int) -> bool:
-        return a <= v < a + b
-
-    pairs = []
-    seen_boundary: set[int] = set()
-    seen_middle: set[int] = set()
-    for v in itertools.chain(range(a), range(a + b, a + b + c)):
-        if v in seen_boundary:
-            continue
-        use_g = v < a
-        cur = g_adj[v] if use_g else f_adj[v]
-        while is_middle(cur):
-            seen_middle.add(cur)
-            use_g = not use_g
-            cur = g_adj[cur] if use_g else f_adj[cur]
-        seen_boundary.add(v)
-        seen_boundary.add(cur)
-        pairs.append((v, cur))
-
-    loops = 0
-    for m in range(a, a + b):
-        if m in seen_middle:
-            continue
-        loops += 1
-        cur, use_g = m, True
-        while True:
-            seen_middle.add(cur)
-            cur = g_adj[cur] if use_g else f_adj[cur]
-            use_g = not use_g
-            if cur == m and use_g:
-                break
+    n = a + b + top.target.total
+    below: list = [None] * n  # bottom's endpoints already live on ids 0..a+b-1
+    above: list = [None] * n  # top's shift by a: middle ids a..a+b-1, C ids a+b..
+    for x, y in bottom.pairs:
+        below[x], below[y] = y, x
+    for x, y in top.pairs:
+        above[a + x], above[a + y] = a + y, a + x
+    far, loops = _walks(below, above, itertools.chain(range(a), range(a + b, n)))
 
     def final(v: int) -> int:
         return v if v < a else v - b
 
-    diagram = WalledDiagram(
-        bottom.source, top.target, tuple((final(x), final(y)) for x, y in pairs)
-    )
-    return diagram, loops
+    pairs = tuple((final(v), final(w)) for v, w in far.items() if v < w)
+    return WalledDiagram(bottom.source, top.target, pairs), loops
 
 
 def _juxtapose(d1: WalledDiagram, d2: WalledDiagram) -> WalledDiagram:
-    """Place d2 to the right of d1, renumbering into the [r, s] normal form."""
-    r1, s1 = d1.source.r, d1.source.s
-    u1, v1 = d1.target.r, d1.target.s
-    r2, s2 = d2.source.r, d2.source.s
-    u2, v2 = d2.target.r, d2.target.s
-    R, U = r1 + r2, u1 + u2
-    B = R + s1 + s2
-
-    def m1(e: int) -> int:
-        if e < r1:
-            return e
-        if e < r1 + s1:
-            return R + (e - r1)
-        e -= r1 + s1
-        return B + e if e < u1 else B + U + (e - u1)
-
-    def m2(e: int) -> int:
-        if e < r2:
-            return r1 + e
-        if e < r2 + s2:
-            return R + s1 + (e - r2)
-        e -= r2 + s2
-        return B + u1 + e if e < u2 else B + U + v1 + (e - u2)
-
-    pairs = [(m1(x), m1(y)) for x, y in d1.pairs] + [(m2(x), m2(y)) for x, y in d2.pairs]
-    return WalledDiagram(d1.source @ d2.source, d1.target @ d2.target, tuple(pairs))
+    """Place d2 to the right of d1, renumbering into the [r, s] normal form:
+    each endpoint keeps its class, and d1's come first within each class."""
+    source, target = d1.source @ d2.source, d1.target @ d2.target
+    starts = _class_starts(source, target)
+    pairs = []
+    skip = (0, 0, 0, 0)
+    for dia in (d1, d2):
+        sizes = (dia.source.r, dia.source.s, dia.target.r, dia.target.s)
+        new = [starts[c] + skip[c] + i for c in range(4) for i in range(sizes[c])]
+        pairs += [(new[x], new[y]) for x, y in dia.pairs]
+        skip = sizes
+    return WalledDiagram(source, target, tuple(pairs))
 
 
 def _closure_loops(d: WalledDiagram) -> int:
     """Loops after joining bottom endpoint i to top endpoint i for all i."""
     n = d.source.total
-    match: dict[int, int] = {}
+    match = [0] * (2 * n)
     for x, y in d.pairs:
-        match[x] = y
-        match[y] = x
-    visited: set[int] = set()
-    loops = 0
-    for start in range(2 * n):
-        if start in visited:
-            continue
-        loops += 1
-        cur, use_match = start, True
-        while True:
-            visited.add(cur)
-            if use_match:
-                cur = match[cur]
-            else:
-                cur = cur + n if cur < n else cur - n
-            use_match = not use_match
-            if cur == start and use_match:
-                break
-    return loops
+        match[x], match[y] = y, x
+    return _walks(match, [*range(n, 2 * n), *range(n)], ())[1]
 
 
 def _coerce_coeff(c) -> TPolynomial:

@@ -266,7 +266,10 @@ def cmd_brauer(args):
     except DomainError:
         raise
     except (ValueError, KeyError, TypeError) as exc:  # ValueError: bad JSON, or an integer past the digit limit
-        raise UsageError(f"cannot parse morphism JSON: {exc}") from exc
+        reason = exc
+        if "set_int_max_str_digits" in str(exc):  # Python's advice names a call no CLI user can make
+            reason = f"an integer has more than {sys.get_int_max_str_digits()} digits"
+        raise UsageError(f"cannot parse morphism JSON: {reason}") from exc
     doc = _render(brauer.compose(f, g).to_json)
     rows = [["pairs", "coeff"]] + [
         [json.dumps(term["pairs"]), term["coeff"]] for term in doc["terms"]

@@ -13,7 +13,7 @@ second is multiplied by [2]_q and folded by [j]_q = [p-j]_q.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .modrep import JordanModule, _check_induced_dim, sym2, ext2, to_verlinde
@@ -40,23 +40,20 @@ BOUNDS_PRIME_CAP = 47
 class GrowthRate:
     """An exact growth rate: a multiplicity vector plus its numeric value.
 
-    Equality is decided on (p, m) alone; the numeric field is recomputed
+    Equality is decided on (p, m) alone; the numeric field is computed
     from m at construction, so it can never drift from the exact data.
     """
 
     p: int
     m: tuple[int, ...]
-    numeric: object = None
+    numeric: object = field(init=False)
 
     def __post_init__(self):
         from .reals import ctx
 
-        check_prime(self.p)
-        m = tuple(int(x) for x in self.m)
-        object.__setattr__(self, "m", m)
-        if len(m) != self.p - 1 or any(x < 0 for x in m):
-            raise DomainError("invalid multiplicity vector")
-        value = fp_dim(FusionElement(self.p, m))
+        element = FusionElement(self.p, self.m)  # validates p and m
+        object.__setattr__(self, "m", element.multiplicities)
+        value = fp_dim(element)
         object.__setattr__(self, "numeric", value)
         if not (self.is_zero or value >= 1 - ctx.mpf(NUMERIC_TOL)):
             raise RuntimeError(f"Frobenius-Perron dimension {value} of a nonzero growth rate is below 1")
@@ -307,9 +304,11 @@ def padic_digits(p: int, dims) -> PadicDigits:
 
 
 def binomials_mod_p(n: int, p: int, length: int) -> list[int]:
-    """C(n, k) mod p for 0 <= k < length, by Lucas' theorem: the product of
-    C(n_i, k_i) over the base-p digits, zero when some k_i > n_i."""
+    """C(n, k) mod p for 0 <= k < length and n >= 0, by Lucas' theorem: the
+    product of C(n_i, k_i) over the base-p digits, zero when some k_i > n_i."""
     check_prime(p)
+    if n < 0:
+        raise DomainError(f"binomial row {n} is negative")
     digits = []
     while n:
         n, digit = divmod(n, p)

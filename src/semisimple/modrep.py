@@ -40,10 +40,10 @@ still homogeneous of the same degree.  So m scalar pivots, each of least
 degree, give the block sizes as their degrees, which sum to
 deg det = mn; no mn-dimensional matrix is built.
 
-Only the exterior powers Lambda^k V with k <= dim V / 2 are computed:
-the wedge pairing Lambda^k V (x) Lambda^(d-k) V -> Lambda^d V = det is
-perfect, det U = 1 and V* = V, so Lambda^(d-k) V = Lambda^k V in every
-characteristic.
+Only the exterior powers Lambda^k V with k <= dim V / 2 are computed;
+`_wedge_type` folds a larger k to d - k itself: the wedge pairing
+Lambda^k V (x) Lambda^(d-k) V -> Lambda^d V = det is perfect, det U = 1
+and V* = V, so Lambda^(d-k) V = Lambda^k V in every characteristic.
 """
 
 from __future__ import annotations
@@ -223,19 +223,23 @@ def _wedge_type(p: int, blocks: tuple[int, ...], k: int) -> tuple[int, ...]:
     """Jordan type on the k-th exterior power, basis e_i1 ^ ... ^ e_ik (i1 < ... < ik);
     split as the sum of Lambda^i A (x) Lambda^(k-i) B over V = A + B, A the first block.
 
-    Lambda^0 V = K and Lambda^1 V = V are read off directly; for k >= 2 the
-    cap keeps d <= 91, which bounds the depth of the split."""
+    Empty for k > d, and k > d/2 is computed as d - k (see the module
+    docstring).  Lambda^0 V = K and Lambda^1 V = V are read off directly;
+    for 2 <= k <= d/2 the cap keeps d <= 91, which bounds the depth of the
+    split."""
     d = sum(blocks)
     _check_induced_dim(comb(d, k))
+    if k > d:
+        return ()
+    if 2 * k > d:
+        return _wedge_type(p, blocks, d - k)
     if k <= 1:
         return blocks if k else (1,)
     if len(blocks) > 1:
         head, rest = blocks[:1], blocks[1:]
-        a, b = blocks[0], d - blocks[0]
         pieces = []
-        for i in range(max(0, k - b), min(k, a) + 1):
-            pieces += _tensor_blocks(p, _wedge_type(p, head, min(i, a - i)),
-                                     _wedge_type(p, rest, min(k - i, b - k + i)))
+        for i in range(max(0, k - d + blocks[0]), min(k, blocks[0]) + 1):
+            pieces += _tensor_blocks(p, _wedge_type(p, head, i), _wedge_type(p, rest, k - i))
         return tuple(sorted(pieces, reverse=True))
     basis = list(itertools.combinations(range(d), k))
     return jordan_type(_induced_matrix(blocks, basis) % p, p)
@@ -248,7 +252,7 @@ def sym2(v: JordanModule) -> JordanModule:
         raise DomainError("the square does not split into Sym/Ext at p = 2")
     _check_induced_dim(v.dim * (v.dim + 1) // 2)
     square = Counter(_tensor_blocks(v.p, v.blocks, v.blocks))
-    wedge = Counter(_wedge_type(v.p, v.blocks, min(2, v.dim - 2)) if v.dim >= 2 else ())
+    wedge = Counter(_wedge_type(v.p, v.blocks, 2))
     if wedge - square:
         raise RuntimeError(f"the type of Lambda^2 V is not contained in that of V (x) V for V = {v}")
     return replace(v, blocks=tuple((square - wedge).elements()))
@@ -259,9 +263,7 @@ def ext2(v: JordanModule) -> JordanModule:
 
     Characteristic-free (offered at p = 2 as well, where sym2 is not).
     """
-    if v.dim < 2:
-        return replace(v, blocks=())
-    return replace(v, blocks=_wedge_type(v.p, v.blocks, min(2, v.dim - 2)))
+    return replace(v, blocks=_wedge_type(v.p, v.blocks, 2))
 
 
 def exterior_power(v: JordanModule, k: int) -> JordanModule:
@@ -270,7 +272,7 @@ def exterior_power(v: JordanModule, k: int) -> JordanModule:
         raise DomainError("exterior powers are only offered for p > 2")
     if not 0 <= k <= v.dim:
         raise DomainError(f"exterior power degree {k} outside [0, {v.dim}]")
-    return replace(v, blocks=_wedge_type(v.p, v.blocks, min(k, v.dim - k)))
+    return replace(v, blocks=_wedge_type(v.p, v.blocks, k))
 
 
 def non_negligible_part(v: JordanModule) -> JordanModule:

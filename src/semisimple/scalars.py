@@ -363,7 +363,8 @@ def q_int(p: int, k: int, power: int = 1):
     """[k] at the 2p-th root of unity: sin(pi*k*power/p) / sin(pi*power/p).
 
     power=1 gives the ordinary q-integer, power=2 the q^2 variant.  Computed
-    at WORKING_DPS digits; deterministic across runs.
+    at WORKING_DPS digits; deterministic across runs.  [1] = 1 exactly, also
+    at p = 2, where the q^2 quotient is 0/0.
     """
     from .reals import ctx
 
@@ -372,6 +373,8 @@ def q_int(p: int, k: int, power: int = 1):
         raise DomainError(f"label k={k} outside [1, {p - 1}]")
     if power not in (1, 2):
         raise DomainError("power must be 1 or 2")
+    if k == 1:
+        return ctx.mpf(1)
     return ctx.sinpi(ctx.mpf(k * power) / p) / ctx.sinpi(ctx.mpf(power) / p)
 
 

@@ -2,7 +2,9 @@
 
 Only Grothendieck-ring data is modeled: multiplicity vectors, the
 truncated Clebsch-Gordan product, categorical dimension in F_p, and the
-Frobenius-Perron dimension.  The fusion rule is cross-validated elsewhere
+Frobenius-Perron dimension.  The fusion rule lives in `_summands`, the
+label range of L_i (x) L_j, which `fusion` and `product` both read; it is
+computed per pair and never stored.  It is cross-validated elsewhere
 against prime-field linear algebra on Jordan blocks, and the closed-form
 FP dimension against a numeric Perron-Frobenius eigenvalue; neither side
 is trusted alone.
@@ -11,7 +13,6 @@ is trusted alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .scalars import CapExceeded, DomainError, FpScalar, check_prime, q_int
 
@@ -30,11 +31,11 @@ class FusionElement:
 
     def __post_init__(self):
         check_prime(self.p)
-        m = tuple(int(x) for x in self.multiplicities)
+        m = tuple(map(int, self.multiplicities))
         object.__setattr__(self, "multiplicities", m)
         if len(m) != self.p - 1:
             raise DomainError(f"expected {self.p - 1} multiplicities, got {len(m)}")
-        if any(x < 0 for x in m):
+        if min(m, default=0) < 0:
             raise DomainError("multiplicities must be nonnegative")
 
     @classmethod
@@ -96,12 +97,10 @@ class FusionElement:
         return cls(int(doc["p"]), tuple(doc["m"]))
 
 
-@lru_cache(maxsize=None)
-def _fusion_multiplicities(p: int, i: int, j: int) -> tuple[int, ...]:
-    m = [0] * (p - 1)
-    for l in range(1, min(i, j, p - i, p - j) + 1):
-        m[abs(i - j) + 2 * l - 2] += 1
-    return tuple(m)
+def _summands(p: int, i: int, j: int) -> range:
+    """The labels of L_i (x) L_j, each once: |i-j|+1, |i-j|+3, .. up to
+    |i-j| + 2 min(i, j, p-i, p-j) - 1 (truncated Clebsch-Gordan)."""
+    return range(abs(i - j) + 1, abs(i - j) + 2 * min(i, j, p - i, p - j), 2)
 
 
 def _check_fusion_args(p: int, count: int, cap: int):
@@ -120,7 +119,10 @@ def fusion(p: int, i: int, j: int, cap: int = FUSION_ENTRY_CAP) -> FusionElement
     _check_fusion_args(p, p - 1, cap)
     if not (1 <= i <= p - 1 and 1 <= j <= p - 1):
         raise DomainError(f"labels ({i}, {j}) outside [1, {p - 1}]")
-    return FusionElement(p, _fusion_multiplicities(p, i, j))
+    m = [0] * (p - 1)
+    for k in _summands(p, i, j):
+        m[k - 1] = 1
+    return FusionElement(p, tuple(m))
 
 
 def product(x: FusionElement, y: FusionElement) -> FusionElement:
@@ -129,21 +131,13 @@ def product(x: FusionElement, y: FusionElement) -> FusionElement:
         raise DomainError("fusion product across different primes")
     p = x.p
     out = [0] * (p - 1)
+    ys = [(j, b) for j, b in enumerate(y.multiplicities, start=1) if b]
     for i, a in enumerate(x.multiplicities, start=1):
-        if a == 0:
-            continue
-        for j, b in enumerate(y.multiplicities, start=1):
-            if b == 0:
-                continue
-            for c, n in enumerate(_fusion_multiplicities(p, i, j)):
-                if n:
-                    out[c] += a * b * n
+        if a:
+            for j, b in ys:
+                for k in _summands(p, i, j):
+                    out[k - 1] += a * b
     return FusionElement(p, tuple(out))
-
-
-def dual(x: FusionElement) -> FusionElement:
-    """Dual object; every simple label is self-dual, so this is the identity."""
-    return x
 
 
 def cat_dim(x: FusionElement) -> FpScalar:
@@ -161,14 +155,15 @@ def fp_dim(x: FusionElement):
 def is_invertible(x: FusionElement) -> bool:
     """True iff x is a single simple label whose square is the unit.
 
-    Verified through the product (x (x) x* = 1 with x* = x), not by pattern
-    matching on the label; concretely holds exactly for L_1 and L_{p-1}.
+    Every simple label is self-dual, so this is x (x) x = 1, verified
+    through the product, not by pattern matching on the label; concretely
+    it holds exactly for L_1 and L_{p-1}.
     """
     if x.is_zero:
         raise DomainError("zero element is not an object")
     if x.length != 1:
         return False
-    return product(x, dual(x)) == FusionElement.unit(x.p)
+    return product(x, x) == FusionElement.unit(x.p)
 
 
 def in_plus_subring(x: FusionElement) -> bool:

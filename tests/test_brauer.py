@@ -84,6 +84,49 @@ def test_diagram_wall_constraints():
         WalledDiagram(B11, B11, ((0, 1), (2, 2)))
 
 
+def perfect_matchings(points):
+    if not points:
+        yield ()
+        return
+    first, rest = points[0], points[1:]
+    for i, other in enumerate(rest):
+        for tail in perfect_matchings(rest[:i] + rest[i + 1:]):
+            yield ((first, other),) + tail
+
+
+def endpoint_row_and_direction(source, target, i):
+    """(row, direction) of endpoint i read off the documented numbering:
+    row 0 bottom, direction 0 up."""
+    if i < source.total:
+        return 0, int(i >= source.r)
+    return 1, int(i - source.total >= target.r)
+
+
+def test_diagram_validation_matches_the_numbering_rule():
+    # every matching of every pair of objects with at most 8 endpoints
+    for source in small_objects(8):
+        for target in small_objects(8 - source.total):
+            for pairs in perfect_matchings(list(range(source.total + target.total))):
+                kinds = [(endpoint_row_and_direction(source, target, x), endpoint_row_and_direction(source, target, y))
+                         for x, y in pairs]
+                # a pair in one row changes direction, a pair across the rows keeps it
+                valid = all((row_x == row_y) != (dir_x == dir_y) for (row_x, dir_x), (row_y, dir_y) in kinds)
+                if valid:
+                    assert WalledDiagram(source, target, pairs).pairs == tuple(sorted(pairs))
+                else:
+                    with pytest.raises(DomainError):
+                        WalledDiagram(source, target, pairs)
+
+
+def test_walks_follow_paths_and_count_cycles():
+    # ends 0 and 5 meet only the first matching: the path 0-1-2-3-4-5
+    # alternates, and 6-7 is a cycle of both
+    first = [1, 0, 3, 2, 5, 4, 7, 6]
+    second = [None, 2, 1, 4, 3, None, 7, 6]
+    far, cycles = brauer._walks(first, second, (0, 5))
+    assert far == {0: 5, 5: 0} and cycles == 1
+
+
 def test_hom_basis_sizes():
     assert len(hom_basis(B11, B11)) == 2
     assert hom_basis(BiObject(1, 0), BiObject(0, 1)) == []

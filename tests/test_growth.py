@@ -11,9 +11,13 @@ convergence witness.
 """
 
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -133,6 +137,15 @@ def test_growth_rate_equality_is_exact_not_numeric():
     with mp.workdps(WORKING_DPS):
         assert abs(r1.numeric - r4.numeric) < mp.mpf("1e-40")
     assert r1 != r4
+
+
+def test_growth_rate_validates_like_a_fusion_element_and_computes_its_value():
+    for p, m in ((4, (1, 0, 0)), (5, (1, 0, 0)), (5, (1, 0, 0, -1))):
+        with pytest.raises(DomainError):
+            GrowthRate(p, m)
+    with pytest.raises(TypeError):
+        GrowthRate(5, (1, 0, 0, 0), numeric=3)
+    assert GrowthRate(5, (1, 0, 0, 0)).numeric == 1
 
 
 def test_growth_rate_additivity():
@@ -455,6 +468,30 @@ def test_binomials_mod_p_match_comb():
                 assert binomials_mod_p(n, p, length) == [c % p for c in row[:length]]
     with pytest.raises(DomainError):
         binomials_mod_p(5, 4, 6)
+
+
+_NEGATIVE_ROW = """
+import resource, time
+resource.setrlimit(resource.RLIMIT_AS, (2**29, 2**29))  # a digit list without end fails in memory, not in swap
+from semisimple.growth import binomials_mod_p
+from semisimple.scalars import DomainError
+start = time.perf_counter()
+try:
+    binomials_mod_p(-1, 5, 3)
+except DomainError:
+    print(time.perf_counter() - start)
+"""
+
+
+def test_binomials_mod_p_refuse_a_negative_row_at_once():
+    # divmod(-1, p) is (-1, p - 1), so a digit loop on n < 0 never ends:
+    # run it in a child that the timeout and a 512 MB address-space limit stop
+    src = str(Path(modrep.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _NEGATIVE_ROW], capture_output=True, text=True, env=env, timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < 1
+    assert main(["padic", "--p", "5", "--binomial", "-1"]) == 2
 
 
 def test_padic_digits_exterior_path():

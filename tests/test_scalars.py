@@ -191,6 +191,12 @@ def test_q_int_unit_and_frozen_value():
         assert abs(q_int(7, 3, 1) - mp.mpf("2.2469796037174670610500097680")) < mp.mpf("1e-27")
 
 
+def test_q_int_of_label_one_is_exactly_one_at_p_2():
+    # the q^2 quotient sin(2 pi / p) / sin(2 pi / p) is 0/0 at p = 2
+    assert q_int(2, 1, 1) == 1
+    assert q_int(2, 1, 2) == 1
+
+
 def test_q_int_palindrome_symmetry():
     with mp.workdps(WORKING_DPS):
         eps = mp.mpf("1e-40")

@@ -15,12 +15,12 @@ import numpy as np
 import pytest
 from mpmath import mp
 
+from semisimple import verlinde
 from semisimple.modrep import JordanModule, jordan_tensor, to_verlinde
 from semisimple.scalars import WORKING_DPS, DomainError, FpScalar
 from semisimple.verlinde import (
     FusionElement,
     cat_dim,
-    dual,
     fp_dim,
     fusion,
     fusion_table,
@@ -236,9 +236,10 @@ def test_simple_square_forces_invertibility():
                 assert is_invertible(simple(p, k))
 
 
-def test_dual_is_identity():
-    x = FusionElement(7, (1, 2, 0, 0, 1, 0))
-    assert dual(x) == x
+def test_fusion_keeps_no_table_at_module_level():
+    # every product is read off the Clebsch-Gordan range, so no cache grows with p^2
+    fusion_table(13)
+    assert [name for name, value in vars(verlinde).items() if hasattr(value, "cache_info")] == []
 
 
 def test_plus_subring_predicate():
