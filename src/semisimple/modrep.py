@@ -1,11 +1,12 @@
 """Modular representations of cyclic p-groups as Jordan block multisets.
 
 A representation of Z/p^e over F_p is the Jordan type of a unipotent
-matrix of order dividing p^e.  Tensor products of two blocks are read off
-a graded Smith form; exterior powers of one block off rank profiles of
-nilpotent powers of their induced matrices over F_p (second differences
-of ranks).  Those of a sum of blocks split by the natural isomorphism,
-exact in every characteristic,
+matrix of order dividing p^e.  Tensor products of two blocks, and for p
+odd the exterior square of one block, are read off graded Smith forms;
+other exterior powers of one block off rank profiles of nilpotent powers
+of their induced matrices over F_p (second differences of ranks).  Those
+of a sum of blocks split by the natural isomorphism, exact in every
+characteristic,
 
     Lambda^k(A + B) = sum_i Lambda^i A (x) Lambda^(k-i) B,
 
@@ -14,7 +15,8 @@ induced matrix spans two blocks.  The cap on the induced dimension is
 still checked on the whole module first.  Nothing uses a closed-form
 table: the closed forms (Clebsch-Gordan, the e = 1 tensor, squares) serve
 as independent test oracles instead, as do the rank profiles of the
-Kronecker product and of the induced matrices of the whole module.
+Kronecker product and of the induced matrices of one block and of the
+whole module.
 
 The symmetric square builds no matrix of its own.  The flip c of the two
 factors of V (x) V commutes with U (x) U and c^2 = 1, so for p odd, where
@@ -32,13 +34,47 @@ y = t - x: as an F_p[t]-module, A is the cokernel of multiplication by
 (t - x)^n on F_p[t][x]/(x^m) = F_p[t]^m (basis 1, x, ..., x^(m-1)).  That
 map is an m x m lower-triangular Toeplitz matrix with entry
 (-1)^(r-c) C(n, r-c) t^(n-r+c) at (r, c), and the Jordan block sizes are
-its Smith exponents over F_p[t].  Every entry is a scalar times the power
-of t fixed by its position, so a nonzero entry of least degree divides
-every other entry.  Taking it as pivot and clearing its row and column is
-a rank-1 update of the scalars mod p, after which every remaining entry is
-still homogeneous of the same degree.  So m scalar pivots, each of least
-degree, give the block sizes as their degrees, which sum to
-deg det = mn; no mn-dimensional matrix is built.
+its Smith exponents over F_p[t].  Every entry is a scalar times t to a
+degree a_r + b_c fixed by its position, so a nonzero entry of least
+degree divides every other entry.  Taking it as pivot and clearing its
+row and column is a rank-1 update of the scalars mod p, after which entry
+(r, c) is still a scalar times t^(a_r + b_c).  So m scalar pivots, each of
+least degree, give the block sizes as their degrees, which sum to
+deg det = mn; no mn-dimensional matrix is built (`_graded_smith`).
+
+Lambda^2 J_n, p odd, is such a Smith form too, of an m x m matrix with
+m = floor(n/2) (`_wedge2_block`).  Let A = F_p[x, y]/(x^n, y^n) =
+J_n (x) J_n, the generator acting as (1 + x)(1 + y); Lambda^2 J_n is A^-,
+the part where the swap of x and y acts as -1 (the flip above).  Let
+h(x) = (1 + x/2)/(1 - x/2).  Then h(x) - 1 = x/(1 - x/2) is x times a
+unit, so x -> h(x) - 1, y -> h(y) - 1 is an automorphism of A, and it
+commutes with the swap.  It sends (1 + x)(1 + y) - 1 to
+h(x)h(y) - 1 = (x + y)/((1 - x/2)(1 - y/2)), which is x + y times a unit
+symmetric in x and y.  So on A^- the generator minus 1 has the Jordan type
+of multiplication by s = x + y.  Put d = x - y and z = d^2; up to the
+unit 2^n, the relations x^n, y^n are (s + d)^n = u + d w and
+(s - d)^n = u - d w, split by parity in d, where
+
+    u = sum_c C(n, 2c) s^(n-2c) z^c,   w = sum_c C(n, 2c+1) s^(n-1-2c) z^c,
+
+and as 2 is a unit they generate the ideal (u, d w).
+
+The part of F_p[s, d] odd in d is d F_p[s, z], and that of the ideal is
+d (u, w), so A^- = F_p[s][z]/(u, w) as an F_p[s]-module.  For n odd w is
+monic in z of degree m, for n even u is; so A^- is the cokernel of
+multiplication by the other one on F_p[s][z]/(the monic one) = F_p[s]^m
+(basis 1, z, ..., z^(m-1)).  With deg z = 2, u and w are homogeneous of
+degrees n and n - 1; if D is the degree of the other one, entry (r, c),
+the z^r coefficient of z^c times it, is a scalar times s^(D + 2(c - r)):
+the shape above, and the same elimination gives the blocks, summing to
+n(n-1)/2.
+
+Two routes stay dense, rank profiles of induced matrices.  At p = 2 the
+swap does not split A and h needs 1/2, so every exterior power of a block
+is dense there.  For k >= 3 the same substitution gives
+prod (1 + x_i/2) - prod (1 - x_i/2) = e_1 + e_3/4 + ..., not homogeneous,
+so no graded Smith form is known and Lambda^k J_n is dense at every p.
+For k = 2 at p odd the dense route is the test oracle.
 
 Only the exterior powers Lambda^k V with k <= dim V / 2 are computed;
 `_wedge_type` folds a larger k to d - k itself: the wedge pairing
@@ -155,25 +191,55 @@ def jordan_type(U: np.ndarray, p: int) -> tuple[int, ...]:
     return tuple(sorted(blocks, reverse=True))
 
 
+def _graded_smith(M: np.ndarray, degree: np.ndarray, p: int, dim: int) -> tuple[int, ...]:
+    """Smith exponents over F_p[t] of the square matrix with entries M[r, c] t^degree[r, c],
+    where degree[r, c] = a_r + b_c, by least-degree pivots (see the module docstring):
+    the Jordan block sizes of t on its cokernel, which has dimension dim."""
+    import numpy as np
+
+    if np.count_nonzero(M[degree < 0]):
+        raise RuntimeError("a graded matrix has a nonzero entry at a negative degree")
+    unused = degree.max() + 1
+    blocks = []
+    for _ in range(len(M)):
+        r, c = np.unravel_index(np.where(M != 0, degree, unused).argmin(), M.shape)
+        blocks.append(int(degree[r, c]))
+        column = M[:, c] * pow(int(M[r, c]), -1, p) % p
+        M = (M - np.outer(column, M[r])) % p
+    if sum(blocks) != dim:
+        raise RuntimeError(f"Jordan blocks {blocks} do not sum to the dimension {dim}")
+    return tuple(sorted(blocks, reverse=True))
+
+
 @lru_cache(maxsize=None)
 def _tensor_pair(p: int, m: int, n: int) -> tuple[int, ...]:
     """Jordan type of J_m (x) J_n, m <= n: the Smith exponents of (t - x)^n
-    on F_p[t][x]/(x^m), by least-degree pivots (see the module docstring)."""
+    on F_p[t][x]/(x^m) (see the module docstring)."""
     import numpy as np
 
     lag = np.subtract.outer(np.arange(m), np.arange(m))  # r - c
     coef = np.array([(-1) ** j * comb(n, j) % p for j in range(m)], dtype=residue_dtype(p))
-    M = np.tril(coef[lag % m])
-    degree = n - lag
-    blocks = []
-    for _ in range(m):
-        r, c = np.unravel_index(np.where(M != 0, degree, m + n).argmin(), M.shape)
-        blocks.append(int(degree[r, c]))
-        column = M[:, c] * pow(int(M[r, c]), -1, p) % p
-        M = (M - np.outer(column, M[r])) % p
-    if sum(blocks) != m * n:
-        raise RuntimeError(f"Jordan blocks {blocks} do not sum to the dimension {m * n}")
-    return tuple(sorted(blocks, reverse=True))
+    return _graded_smith(np.tril(coef[lag % m]), n - lag, p, m * n)
+
+
+def _wedge2_block(p: int, n: int) -> tuple[int, ...]:
+    """Jordan type of Lambda^2 J_n for p odd, n >= 2: the Smith exponents of
+    multiplication by the other one of u, w on F_p[s][z]/(the monic one)
+    (see the module docstring)."""
+    import numpy as np
+
+    u = [comb(n, 2 * c) % p for c in range(n // 2 + 1)]
+    w = [comb(n, 2 * c + 1) % p for c in range((n + 1) // 2)]
+    f, g, D = (u, w, n) if n % 2 else (w, u, n - 1)
+    m = len(g) - 1  # g is monic in z of degree m = floor(n/2)
+    columns, col = [], f + [0] * (m + 1 - len(f))
+    for _ in range(m):  # column c is z^c f mod g
+        col = [(a - col[m] * b) % p for a, b in zip(col, g)][:m]
+        columns.append(col)
+        col = [0] + col
+    r, c = np.indices((m, m))
+    M = np.array(columns, dtype=residue_dtype(p)).T
+    return _graded_smith(M, D + 2 * (c - r), p, n * (n - 1) // 2)
 
 
 def _tensor_blocks(p: int, xs: tuple[int, ...], ys: tuple[int, ...]) -> tuple[int, ...]:
@@ -226,7 +292,8 @@ def _wedge_type(p: int, blocks: tuple[int, ...], k: int) -> tuple[int, ...]:
     Empty for k > d, and k > d/2 is computed as d - k (see the module
     docstring).  Lambda^0 V = K and Lambda^1 V = V are read off directly;
     for 2 <= k <= d/2 the cap keeps d <= 91, which bounds the depth of the
-    split."""
+    split.  A single block takes a graded Smith form for k = 2 at p odd and
+    the induced matrix otherwise."""
     d = sum(blocks)
     _check_induced_dim(comb(d, k))
     if k > d:
@@ -241,6 +308,8 @@ def _wedge_type(p: int, blocks: tuple[int, ...], k: int) -> tuple[int, ...]:
         for i in range(max(0, k - d + blocks[0]), min(k, blocks[0]) + 1):
             pieces += _tensor_blocks(p, _wedge_type(p, head, i), _wedge_type(p, rest, k - i))
         return tuple(sorted(pieces, reverse=True))
+    if k == 2 and p > 2:
+        return _wedge2_block(p, d)
     basis = list(itertools.combinations(range(d), k))
     return jordan_type(_induced_matrix(blocks, basis) % p, p)
 

@@ -228,12 +228,12 @@ class TPolynomial:
             return NotImplemented
         if self.is_zero or other.is_zero:
             return TPolynomial()
+        terms = [(j, b) for j, b in enumerate(other.coeffs) if b]
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
+            if a:
+                for j, b in terms:
+                    out[i + j] += a * b
         return TPolynomial(out)
 
     __rmul__ = __mul__

@@ -1,13 +1,14 @@
 """Jordan block decomposition tests.
 
-Tensor pairs come from a graded Smith form, exterior powers of single
-blocks from rank profiles over F_p, those of sums from their direct-sum
-splitting, and symmetric squares as V (x) V minus Lambda^2 V.  The
-independent oracles are the rank profile of the dense Kronecker product
-U_m (x) U_n and of the symmetric induced matrix Sym^2 U (both built here,
-nowhere in the library), the rank profile of the exterior induced matrix
-of the whole module, the classical Clebsch-Gordan closed form (valid
-whenever m + n - 1 <= p), and plain dimension bookkeeping.
+Tensor pairs and, for p odd, exterior squares of single blocks come from
+graded Smith forms; other exterior powers of single blocks from rank
+profiles over F_p, those of sums from their direct-sum splitting, and
+symmetric squares as V (x) V minus Lambda^2 V.  The independent oracles
+are the rank profile of the dense Kronecker product U_m (x) U_n and of the
+symmetric induced matrix Sym^2 U (both built here, nowhere in the
+library), the rank profile of the exterior induced matrix of a single
+block and of the whole module, the classical Clebsch-Gordan closed form
+(valid whenever m + n - 1 <= p), and plain dimension bookkeeping.
 """
 
 import itertools
@@ -18,10 +19,13 @@ import numpy as np
 import pytest
 
 from semisimple import modrep
+from semisimple.cli import main
 from semisimple.modrep import (
     JordanModule,
+    _graded_smith,
     _induced_matrix,
     _tensor_pair,
+    _wedge2_block,
     _wedge_type,
     ext2,
     exterior_power,
@@ -355,6 +359,56 @@ def test_sym2_fails_loudly_when_lambda2_is_not_inside_the_tensor_square(monkeypa
 
 def test_ext2_of_a_line_is_zero():
     assert ext2(J(5, 1)).is_zero
+
+
+def dense_wedge2(p, n):
+    """Lambda^2 J_n from the rank profile of its C(n, 2)-dimensional induced matrix."""
+    return jordan_type(_induced_matrix((n,), list(itertools.combinations(range(n), 2))) % p, p)
+
+
+def test_exterior_squares_of_single_blocks_match_the_induced_matrix():
+    # every block at p^e in {3, 5, 7, 9, 11, 13, 25, 27}, then the largest at 7^2
+    cases = [(p, n) for p, q in [(3, 3), (5, 5), (7, 7), (3, 9), (11, 11), (13, 13), (5, 25), (3, 27)]
+             for n in range(1, q + 1)]
+    cases += [(7, n) for n in (24, 25, 48, 49)]
+    for p, n in cases:
+        oracle = dense_wedge2(p, n)
+        assert _wedge_type(p, (n,), 2) == oracle, (p, n)
+        if n >= 2:
+            assert _wedge2_block(p, n) == oracle, (p, n)
+
+
+def test_graded_smith_refuses_a_nonzero_entry_at_a_negative_degree():
+    with pytest.raises(RuntimeError, match="negative degree"):
+        _graded_smith(np.array([[1, 0], [2, 1]]), np.array([[1, 3], [-1, 1]]), 5, 2)
+    assert _graded_smith(np.array([[1, 0], [0, 1]]), np.array([[1, 3], [-1, 1]]), 5, 2) == (1, 1)
+
+
+def test_squares_at_p_odd_build_no_induced_matrix(monkeypatch, capsys):
+    # oracles first, from the dense route, then the route without it
+    small = [(5, 1, (3, 2)), (7, 2, (12, 5)), (3, 2, (9, 4, 1))]
+    expected = {(p, blocks): (whole_module_type(p, blocks), whole_module_type(p, blocks, 2)) for p, _, blocks in small}
+
+    def refuse(*args):
+        raise AssertionError("no induced matrix for a square at p odd")
+
+    monkeypatch.setattr(modrep, "_induced_matrix", refuse)
+    _wedge_type.cache_clear()
+    for p, e, blocks in small:
+        v = JordanModule(p, e, blocks)
+        assert (sym2(v).blocks, ext2(v).blocks) == expected[p, blocks]
+    assert ext2(J(7, 49, 42, e=2)).blocks == (49,) * 83 + (7,) * 4
+    assert sym2(J(7, 49, 40, e=2)).dim == 89 * 90 // 2
+    # p = 2 and the cube still take the dense route
+    with pytest.raises(AssertionError, match="no induced matrix"):
+        ext2(J(2, 5, e=3))
+    with pytest.raises(AssertionError, match="no induced matrix"):
+        exterior_power(J(5, 6, e=2), 3)
+    # the cap still refuses on the whole dimension, before any route is taken
+    for blocks, op in [("49,42", "sym2"), ("49,43", "ext2")]:
+        assert main(["decompose", "--p", "7", "--e", "2", "--blocks", blocks, "--op", op]) == 4
+        out, err = capsys.readouterr()
+        assert out == "" and err == "cap exceeded: induced matrix of dimension 4186 exceeds the cap 4096\n"
 
 
 # -- exterior powers ----------------------------------------------------------------

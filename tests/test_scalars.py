@@ -98,6 +98,28 @@ def test_poly_product_evaluation_homomorphism():
         assert (f * g).evaluate(x) == f.evaluate(x) * g.evaluate(x)
 
 
+def test_poly_product_of_sparse_polynomials_matches_the_dense_loop():
+    # terms far apart in degree, zeros between them: the product loops only
+    # over nonzero terms and must equal the schoolbook sum over every pair
+    rng = random.Random(11)
+
+    def sparse():
+        coeffs = [0] * 400
+        for _ in range(rng.randint(1, 8)):
+            coeffs[rng.randrange(400)] = rng.choice([-9, -2, -1, 1, 3, 7])
+        return TPolynomial(coeffs)
+
+    for _ in range(10):
+        f, g = sparse(), sparse()
+        dense = [0] * (len(f.coeffs) + len(g.coeffs) - 1)
+        for i, a in enumerate(f.coeffs):
+            for j, b in enumerate(g.coeffs):
+                dense[i + j] += a * b
+        assert (f * g).coeffs == TPolynomial(dense).coeffs
+        assert (f * g) == (g * f)
+    assert (TPolynomial() * T).is_zero and (T * TPolynomial()).is_zero
+
+
 def test_poly_normal_form_and_degree():
     assert TPolynomial([1, 2, 0, 0]).coeffs == (1, 2)
     assert TPolynomial([]).is_zero
