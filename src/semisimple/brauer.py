@@ -25,17 +25,15 @@ central element sum_g t^cycles(g) g of the group algebra.
 
 By the Jucys-Murphy factorisation that element is prod_k (t + J_k), and it
 acts on the Specht module of a partition lam of d by prod (t + c) over the
-contents c of lam's boxes.  Ranks are therefore taken over one prime
-field.  At t = a/b in Q the prime is the smallest p > d dividing neither b
-nor any nonzero a + c*b with |c| < d: F_p[S_d] is semisimple for p > d,
-the Specht modules stay irreducible, and prod (t + c) vanishes mod p
-exactly where it vanishes over Q, so the rank mod p (the sum of f_lam^2
-over the lam whose product is nonzero) is the rank over Q.  At t in F_p
-with p <= 2d - 1 the rank is taken mod t's own p.  For a larger p the
-2d - 1 values t + c are distinct mod p, so at most one vanishes; the
-integer -c for that c, or d when none does, has content products that
-vanish at the same partitions, hence the same rank, and that rank is
-taken as at a rational t.
+contents c of lam's boxes.  Where F_p[S_d] is semisimple (over Q, and in
+F_p for p > d) the Specht modules are the simple modules, each occurring
+f_lam times in the group algebra, so the rank is the sum of f_lam^2 over
+the lam whose product is nonzero: read off the partitions of d, with no
+elimination.  The contents of lam fill the interval [1 - rows, lam_1 - 1],
+so lam drops out exactly when that interval holds a c in (-d, d) with
+t + c = 0, over Q or mod p.  For t in F_p with p <= d the group algebra is
+not semisimple, the content products do not give the rank, and the Gram
+matrix is eliminated mod p.
 """
 
 from __future__ import annotations
@@ -47,7 +45,7 @@ from fractions import Fraction
 from math import factorial
 from types import MappingProxyType
 
-from .partitions import dim_sym_irrep, enumerate_in_box
+from .partitions import box_partitions, dim_sym_irrep, dimensions, enumerate_in_box
 from .scalars import (
     CapExceeded,
     DomainError,
@@ -55,7 +53,6 @@ from .scalars import (
     T,
     TPolynomial,
     exact_rank,
-    is_prime,
     row_echelon_mod_p,
 )
 
@@ -475,49 +472,34 @@ def gram_matrix(source: BiObject, target: BiObject, t_value="symbolic", cap: int
     return [[powers[e] for e in row] for row in _gram_exponents(d).tolist()]
 
 
-def _faithful_prime(t: Fraction, d: int) -> int:
-    """Smallest prime p > d at which degree-d Gram ranks at t equal those over Q.
-
-    With t = a/b, p divides neither b nor any nonzero a + c*b for |c| < d,
-    so every content product prod (t + c) is zero mod p exactly when it is
-    zero over Q (see the module docstring).
-    """
-    a, b = t.numerator, t.denominator
-    avoid = [b] + [a + c * b for c in range(1 - d, d) if a + c * b]
-    p = d + 1
-    while not is_prime(p) or any(x % p == 0 for x in avoid):
-        p += 1
-    return p
-
-
 def negligible_rank(source: BiObject, target: BiObject, t_value, cap: int = DEGREE_CAP) -> tuple[int, int]:
     """Rank of the Gram matrix at an exact parameter value.
 
     The rank equals the dimension of the hom space once negligible
     morphisms are quotiented away, so it is returned twice: (rank,
-    quotient dimension).  It is taken mod one prime: t's own for t in F_p
-    with p <= 2d - 1, and otherwise the prime of `_faithful_prime`, at
-    which it equals the rank over Q of a rational t or of an integer
-    stand-in for t in F_p (see the module docstring).
+    quotient dimension).  Where F_p[S_d] is semisimple (t rational, or t
+    in F_p with p > d) it is the sum of f_lam^2 over the partitions lam of
+    d with no box of content c where t + c = 0 (see the module docstring);
+    for t in F_p with p <= d the Gram matrix is eliminated mod p.
     """
-    import numpy as np
-
     if t_value == "symbolic" or not isinstance(t_value, (int, Fraction, FpScalar)):
         raise DomainError("negligible rank needs an exact (rational or F_p) parameter value")
     d = _hom_degree(source, target, cap)
     if d is None:
         return 0, 0
-    if isinstance(t_value, FpScalar) and t_value.p <= 2 * d - 1:
-        p, x = t_value.p, t_value.value
+    if isinstance(t_value, FpScalar) and t_value.p <= d:
+        import numpy as np
+
+        p = t_value.p
+        powers = np.array([pow(t_value.value, k, p) for k in range(d + 1)], dtype=np.int64)
+        rank = len(row_echelon_mod_p(powers[_gram_exponents(d)], p))
     else:
-        if isinstance(t_value, FpScalar):  # the stand-in -c for t + c = 0 mod p, else d
-            c = next((c for c in range(1 - d, d) if (t_value.value + c) % t_value.p == 0), None)
-            t_value = d if c is None else -c
-        t = Fraction(t_value)
-        p = _faithful_prime(t, d)
-        x = t.numerator * pow(t.denominator, -1, p) % p
-    powers = np.array([pow(x, k, p) for k in range(d + 1)], dtype=np.int64)
-    rank = len(row_echelon_mod_p(powers[_gram_exponents(d)], p))
+        roots = [c for c in range(1 - d, d) if t_value + c == 0]
+        rank = sum(
+            dimensions(parts)[0] ** 2
+            for parts in box_partitions(d, d, d)
+            if not any(1 - len(parts) <= c < parts[0] for c in roots)
+        )
     return rank, rank
 
 

@@ -5,9 +5,10 @@ its non-identity basis element a satisfies a o a = t a, traces to t, and
 produces the Gram matrix [[t^2, t], [t, t^2]].  Gram ranks at integer
 parameter values are cross-checked against the character-theoretic hom
 dimension, which shares no code with the diagram machinery.  The library
-builds Gram matrices as S_d group matrices and ranks them mod one prime;
-the diagram-stacking builder and Bareiss elimination over Q below are the
-oracle for both steps.
+builds Gram matrices as S_d group matrices and reads their ranks off the
+content products of the partitions of d where F_p[S_d] is semisimple; the
+diagram-stacking builder and elimination (Bareiss over Q, rank_mod_p over
+F_p) below are the oracle for both steps.
 """
 
 import random
@@ -15,6 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -25,7 +27,6 @@ from semisimple.brauer import (
     DiagramMorphism,
     WalledDiagram,
     _closure_loops,
-    _faithful_prime,
     _gram_exponents,
     _stack,
     algebra_is_semisimple,
@@ -420,7 +421,6 @@ def test_negligible_rank_prime_choice_trap():
     obj = BiObject(2, 2)
     assert negligible_rank(obj, obj, FpScalar(5, 5)) == (0, 0)
     assert negligible_rank(obj, obj, FpScalar(5, 7)) == (14, 14)
-    assert _faithful_prime(Fraction(5), 4) == 11
     assert negligible_rank(obj, obj, 5) == (24, 24)
 
 
@@ -446,20 +446,47 @@ def test_is_prime_runs_once_per_modulus():
     assert info.misses == 1 and info.hits > 0
 
 
-def test_negligible_rank_above_2d_minus_1_uses_a_small_prime(monkeypatch):
-    # for p > 2d - 1 the rank is taken at an integer stand-in for t, mod a
-    # small prime, and equals the rank of the Gram matrix mod p itself
-    primes = []
+def test_negligible_rank_eliminates_only_mod_a_prime_at_most_d(monkeypatch):
+    # for p > d the rank is read off the partitions of d with no elimination;
+    # for p <= d the d! x d! Gram matrix is eliminated mod t's own p
+    calls = []
     echelon = scalars.row_echelon_mod_p
-    monkeypatch.setattr(brauer, "row_echelon_mod_p", lambda m, p: primes.append(p) or echelon(m, p))
-    for p in (13, 2**32 + 15):
+    monkeypatch.setattr(brauer, "row_echelon_mod_p", lambda m, p: calls.append((p, len(m))) or echelon(m, p))
+    for p in (2, 3, 5, 13, 2**32 + 15):
         for r in range(4):
-            obj = BiObject(r, 1)  # degree d = r + 1; the Gram matrix is t^E
-            exponents = _gram_exponents(r + 1).tolist()
+            d = r + 1
+            obj = BiObject(r, 1)  # degree d; the Gram matrix is t^E
+            exponents = _gram_exponents(d).tolist()
             for t in sorted({0, 1, 2, p - 1, 12345 % p} | {-c % p for c in range(-r, r + 1)}):
                 want = rank_mod_p([[pow(t, e, p) for e in row] for row in exponents], p)
+                calls.clear()
                 assert negligible_rank(obj, obj, FpScalar(t, p)) == (want, want)
-    assert primes and max(primes) < 13
+                assert calls == ([(p, factorial(d))] if p <= d else [])
+
+
+#: The rational t of ORACLE_T, every residue mod the small primes, and
+#: mod 2^32 + 15 the residues -c of the contents c of degree <= 5 with a
+#: few others.
+ELIMINATION_T = [t for t in ORACLE_T if not isinstance(t, FpScalar)]
+ELIMINATION_T += [FpScalar(x, p) for p in (2, 3, 5, 7, 11, 13) for x in range(p)]
+ELIMINATION_T += [FpScalar(x, 2**32 + 15) for x in (*range(-4, 5), 7, 12345, 2**31)]
+
+
+@lru_cache(maxsize=None, typed=True)
+def eliminated_rank(d, t):
+    """Rank of the degree-d Gram matrix t^E by elimination: rank_mod_p over
+    F_p, Bareiss over Q."""
+    if isinstance(t, FpScalar):
+        powers = np.array([pow(t.value, k, t.p) for k in range(d + 1)], dtype=object)
+        return rank_mod_p(powers[_gram_exponents(d)], t.p)
+    return bareiss_rank(tuple(map(tuple, gram_matrix(*spaces_of_degree(d)[0]))), t)
+
+
+def test_negligible_rank_matches_elimination_on_every_space_of_degree_at_most_5():
+    for d in range(6):
+        for source, target in spaces_of_degree(d):
+            for t in ELIMINATION_T:
+                assert negligible_rank(source, target, t) == (eliminated_rank(d, t),) * 2
 
 
 @given(

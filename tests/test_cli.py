@@ -453,8 +453,11 @@ print(json.dumps([code, [name for name in ("numpy", "mpmath") if name in sys.mod
     (["invariants", "--p", "5", "--blocks", "3,2"], 0, ["mpmath"]),
     (["bounds", "plancherel", "--p", "5", "--d", "2"], 0, ["mpmath"]),
     (["bounds", "improved", "--p", "7", "--d", "2"], 0, ["mpmath"]),
+    # ranks where F_p[S_d] is semisimple are read off the partitions of d
+    (["brauer", "rank", "--r", "1", "--s", "1", "--t", "7/2"], 0, []),
+    (["brauer", "rank", "--r", "2", "--s", "2", "--t", "3", "--mod", "7"], 0, []),
     # the probe sees an import: these requests need numpy
-    (["brauer", "rank", "--r", "1", "--s", "1", "--t", "7/2"], 0, ["numpy"]),
+    (["brauer", "rank", "--r", "1", "--s", "1", "--t", "1", "--mod", "2"], 0, ["numpy"]),
     (["decompose", "--p", "5", "--blocks", "3", "--op", "tensor", "--with-blocks", "3"], 0, ["numpy"]),
 ])
 def test_requests_import_numpy_and_mpmath_only_when_they_use_them(argv, code, loaded):
