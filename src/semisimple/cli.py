@@ -96,6 +96,9 @@ def cmd_fusion(args):
     p = args.p
     if args.table:
         table = verlinde.fusion_table(p, args.cap_fusion_entries)
+        if args.format == "csv":  # the rows only: no document, no pretty strings
+            header = ["i", "j"] + [f"m{k}" for k in range(1, p)]
+            return None, itertools.chain([header], ([i, j, *x.multiplicities] for i, j, x in table))
         doc = {
             "p": p,
             "table": [
@@ -103,9 +106,7 @@ def cmd_fusion(args):
                 for i, j, x in table
             ],
         }
-        header = ["i", "j"] + [f"m{k}" for k in range(1, p)]
-        rows = itertools.chain([header], ([i, j, *x.multiplicities] for i, j, x in table))
-        return doc, rows
+        return doc, None
     if args.i is None or args.j is None:
         raise UsageError("fusion needs either --table or both --i and --j")
     x = verlinde.fusion(p, args.i, args.j, args.cap_fusion_entries)

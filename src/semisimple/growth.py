@@ -273,7 +273,8 @@ def padic_digits(p: int, dims) -> PadicDigits:
     sequence not of that form is rejected loudly rather than approximated.
     The digits are read off one level at a time: t = series[1] < p, so
     series = Q(z^p) (1 + z)^t exactly when series[a*p + b] = series[a*p] *
-    C(t, b) mod p for every index, and the next level is Q, series[0::p].
+    C(t, b) mod p for every index, checked a column series[b::p] at a time,
+    and the next level is Q, series[0::p].
     """
     check_prime(p)
     series = []
@@ -292,14 +293,15 @@ def padic_digits(p: int, dims) -> PadicDigits:
         row = [1]  # C(t, b) mod p; the factor t - b + 1 zeroes it past t
         for b in range(1, min(p, len(series))):
             row.append(row[-1] * (t - b + 1) * pow(b, -1, p) % p)
-        for n, c in enumerate(series):
-            b = n % p
-            if c != series[n - b] * row[b] % p:
+        heads = series[0::p]
+        for b, c in enumerate(row[1:], start=1):
+            column = series[b::p]
+            if column != [h * c % p for h in heads[:len(column)]]:
                 raise DomainError(
                     "dimension sequence is not a product of binomial factors"
                 )
         digits.append(t)
-        series = series[0::p]
+        series = heads
     return PadicDigits(p, tuple(digits))
 
 

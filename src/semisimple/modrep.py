@@ -40,7 +40,10 @@ degree divides every other entry.  Taking it as pivot and clearing its
 row and column is a rank-1 update of the scalars mod p, after which entry
 (r, c) is still a scalar times t^(a_r + b_c).  So m scalar pivots, each of
 least degree, give the block sizes as their degrees, which sum to
-deg det = mn; no mn-dimensional matrix is built (`_graded_smith`).
+deg det = mn; no mn-dimensional matrix is built (`_graded_smith`).  The
+matrix is at most p^e x p^e and usually a few rows, so the elimination
+runs on lists of Python ints, which never wrap at any p; an array library
+would cost more to call than the arithmetic.
 
 Lambda^2 J_n, p odd, is such a Smith form too, of an m x m matrix with
 m = floor(n/2) (`_wedge2_block`).  Let A = F_p[x, y]/(x^n, y^n) =
@@ -74,7 +77,10 @@ swap does not split A and h needs 1/2, so every exterior power of a block
 is dense there.  For k >= 3 the same substitution gives
 prod (1 + x_i/2) - prod (1 - x_i/2) = e_1 + e_3/4 + ..., not homogeneous,
 so no graded Smith form is known and Lambda^k J_n is dense at every p.
-For k = 2 at p odd the dense route is the test oracle.
+For k = 2 at p odd the dense route is the test oracle.  These rank profiles
+(`jordan_type` of `_induced_matrix`) are the only numpy in this module, so
+tensor products, symmetric squares and exterior squares at p odd never
+import it.
 
 Only the exterior powers Lambda^k V with k <= dim V / 2 are computed;
 `_wedge_type` folds a larger k to d - k itself: the wedge pairing
@@ -90,7 +96,7 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from math import comb
 
-from .scalars import CapExceeded, DomainError, check_prime, residue_dtype, row_echelon_mod_p
+from .scalars import CapExceeded, DomainError, check_prime, row_echelon_mod_p
 from .verlinde import FUSION_ENTRY_CAP, FusionElement
 
 #: Default largest group order p^e; JordanModule(..., cap=...) raises it at
@@ -191,21 +197,41 @@ def jordan_type(U: np.ndarray, p: int) -> tuple[int, ...]:
     return tuple(sorted(blocks, reverse=True))
 
 
-def _graded_smith(M: np.ndarray, degree: np.ndarray, p: int, dim: int) -> tuple[int, ...]:
-    """Smith exponents over F_p[t] of the square matrix with entries M[r, c] t^degree[r, c],
-    where degree[r, c] = a_r + b_c, by least-degree pivots (see the module docstring):
-    the Jordan block sizes of t on its cokernel, which has dimension dim."""
-    import numpy as np
+def _graded_smith(M: list[list[int]], a: list[int], b: list[int], p: int, dim: int) -> tuple[int, ...]:
+    """Smith exponents over F_p[t] of the square matrix with entries M[r][c] t^(a[r] + b[c]),
+    b nondecreasing, by least-degree pivots (see the module docstring): the Jordan block
+    sizes of t on its cokernel, which has dimension dim.  M is reduced in place.
 
-    if np.count_nonzero(M[degree < 0]):
+    As b is nondecreasing, the least degree in a row is at its first nonzero entry, its
+    lead.  The pivot row, whose lead c is of least degree, is zero before c, so clearing
+    column c changes no other row before c."""
+    if b != sorted(b):
+        raise RuntimeError("the column degrees of a graded matrix are not nondecreasing")
+
+    def leads(rows):  # the first nonzero column of each row; a zero row has none
+        return {r: c for r in rows for c in itertools.islice(itertools.compress(itertools.count(), M[r]), 1)}
+
+    lead = leads(range(len(M)))
+    if any(a[r] + b[c] < 0 for r, c in lead.items()):
         raise RuntimeError("a graded matrix has a nonzero entry at a negative degree")
-    unused = degree.max() + 1
     blocks = []
-    for _ in range(len(M)):
-        r, c = np.unravel_index(np.where(M != 0, degree, unused).argmin(), M.shape)
-        blocks.append(int(degree[r, c]))
-        column = M[:, c] * pow(int(M[r, c]), -1, p) % p
-        M = (M - np.outer(column, M[r])) % p
+    while lead:  # a zero row gets no pivot, and the sum check refuses the blocks
+        degree, r = min((a[r] + b[c], r) for r, c in lead.items())
+        blocks.append(degree)
+        c = lead.pop(r)
+        pivot = M[r][c:]
+        inverse = pow(pivot[0], -1, p)
+        moved = []
+        for i in lead:
+            row = M[i]
+            if row[c]:
+                f = row[c] * inverse % p
+                row[c:] = [(x - f * y) % p for x, y in zip(row[c:], pivot)]
+                if lead[i] == c:
+                    moved.append(i)
+        for i in moved:
+            del lead[i]
+        lead.update(leads(moved))
     if sum(blocks) != dim:
         raise RuntimeError(f"Jordan blocks {blocks} do not sum to the dimension {dim}")
     return tuple(sorted(blocks, reverse=True))
@@ -215,19 +241,15 @@ def _graded_smith(M: np.ndarray, degree: np.ndarray, p: int, dim: int) -> tuple[
 def _tensor_pair(p: int, m: int, n: int) -> tuple[int, ...]:
     """Jordan type of J_m (x) J_n, m <= n: the Smith exponents of (t - x)^n
     on F_p[t][x]/(x^m) (see the module docstring)."""
-    import numpy as np
-
-    lag = np.subtract.outer(np.arange(m), np.arange(m))  # r - c
-    coef = np.array([(-1) ** j * comb(n, j) % p for j in range(m)], dtype=residue_dtype(p))
-    return _graded_smith(np.tril(coef[lag % m]), n - lag, p, m * n)
+    coef = [(-1) ** j * comb(n, j) % p for j in range(m)]
+    M = [coef[r::-1] + [0] * (m - 1 - r) for r in range(m)]  # entry (r, c) is coef[r - c]
+    return _graded_smith(M, [n - r for r in range(m)], list(range(m)), p, m * n)
 
 
 def _wedge2_block(p: int, n: int) -> tuple[int, ...]:
     """Jordan type of Lambda^2 J_n for p odd, n >= 2: the Smith exponents of
     multiplication by the other one of u, w on F_p[s][z]/(the monic one)
     (see the module docstring)."""
-    import numpy as np
-
     u = [comb(n, 2 * c) % p for c in range(n // 2 + 1)]
     w = [comb(n, 2 * c + 1) % p for c in range((n + 1) // 2)]
     f, g, D = (u, w, n) if n % 2 else (w, u, n - 1)
@@ -237,9 +259,8 @@ def _wedge2_block(p: int, n: int) -> tuple[int, ...]:
         col = [(a - col[m] * b) % p for a, b in zip(col, g)][:m]
         columns.append(col)
         col = [0] + col
-    r, c = np.indices((m, m))
-    M = np.array(columns, dtype=residue_dtype(p)).T
-    return _graded_smith(M, D + 2 * (c - r), p, n * (n - 1) // 2)
+    M = [list(row) for row in zip(*columns)]
+    return _graded_smith(M, [D - 2 * r for r in range(m)], [2 * c for c in range(m)], p, n * (n - 1) // 2)
 
 
 def _tensor_blocks(p: int, xs: tuple[int, ...], ys: tuple[int, ...]) -> tuple[int, ...]:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .scalars import CapExceeded, DomainError, FpScalar, check_prime, q_int
+from .scalars import CapExceeded, DomainError, FpScalar, check_prime
 
 #: Most multiplicities one fusion document may list: p - 1 for a product,
 #: (p - 1)^3 for the whole table, so every table up to p = 257 is allowed.
@@ -146,10 +146,16 @@ def cat_dim(x: FusionElement) -> FpScalar:
 
 
 def fp_dim(x: FusionElement):
-    """Frobenius-Perron dimension: sum of m_k [k]_q at high precision."""
+    """Frobenius-Perron dimension: sum of m_k [k]_q at high precision.
+
+    [k]_q = sin(pi k/p) / sin(pi/p) shares its denominator across labels, so
+    the sum is taken over the sines and divided once.  Each term is computed
+    as `q_int` computes its numerator, so a simple label L_k gets exactly
+    `q_int(p, k)`."""
     from .reals import ctx
 
-    return sum((m * q_int(x.p, k, 1) for k, m in enumerate(x.multiplicities, start=1) if m), ctx.mpf(0))
+    sines = sum((m * ctx.sinpi(ctx.mpf(k) / x.p) for k, m in enumerate(x.multiplicities, start=1) if m), ctx.mpf(0))
+    return sines / ctx.sinpi(ctx.mpf(1) / x.p)
 
 
 def is_invertible(x: FusionElement) -> bool:

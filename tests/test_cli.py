@@ -456,9 +456,15 @@ print(json.dumps([code, [name for name in ("numpy", "mpmath") if name in sys.mod
     # ranks where F_p[S_d] is semisimple are read off the partitions of d
     (["brauer", "rank", "--r", "1", "--s", "1", "--t", "7/2"], 0, []),
     (["brauer", "rank", "--r", "2", "--s", "2", "--t", "3", "--mod", "7"], 0, []),
-    # the probe sees an import: these requests need numpy
+    # the probe sees an import: this request needs numpy
     (["brauer", "rank", "--r", "1", "--s", "1", "--t", "1", "--mod", "2"], 0, ["numpy"]),
-    (["decompose", "--p", "5", "--blocks", "3", "--op", "tensor", "--with-blocks", "3"], 0, ["numpy"]),
+    # tensor pairs and, at p odd, exterior squares of one block are graded Smith forms over Python ints
+    (["decompose", "--p", "5", "--blocks", "3", "--op", "tensor", "--with-blocks", "3"], 0, []),
+    (["decompose", "--p", "5", "--blocks", "4,2", "--op", "ext2"], 0, []),
+    (["decompose", "--p", "5", "--blocks", "4,2", "--op", "sym2"], 0, []),
+    # exterior powers at p = 2, and of degree 3, are dense rank profiles: numpy
+    (["decompose", "--p", "2", "--e", "2", "--blocks", "4", "--op", "ext2"], 0, ["numpy"]),
+    (["decompose", "--p", "3", "--e", "2", "--blocks", "7", "--op", "wedge", "--k", "3"], 0, ["numpy"]),
 ])
 def test_requests_import_numpy_and_mpmath_only_when_they_use_them(argv, code, loaded):
     src = str(Path(semisimple.__file__).resolve().parents[1])

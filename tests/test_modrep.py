@@ -379,9 +379,26 @@ def test_exterior_squares_of_single_blocks_match_the_induced_matrix():
 
 
 def test_graded_smith_refuses_a_nonzero_entry_at_a_negative_degree():
+    # degrees a_r + b_c: [[1, 3], [-1, 1]]
     with pytest.raises(RuntimeError, match="negative degree"):
-        _graded_smith(np.array([[1, 0], [2, 1]]), np.array([[1, 3], [-1, 1]]), 5, 2)
-    assert _graded_smith(np.array([[1, 0], [0, 1]]), np.array([[1, 3], [-1, 1]]), 5, 2) == (1, 1)
+        _graded_smith([[1, 0], [2, 1]], [0, -2], [1, 3], 5, 2)
+    assert _graded_smith([[1, 0], [0, 1]], [0, -2], [1, 3], 5, 2) == (1, 1)
+
+
+def test_graded_smith_refuses_column_degrees_out_of_order():
+    with pytest.raises(RuntimeError, match="nondecreasing"):
+        _graded_smith([[1, 0], [0, 1]], [0, 0], [3, 1], 5, 4)
+
+
+def test_graded_smith_forms_at_a_prime_past_every_block_are_clebsch_gordan():
+    # p > m + n - 1: the characteristic-zero decomposition, and Lambda^2 J_n
+    # takes every other summand of J_n (x) J_n, from 2n - 3 down
+    p = 4294967311
+    for n in range(1, 13):
+        for m in range(1, n + 1):
+            assert _tensor_pair(p, m, n) == clebsch_gordan(m, n), (m, n)
+    for n in range(2, 14):
+        assert _wedge2_block(p, n) == clebsch_gordan(n, n)[1::2], n
 
 
 def test_squares_at_p_odd_build_no_induced_matrix(monkeypatch, capsys):

@@ -17,7 +17,7 @@ from mpmath import mp
 
 from semisimple import verlinde
 from semisimple.modrep import JordanModule, jordan_tensor, to_verlinde
-from semisimple.scalars import WORKING_DPS, DomainError, FpScalar
+from semisimple.scalars import WORKING_DPS, DomainError, FpScalar, q_int
 from semisimple.verlinde import (
     FusionElement,
     cat_dim,
@@ -190,6 +190,19 @@ def test_fp_dim_keeps_its_precision_while_another_thread_lowers_mpmaths():
         sys.setswitchinterval(interval)
     assert not other.is_alive()
     assert done > 100 and wrong == 0
+
+
+def test_fp_dim_is_the_sum_of_q_integers():
+    # one shared denominator, against one q-integer per label
+    rng = random.Random(61)
+    with mp.workdps(WORKING_DPS):
+        for p in (5, 13, 23, 101, 397):
+            for _ in range(5):
+                x = random_element(rng, p, max_mult=9)
+                terms = sum(m * q_int(p, k) for k, m in enumerate(x.multiplicities, start=1))
+                assert abs(fp_dim(x) - terms) <= mp.mpf("1e-45") * terms, p
+            for k in range(1, p):
+                assert fp_dim(simple(p, k)) == q_int(p, k)
 
 
 def test_dimension_homomorphisms():
