@@ -45,8 +45,9 @@ from fractions import Fraction
 from math import factorial
 from types import MappingProxyType
 
-from .partitions import box_partitions, dim_sym_irrep, dimensions, enumerate_in_box
+from .partitions import box_partitions, dimensions
 from .scalars import (
+    DEGREE_CAP,
     CapExceeded,
     DomainError,
     FpScalar,
@@ -55,10 +56,6 @@ from .scalars import (
     exact_rank,
     row_echelon_mod_p,
 )
-
-#: Hom spaces have d! basis diagrams where d = r + v; this cap keeps the
-#: worst Gram matrix at 720 x 720.
-DEGREE_CAP = 6
 
 
 @dataclass(frozen=True)
@@ -517,7 +514,7 @@ def schur_weyl_homdim(n: int, source: BiObject, target: BiObject) -> int:
         return 0
     if d == 0:
         return 1
-    return sum(dim_sym_irrep(lam) ** 2 for lam in enumerate_in_box(d, n, d))
+    return sum(dimensions(parts)[0] ** 2 for parts in box_partitions(d, n, d))
 
 
 def endomorphism_trace_form(obj: BiObject, t_value="symbolic", cap: int = DEGREE_CAP):

@@ -4,21 +4,30 @@ Deterministic, scriptable access to the library: identical arguments
 always produce byte-identical output.  Documents go to stdout as JSON
 (default) or CSV; warnings go to stderr.  Exit codes: 0 success, 1
 self-test mismatch, 2 usage error, 3 domain error, 4 size cap exceeded.
+
+Start-up is most of a cheap request, so each handler imports the modules
+it calls where it calls them, and the option defaults are the caps in
+`scalars`: `fusion` loads `verlinde` alone, and no request loads a module
+it does not run.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import itertools
 import json
 import sys
-from fractions import Fraction
 
-from . import brauer, growth, modrep, verlinde
-from .brauer import BiObject, DiagramMorphism
-from .modrep import JordanModule
-from .scalars import CapExceeded, DomainError, FpScalar, exact_rank
+from .scalars import (
+    BOUNDS_PRIME_CAP,
+    DEGREE_CAP,
+    FUSION_ENTRY_CAP,
+    ORDER_CAP,
+    CapExceeded,
+    DomainError,
+    FpScalar,
+    exact_rank,
+)
 
 REAL_DIGITS = 30  # significant digits printed for any numeric value
 
@@ -48,6 +57,8 @@ def _parse_t(text: str, mod: int | None):
         if mod is not None:
             raise UsageError("--mod cannot be combined with a symbolic parameter")
         return "symbolic"
+    from fractions import Fraction
+
     try:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -84,6 +95,8 @@ def _emit(doc, rows, fmt: str) -> None:
             sys.stdout.write(piece)
         sys.stdout.write("\n")
     else:
+        import csv
+
         csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
 
 
@@ -93,6 +106,8 @@ def _emit(doc, rows, fmt: str) -> None:
 
 
 def cmd_fusion(args):
+    from . import verlinde
+
     p = args.p
     if args.table:
         table = verlinde.fusion_table(p, args.cap_fusion_entries)
@@ -116,10 +131,14 @@ def cmd_fusion(args):
 
 
 def _module_from_args(args, blocks: str) -> JordanModule:
+    from .modrep import JordanModule
+
     return JordanModule(args.p, args.e, _parse_blocks(blocks), args.cap_order)
 
 
 def cmd_decompose(args):
+    from . import modrep
+
     v = _module_from_args(args, args.blocks)
     if args.op == "tensor":
         if args.with_blocks is None:
@@ -140,11 +159,15 @@ def cmd_decompose(args):
 
 
 def _plancherel_doc(p: int, d: int, cap: int) -> dict:
+    from . import growth
+
     total = growth.plancherel_square_sum(p, d, cap)
     return {"square_sum": total, "bound": _fmt_real(growth.plancherel_root(p, total))}
 
 
 def _improved_doc(p: int, d: int, cap: int) -> dict:
+    from . import growth
+
     imp = growth.improved_bound(p, d, cap)
     return {
         "M": imp.max_schur_dim,
@@ -157,6 +180,8 @@ def _improved_doc(p: int, d: int, cap: int) -> dict:
 
 
 def cmd_invariants(args):
+    from . import growth
+
     v = _module_from_args(args, args.blocks)
     report = growth.invariant_report(v)
     doc = {
@@ -195,6 +220,8 @@ def cmd_invariants(args):
 
 
 def cmd_padic(args):
+    from . import growth
+
     p = args.p
     if (args.blocks is None) == (args.binomial is None):
         raise UsageError("padic needs exactly one of --blocks or --binomial")
@@ -222,6 +249,8 @@ def cmd_padic(args):
 
 
 def _objects_from_args(args) -> tuple[BiObject, BiObject]:
+    from .brauer import BiObject
+
     source = BiObject(args.r, args.s)
     target = BiObject(args.u if args.u is not None else args.r,
                       args.v if args.v is not None else args.s)
@@ -229,6 +258,8 @@ def _objects_from_args(args) -> tuple[BiObject, BiObject]:
 
 
 def cmd_brauer(args):
+    from . import brauer
+
     cap = args.cap_brauer_degree
     if args.brauer_op == "homdim":
         source, target = _objects_from_args(args)
@@ -262,8 +293,8 @@ def cmd_brauer(args):
         return doc, [["source", "target", "t", "rank"], [str(source), str(target), doc["t"], rank]]
     # compose
     try:
-        f = DiagramMorphism.from_json(json.loads(args.f))
-        g = DiagramMorphism.from_json(json.loads(args.g))
+        f = brauer.DiagramMorphism.from_json(json.loads(args.f))
+        g = brauer.DiagramMorphism.from_json(json.loads(args.g))
     except DomainError:
         raise
     except (ValueError, KeyError, TypeError) as exc:  # ValueError: bad JSON, or an integer past the digit limit
@@ -299,7 +330,8 @@ def cmd_bounds(args):
 
 
 def _selftest_fusion_vs_blocks() -> bool:
-    from .modrep import jordan_tensor, to_verlinde
+    from . import verlinde
+    from .modrep import JordanModule, jordan_tensor, to_verlinde
 
     for p in (2, 3, 5, 7, 11, 13):
         singles = {k: JordanModule(p, 1, (k,)) for k in range(1, p + 1)}
@@ -315,9 +347,11 @@ def _selftest_fusion_vs_blocks() -> bool:
 
 
 def _selftest_gram_vs_characters() -> bool:
+    from . import brauer
+
     for r in range(4):
         for s in range(4 - r):
-            obj = BiObject(r, s)
+            obj = brauer.BiObject(r, s)
             for n in range(1, 6):
                 rank = exact_rank(brauer.gram_matrix(obj, obj, n))  # at most 6 x 6
                 if rank != brauer.schur_weyl_homdim(n, obj, obj):
@@ -342,6 +376,9 @@ def _selftest_dimension_identity() -> bool:
 def _selftest_recovery(seed: int) -> bool:
     import random
 
+    from . import growth
+    from .modrep import JordanModule, to_verlinde
+
     rng = random.Random(seed)
     for p in (5, 7, 11, 13):
         for _ in range(20):
@@ -354,7 +391,7 @@ def _selftest_recovery(seed: int) -> bool:
             if not blocks:
                 blocks = [1]
             v = JordanModule(p, 1, tuple(blocks))
-            m = modrep.to_verlinde(v).multiplicities
+            m = to_verlinde(v).multiplicities
             recovered = growth.recover_multiplicities(
                 p, m, growth.square_difference_vector(v)
             )
@@ -400,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fusion.add_argument("--j", type=int)
     p_fusion.add_argument("--table", action="store_true")
     p_fusion.add_argument("--cap-fusion-entries", dest="cap_fusion_entries", type=int,
-                          default=verlinde.FUSION_ENTRY_CAP)
+                          default=FUSION_ENTRY_CAP)
     add_format(p_fusion)
 
     p_dec = sub.add_parser("decompose", help="tensor/symmetric/exterior decompositions of Jordan modules")
@@ -410,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dec.add_argument("--op", choices=("tensor", "sym2", "ext2", "wedge"), default="tensor")
     p_dec.add_argument("--with-blocks", dest="with_blocks")
     p_dec.add_argument("--k", type=int)
-    p_dec.add_argument("--cap-order", dest="cap_order", type=int, default=modrep.ORDER_CAP)
+    p_dec.add_argument("--cap-order", dest="cap_order", type=int, default=ORDER_CAP)
     add_format(p_dec)
 
     p_inv = sub.add_parser("invariants", help="growth rate and dimension checks for a module")
@@ -418,8 +455,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_inv.add_argument("--e", type=int, default=1)
     p_inv.add_argument("--blocks", required=True)
     p_inv.add_argument("--bounds", action="store_true", help="include partition lower bounds")
-    p_inv.add_argument("--cap-order", dest="cap_order", type=int, default=modrep.ORDER_CAP)
-    p_inv.add_argument("--cap-bounds-p", dest="cap_bounds_p", type=int, default=growth.BOUNDS_PRIME_CAP)
+    p_inv.add_argument("--cap-order", dest="cap_order", type=int, default=ORDER_CAP)
+    p_inv.add_argument("--cap-bounds-p", dest="cap_bounds_p", type=int, default=BOUNDS_PRIME_CAP)
     add_format(p_inv)
 
     p_pad = sub.add_parser("padic", help="p-adic dimension digits from exterior powers")
@@ -428,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_pad.add_argument("--blocks")
     p_pad.add_argument("--binomial", type=int, help="use the binomial sequence of this integer")
     p_pad.add_argument("--length", type=int, help="series length for the binomial path")
-    p_pad.add_argument("--cap-order", dest="cap_order", type=int, default=modrep.ORDER_CAP)
+    p_pad.add_argument("--cap-order", dest="cap_order", type=int, default=ORDER_CAP)
     add_format(p_pad)
 
     p_br = sub.add_parser("brauer", help="walled diagram hom spaces, Gram matrices, ranks")
@@ -444,12 +481,12 @@ def build_parser() -> argparse.ArgumentParser:
         else:
             q.add_argument("--t", required=True, help='"symbolic", an integer, or a fraction like 7/2')
             q.add_argument("--mod", type=int, help="interpret --t in F_p for this prime")
-        q.add_argument("--cap-brauer-degree", dest="cap_brauer_degree", type=int, default=brauer.DEGREE_CAP)
+        q.add_argument("--cap-brauer-degree", dest="cap_brauer_degree", type=int, default=DEGREE_CAP)
         add_format(q)
     q = br_sub.add_parser("compose")
     q.add_argument("--f", required=True, help="morphism JSON (applied second)")
     q.add_argument("--g", required=True, help="morphism JSON (applied first)")
-    q.add_argument("--cap-brauer-degree", dest="cap_brauer_degree", type=int, default=brauer.DEGREE_CAP)
+    q.add_argument("--cap-brauer-degree", dest="cap_brauer_degree", type=int, default=DEGREE_CAP)
     add_format(q)
 
     p_bnd = sub.add_parser("bounds", help="partition-enumeration lower bounds for growth rates")
@@ -458,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
         q = bnd_sub.add_parser(name)
         q.add_argument("--p", type=int, required=True)
         q.add_argument("--d", type=int, required=True)
-        q.add_argument("--cap-bounds-p", dest="cap_bounds_p", type=int, default=growth.BOUNDS_PRIME_CAP)
+        q.add_argument("--cap-bounds-p", dest="cap_bounds_p", type=int, default=BOUNDS_PRIME_CAP)
         add_format(q)
 
     p_self = sub.add_parser("selftest", help="run the oracle-equivalence suite")
@@ -470,10 +507,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _warn_caps(args) -> None:
     """Warn on stderr about each --cap-* option set to other than its default."""
-    for name, default, cap in (("cap_order", modrep.ORDER_CAP, "the group-order cap"),
-                               ("cap_brauer_degree", brauer.DEGREE_CAP, "the hom-space degree cap"),
-                               ("cap_bounds_p", growth.BOUNDS_PRIME_CAP, "the bounds enumeration cap"),
-                               ("cap_fusion_entries", verlinde.FUSION_ENTRY_CAP, "the fusion document cap")):
+    for name, default, cap in (("cap_order", ORDER_CAP, "the group-order cap"),
+                               ("cap_brauer_degree", DEGREE_CAP, "the hom-space degree cap"),
+                               ("cap_bounds_p", BOUNDS_PRIME_CAP, "the bounds enumeration cap"),
+                               ("cap_fusion_entries", FUSION_ENTRY_CAP, "the fusion document cap")):
         value = getattr(args, name, default)
         if value != default:
             print(f"warning: overriding {cap} to {value}; large values need memory and time", file=sys.stderr)

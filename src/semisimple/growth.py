@@ -9,6 +9,10 @@ root of unity, the growth rate of V and that of Sym^2 V - Lambda^2 V,
 written in the basis [1]_q .. [(p-1)/2]_q of the real subfield of Q(q),
 give m_k + m_{p-k} and m_k - m_{p-k} coefficient by coefficient, once the
 second is multiplied by [2]_q and folded by [j]_q = [p-j]_q.
+
+Each function imports the modules it calls (`modrep`, `verlinde`,
+`partitions`) where it calls them, so the binomial digits and the bounds
+load neither Jordan modules nor the fusion ring.
 """
 
 from __future__ import annotations
@@ -16,19 +20,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .modrep import JordanModule, _check_induced_dim, sym2, ext2, to_verlinde
-from .partitions import Partition, box_partitions, dimensions
 from .scalars import (
+    BOUNDS_PRIME_CAP,
+    FUSION_ENTRY_CAP,
     NUMERIC_TOL,
     CapExceeded,
     DomainError,
     FpScalar,
     check_prime,
 )
-from .verlinde import FusionElement, fp_dim, product
-
-#: Partition enumeration cap for the lower bounds (p(46) is ~10^5 partitions).
-BOUNDS_PRIME_CAP = 47
 
 
 # ---------------------------------------------------------------------------
@@ -50,6 +50,7 @@ class GrowthRate:
 
     def __post_init__(self):
         from .reals import ctx
+        from .verlinde import FusionElement, fp_dim
 
         element = FusionElement(self.p, self.m)  # validates p and m
         object.__setattr__(self, "m", element.multiplicities)
@@ -93,6 +94,8 @@ def tensor_power_length(x: FusionElement, n: int) -> int:
         raise DomainError("zero element has no tensor powers")
     if n < 1:
         raise DomainError("the power must be >= 1")
+    from .verlinde import product
+
     cur = x
     for _ in range(n - 1):
         cur = product(cur, x)
@@ -116,6 +119,8 @@ def module_growth_rate(v: JordanModule) -> GrowthRate:
     """Growth rate of the non-negligible summand count of tensor powers of v."""
     if v.e != 1:
         raise DomainError("growth rates are computed for order-p modules only")
+    from .modrep import to_verlinde
+
     image = to_verlinde(v)
     if image.is_zero:
         raise DomainError("negligible module: all tensor powers vanish")
@@ -211,6 +216,8 @@ def invariant_report(v: JordanModule) -> GrowthReport:
     """Compute the dimension/growth consistency checks for an order-p module."""
     if v.e != 1:
         raise DomainError("invariant checks apply to order-p modules only")
+    from .modrep import to_verlinde
+
     m = to_verlinde(v).multiplicities
     rate = GrowthRate(v.p, m)
     weighted = sum(k * mult for k, mult in enumerate(m, start=1))
@@ -236,6 +243,8 @@ def square_difference_vector(v: JordanModule) -> tuple[int, ...]:
     This is the exact carrier of the growth data that recover_multiplicities
     consumes as its second argument.
     """
+    from .modrep import ext2, sym2, to_verlinde
+
     s = to_verlinde(sym2(v)).multiplicities
     w = to_verlinde(ext2(v)).multiplicities
     return tuple(a - b for a, b in zip(s, w))
@@ -305,12 +314,15 @@ def padic_digits(p: int, dims) -> PadicDigits:
     return PadicDigits(p, tuple(digits))
 
 
-def binomials_mod_p(n: int, p: int, length: int) -> list[int]:
+def binomials_mod_p(n: int, p: int, length: int, cap: int = FUSION_ENTRY_CAP) -> list[int]:
     """C(n, k) mod p for 0 <= k < length and n >= 0, by Lucas' theorem: the
-    product of C(n_i, k_i) over the base-p digits, zero when some k_i > n_i."""
+    product of C(n_i, k_i) over the base-p digits, zero when some k_i > n_i.
+    Refused, before any entry is computed, when `length` exceeds `cap`."""
     check_prime(p)
     if n < 0:
         raise DomainError(f"binomial row {n} is negative")
+    if length > cap:
+        raise CapExceeded(f"binomial row of {length} entries exceeds the cap {cap}")
     digits = []
     while n:
         n, digit = divmod(n, p)
@@ -338,6 +350,8 @@ def exterior_dimension_sequence(v: JordanModule) -> list[FpScalar]:
     """
     if v.p == 2:
         raise DomainError("exterior powers are only offered for p > 2")
+    from .modrep import _check_induced_dim
+
     d, c = v.dim, 1
     for k in range(d // 2 + 1):  # C(d, k) rises up to k = d/2
         _check_induced_dim(c)
@@ -362,6 +376,8 @@ def plancherel_square_sum(p: int, d: int, cap: int = BOUNDS_PRIME_CAP) -> int:
     """Sum of squared irreducible dimensions over partitions of p-1 inside
     the d x (p-d) box: the box-confinement mass of the Plancherel measure,
     scaled by (p-1)!."""
+    from .partitions import box_partitions, dimensions
+
     _check_bounds_args(p, d, cap)
     return sum(dimensions(parts)[0] ** 2 for parts in box_partitions(p - 1, d, p - d))
 
@@ -403,6 +419,7 @@ class ImprovedBound:
 def improved_bound(p: int, d: int, cap: int = BOUNDS_PRIME_CAP) -> ImprovedBound:
     """One pass over the partitions of p-1 with at most d rows: row_sum,
     box_sum (first part at most p-d) and the first largest Schur dimension."""
+    from .partitions import Partition, box_partitions, dimensions
     from .reals import ctx
 
     _check_bounds_args(p, d, cap)

@@ -96,14 +96,7 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from math import comb
 
-from .scalars import CapExceeded, DomainError, check_prime, row_echelon_mod_p
-from .verlinde import FUSION_ENTRY_CAP, FusionElement
-
-#: Default largest group order p^e; JordanModule(..., cap=...) raises it at
-#: the caller's risk, for that module and those derived from it.  A tensor
-#: pair costs one elimination of at most p^e x p^e scalars; squares and
-#: exterior powers are bounded by INDUCED_DIM_CAP as well.
-ORDER_CAP = 64
+from .scalars import FUSION_ENTRY_CAP, ORDER_CAP, CapExceeded, DomainError, check_prime, row_echelon_mod_p
 
 #: Largest induced-matrix dimension for symmetric/exterior constructions.
 INDUCED_DIM_CAP = 4096
@@ -377,6 +370,8 @@ def to_verlinde(v: JordanModule) -> FusionElement:
     and vanish.  Refused when its p - 1 multiplicities exceed the fusion
     document cap.
     """
+    from .verlinde import FusionElement
+
     if v.e != 1:
         raise DomainError("only order-p modules land in the fusion ring")
     if v.p - 1 > FUSION_ENTRY_CAP:

@@ -38,6 +38,29 @@ class CapExceeded(RuntimeError):
     """A computation was refused because it exceeds a configured size cap."""
 
 
+# Default size caps.  Each module's functions take them as parameters; the
+# CLI reads its option defaults from here, so it loads no module to learn them.
+
+#: Hom spaces have d! basis diagrams where d = r + v; this cap keeps the
+#: worst Gram matrix at 720 x 720 (brauer).
+DEGREE_CAP = 6
+
+#: Default largest group order p^e; JordanModule(..., cap=...) raises it at
+#: the caller's risk, for that module and those derived from it.  A tensor
+#: pair costs one elimination of at most p^e x p^e scalars; squares and
+#: exterior powers are bounded by modrep.INDUCED_DIM_CAP as well.
+ORDER_CAP = 64
+
+#: Partition enumeration cap for the growth lower bounds (p(46) is ~10^5 partitions).
+BOUNDS_PRIME_CAP = 47
+
+#: Most entries one document may list: p - 1 multiplicities for a fusion
+#: product, (p - 1)^3 for the whole table, so every table up to p = 257 is
+#: allowed; a padic binomial row lists its length.  The vectors are dense,
+#: so their cost grows with p, not with the answer.
+FUSION_ENTRY_CAP = 2**24
+
+
 @lru_cache(maxsize=256)
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin primality for n < PRIME_CAP; False from there on.

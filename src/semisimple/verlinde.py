@@ -12,14 +12,10 @@ is trusted alone.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .scalars import CapExceeded, DomainError, FpScalar, check_prime
-
-#: Most multiplicities one fusion document may list: p - 1 for a product,
-#: (p - 1)^3 for the whole table, so every table up to p = 257 is allowed.
-#: The vectors are dense, so their cost grows with p, not with the answer.
-FUSION_ENTRY_CAP = 2**24
+from .scalars import FUSION_ENTRY_CAP, CapExceeded, DomainError, FpScalar, check_prime
 
 
 @dataclass(frozen=True)
@@ -177,14 +173,11 @@ def in_plus_subring(x: FusionElement) -> bool:
     return all(m == 0 for k, m in enumerate(x.multiplicities, start=1) if k % 2 == 0)
 
 
-def fusion_table(p: int, cap: int = FUSION_ENTRY_CAP) -> list[tuple[int, int, FusionElement]]:
-    """The full (p-1) x (p-1) fusion table, rows ordered by (i, j).
+def fusion_table(p: int, cap: int = FUSION_ENTRY_CAP) -> Iterator[tuple[int, int, FusionElement]]:
+    """The full (p-1) x (p-1) fusion table, rows ordered by (i, j), one at a time.
 
-    Refused when its (p-1)^3 multiplicities exceed `cap`.
+    Refused at the call, before any row is made, when its (p-1)^3
+    multiplicities exceed `cap`.
     """
     _check_fusion_args(p, (p - 1) ** 3, cap)
-    return [
-        (i, j, fusion(p, i, j, cap))
-        for i in range(1, p)
-        for j in range(1, p)
-    ]
+    return ((i, j, fusion(p, i, j, cap)) for i in range(1, p) for j in range(1, p))

@@ -1,6 +1,7 @@
 """Command-line surface tests: exit codes, determinism, round trips."""
 
 import contextlib
+import importlib
 import io
 import json
 import os
@@ -237,6 +238,17 @@ def test_fusion_at_a_huge_prime_is_refused_at_once(capsys, p):
     assert err == f"cap exceeded: fusion document of {int(p) - 1} multiplicities exceeds the cap 16777216\n"
 
 
+def test_padic_binomial_past_the_document_cap_is_refused_at_once(capsys):
+    # the row of N = 2^24 lists N + 1 entries, one past the document cap
+    start = time.perf_counter()
+    code, out, err = run(capsys, "padic", "--p", "5", "--binomial", "16777216")
+    assert time.perf_counter() - start < 1
+    assert code == 4 and out == ""
+    assert err == "cap exceeded: binomial row of 16777217 entries exceeds the cap 16777216\n"
+    code, out, _ = run(capsys, "padic", "--p", "5", "--binomial", "16777216", "--length", "3")
+    assert code == 0 and json.loads(out)["dims"] == [1, 1, 0]
+
+
 def test_invariants_at_a_huge_prime_is_refused_at_once(capsys):
     # the fusion-ring image of the module would list p - 1 multiplicities
     start = time.perf_counter()
@@ -409,6 +421,26 @@ def test_exterior_square_at_the_induced_cap_in_bounded_time():
     assert doc["blocks"] == [49] * 83 + [7] * 4
 
 
+#: Runs the CLI on the argv in sys.argv[1:] with stdout discarded, and prints
+#: the child's peak resident set (Linux: KiB); this interpreter has no other child.
+_PEAK_RSS_PROBE = """
+import resource, subprocess, sys
+subprocess.run([sys.executable, "-m", "semisimple.cli", *sys.argv[1:]], stdout=subprocess.DEVNULL, check=True)
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux only")
+def test_fusion_table_csv_holds_one_row_at_a_time():
+    # 65,536 rows of 256 multiplicities: held as one list they peaked at 158 MB, one row at a time at 17 MB
+    src = str(Path(semisimple.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _PEAK_RSS_PROBE, "fusion", "--p", "257", "--table", "--format", "csv"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 40 * 1024
+
+
 def test_padic_large_binomial_in_bounded_time():
     n, p = 20000, 3
     doc = run_cli("padic", "--p", str(p), "--binomial", str(n), guard=30)
@@ -427,7 +459,8 @@ def test_padic_binomial_at_a_large_prime_in_bounded_time():
 
 
 #: Runs the CLI on the argv in sys.argv[1] (JSON; null: only `import semisimple`)
-#: and prints the exit code and which of numpy and mpmath were imported.
+#: and prints the exit code, which of numpy and mpmath were imported, and
+#: which modules of the package.
 _IMPORT_PROBE = """
 import contextlib, io, json, sys
 argv = json.loads(sys.argv[1])
@@ -438,41 +471,90 @@ else:
     from semisimple.cli import main
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
-print(json.dumps([code, [name for name in ("numpy", "mpmath") if name in sys.modules]]))
+print(json.dumps([code, [name for name in ("numpy", "mpmath") if name in sys.modules],
+                  sorted(name[len("semisimple."):] for name in sys.modules if name.startswith("semisimple."))]))
 """
 
 
-@pytest.mark.parametrize("argv, code, loaded", [
-    (None, None, []),
-    (["fusion", "--p", "5", "--i", "3", "--j", "3"], 0, []),
-    (["fusion", "--p", "5", "--table"], 0, []),
-    (["padic", "--p", "3", "--binomial", "17"], 0, []),
-    (["padic", "--p", "5", "--blocks", "5,2"], 0, []),
-    (["brauer", "homdim", "--n", "2", "--r", "3", "--s", "0"], 0, []),
-    (["fusion", "--p", "5"], 2, []),
-    (["invariants", "--p", "5", "--blocks", "3,2"], 0, ["mpmath"]),
-    (["bounds", "plancherel", "--p", "5", "--d", "2"], 0, ["mpmath"]),
-    (["bounds", "improved", "--p", "7", "--d", "2"], 0, ["mpmath"]),
+FUSION = {"cli", "scalars", "verlinde"}
+BRAUER = {"cli", "scalars", "partitions", "brauer"}
+DECOMPOSE = {"cli", "scalars", "modrep"}
+BOUNDS = {"cli", "scalars", "growth", "partitions", "reals"}
+INVARIANTS = {"cli", "scalars", "modrep", "growth", "verlinde", "reals"}
+
+
+REQUESTS = [
+    (None, None, [], set()),
+    (["fusion", "--p", "5", "--i", "3", "--j", "3"], 0, [], FUSION),
+    (["fusion", "--p", "5", "--table"], 0, [], FUSION),
+    (["padic", "--p", "3", "--binomial", "17"], 0, [], {"cli", "scalars", "growth"}),
+    (["padic", "--p", "5", "--blocks", "5,2"], 0, [], {"cli", "scalars", "modrep", "growth"}),
+    (["brauer", "homdim", "--n", "2", "--r", "3", "--s", "0"], 0, [], BRAUER),
+    (["fusion", "--p", "5"], 2, [], FUSION),
+    (["invariants", "--p", "5", "--blocks", "3,2"], 0, ["mpmath"], INVARIANTS),
+    (["bounds", "plancherel", "--p", "5", "--d", "2"], 0, ["mpmath"], BOUNDS),
+    (["bounds", "improved", "--p", "7", "--d", "2"], 0, ["mpmath"], BOUNDS),
     # ranks where F_p[S_d] is semisimple are read off the partitions of d
-    (["brauer", "rank", "--r", "1", "--s", "1", "--t", "7/2"], 0, []),
-    (["brauer", "rank", "--r", "2", "--s", "2", "--t", "3", "--mod", "7"], 0, []),
+    (["brauer", "rank", "--r", "1", "--s", "1", "--t", "7/2"], 0, [], BRAUER),
+    (["brauer", "rank", "--r", "2", "--s", "2", "--t", "3", "--mod", "7"], 0, [], BRAUER),
     # the probe sees an import: this request needs numpy
-    (["brauer", "rank", "--r", "1", "--s", "1", "--t", "1", "--mod", "2"], 0, ["numpy"]),
+    (["brauer", "rank", "--r", "1", "--s", "1", "--t", "1", "--mod", "2"], 0, ["numpy"], BRAUER),
     # tensor pairs and, at p odd, exterior squares of one block are graded Smith forms over Python ints
-    (["decompose", "--p", "5", "--blocks", "3", "--op", "tensor", "--with-blocks", "3"], 0, []),
-    (["decompose", "--p", "5", "--blocks", "4,2", "--op", "ext2"], 0, []),
-    (["decompose", "--p", "5", "--blocks", "4,2", "--op", "sym2"], 0, []),
+    (["decompose", "--p", "5", "--blocks", "3", "--op", "tensor", "--with-blocks", "3"], 0, [], DECOMPOSE),
+    (["decompose", "--p", "5", "--blocks", "4,2", "--op", "ext2"], 0, [], DECOMPOSE),
+    (["decompose", "--p", "5", "--blocks", "4,2", "--op", "sym2"], 0, [], DECOMPOSE),
     # exterior powers at p = 2, and of degree 3, are dense rank profiles: numpy
-    (["decompose", "--p", "2", "--e", "2", "--blocks", "4", "--op", "ext2"], 0, ["numpy"]),
-    (["decompose", "--p", "3", "--e", "2", "--blocks", "7", "--op", "wedge", "--k", "3"], 0, ["numpy"]),
-])
-def test_requests_import_numpy_and_mpmath_only_when_they_use_them(argv, code, loaded):
+    (["decompose", "--p", "2", "--e", "2", "--blocks", "4", "--op", "ext2"], 0, ["numpy"], DECOMPOSE),
+    (["decompose", "--p", "3", "--e", "2", "--blocks", "7", "--op", "wedge", "--k", "3"], 0, ["numpy"], DECOMPOSE),
+    # refusals load what the handler imports before it refuses
+    (["decompose", "--p", "5", "--e", "3", "--blocks", "4"], 4, [], DECOMPOSE),
+    (["padic", "--p", "2", "--blocks", "2"], 3, [], {"cli", "scalars", "modrep", "growth"}),
+    (["padic", "--p", "5", "--binomial", "16777216"], 4, [], {"cli", "scalars", "growth"}),
+    # the bounds of an invariants report, at d = dim mod p != 0, enumerate partitions
+    (["invariants", "--p", "7", "--blocks", "3,2", "--bounds"], 0, ["mpmath"], INVARIANTS | {"partitions"}),
+]
+
+
+# ids as they were before the module column, so each request keeps its test name
+@pytest.mark.parametrize("argv, code, loaded, modules", REQUESTS, ids=[
+    f"{'None' if argv is None else f'argv{i}'}-{code}-loaded{i}" for i, (argv, code, *_) in enumerate(REQUESTS)])
+def test_requests_import_numpy_and_mpmath_only_when_they_use_them(argv, code, loaded, modules):
     src = str(Path(semisimple.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, json.dumps(argv)], capture_output=True, text=True,
                           env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [code, loaded]
+    assert json.loads(proc.stdout) == [code, loaded, sorted(modules)]
+
+
+#: The names `semisimple/__init__.py` imported from its submodules when it imported all of them.
+EXPORTED = {
+    "CapExceeded", "DomainError", "FpScalar", "T", "TPolynomial", "exact_det", "exact_rank", "is_prime", "q_int",
+    "Partition", "dim_schur", "dim_sym_irrep", "enumerate_in_box",
+    "BiObject", "DiagramMorphism", "WalledDiagram", "algebra_is_semisimple", "braiding", "compose",
+    "endomorphism_trace_form", "gram_matrix", "hom_basis", "identity", "negligible_rank", "schur_weyl_homdim",
+    "tensor", "trace",
+    "JordanModule", "ext2", "exterior_power", "jordan_tensor", "jordan_type", "non_negligible_part", "sym2",
+    "to_verlinde",
+    "FusionElement", "cat_dim", "fp_dim", "fusion", "fusion_table", "in_plus_subring", "is_invertible", "product",
+    "GrowthRate", "GrowthReport", "ImprovedBound", "PadicDigits", "exterior_dimension_sequence", "growth_rate",
+    "improved_bound", "invariant_report", "module_growth_rate", "padic_digits", "plancherel_bound",
+    "plancherel_square_sum", "recover_multiplicities", "square_difference_vector", "tensor_power_length",
+}
+
+
+def test_package_names_resolve_on_first_access():
+    for name in EXPORTED:
+        value = getattr(semisimple, name)
+        assert getattr(importlib.import_module(value.__module__), name) is value
+    for module in ("scalars", "partitions", "brauer", "modrep", "verlinde", "growth"):
+        assert getattr(semisimple, module) is importlib.import_module(f"semisimple.{module}")
+    namespace = {}
+    exec("from semisimple import *", namespace)
+    assert set(namespace) - {"__builtins__"} == EXPORTED == set(semisimple.__all__)
+    assert EXPORTED <= set(dir(semisimple))
+    with pytest.raises(AttributeError):
+        semisimple.no_such_name
 
 
 # -- fuzzing: every request ends in an answer or a documented refusal -----------
