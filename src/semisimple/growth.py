@@ -314,15 +314,16 @@ def padic_digits(p: int, dims) -> PadicDigits:
     return PadicDigits(p, tuple(digits))
 
 
-def binomials_mod_p(n: int, p: int, length: int, cap: int = FUSION_ENTRY_CAP) -> list[int]:
+def binomials_mod_p(n: int, p: int, length: int) -> list[int]:
     """C(n, k) mod p for 0 <= k < length and n >= 0, by Lucas' theorem: the
     product of C(n_i, k_i) over the base-p digits, zero when some k_i > n_i.
-    Refused, before any entry is computed, when `length` exceeds `cap`."""
+    Refused, before any entry is computed, when `length` exceeds
+    FUSION_ENTRY_CAP."""
     check_prime(p)
     if n < 0:
         raise DomainError(f"binomial row {n} is negative")
-    if length > cap:
-        raise CapExceeded(f"binomial row of {length} entries exceeds the cap {cap}")
+    if length > FUSION_ENTRY_CAP:
+        raise CapExceeded(f"binomial row of {length} entries exceeds the cap {FUSION_ENTRY_CAP}")
     digits = []
     while n:
         n, digit = divmod(n, p)
