@@ -30,10 +30,13 @@ F_p for p > d) the Specht modules are the simple modules, each occurring
 f_lam times in the group algebra, so the rank is the sum of f_lam^2 over
 the lam whose product is nonzero: read off the partitions of d, with no
 elimination.  The contents of lam fill the interval [1 - rows, lam_1 - 1],
-so lam drops out exactly when that interval holds a c in (-d, d) with
-t + c = 0, over Q or mod p.  For t in F_p with p <= d the group algebra is
-not semisimple, the content products do not give the rank, and the Gram
-matrix is eliminated mod p.
+so lam drops out exactly when that interval holds a root, a c in (-d, d)
+with t + c = 0 over Q or mod p.  Read as a box: a root c <= 0 allows at
+most -c rows and a root c > 0 parts of at most c, so the survivors are the
+partitions of d in the box the least such bounds give, and the rank is
+`partitions.box_square_sum` over it.  For t in F_p with p <= d the group
+algebra is not semisimple, the content products do not give the rank, and
+the Gram matrix is eliminated mod p.
 """
 
 from __future__ import annotations
@@ -45,9 +48,10 @@ from fractions import Fraction
 from math import factorial
 from types import MappingProxyType
 
-from .partitions import box_partitions, dimensions
+from .partitions import box_square_sum
 from .scalars import (
     DEGREE_CAP,
+    HOMDIM_DEGREE_CAP,
     CapExceeded,
     DomainError,
     FpScalar,
@@ -476,8 +480,9 @@ def negligible_rank(source: BiObject, target: BiObject, t_value, cap: int = DEGR
     morphisms are quotiented away, so it is returned twice: (rank,
     quotient dimension).  Where F_p[S_d] is semisimple (t rational, or t
     in F_p with p > d) it is the sum of f_lam^2 over the partitions lam of
-    d with no box of content c where t + c = 0 (see the module docstring);
-    for t in F_p with p <= d the Gram matrix is eliminated mod p.
+    d with no box of content c where t + c = 0, the box those roots c
+    describe (see the module docstring); for t in F_p with p <= d the Gram
+    matrix is eliminated mod p.
     """
     if t_value == "symbolic" or not isinstance(t_value, (int, Fraction, FpScalar)):
         raise DomainError("negligible rank needs an exact (rational or F_p) parameter value")
@@ -492,29 +497,29 @@ def negligible_rank(source: BiObject, target: BiObject, t_value, cap: int = DEGR
         rank = len(row_echelon_mod_p(powers[_gram_exponents(d)], p))
     else:
         roots = [c for c in range(1 - d, d) if t_value + c == 0]
-        rank = sum(
-            dimensions(parts)[0] ** 2
-            for parts in box_partitions(d, d, d)
-            if not any(1 - len(parts) <= c < parts[0] for c in roots)
-        )
+        rows = min((-c for c in roots if c <= 0), default=d)
+        cols = min((c for c in roots if c > 0), default=d)
+        rank = box_square_sum(d, rows, cols)
     return rank, rank
 
 
 def schur_weyl_homdim(n: int, source: BiObject, target: BiObject) -> int:
     """Hom-space dimension over the rank-n classical group, via characters.
 
-    Independent oracle for Gram ranks at t = n: after moving duals across,
-    the dimension is the sum of squared symmetric-group irreducible
-    dimensions over partitions of d with at most n rows.
+    After moving duals across, the dimension is the sum of squared
+    symmetric-group irreducible dimensions over partitions of d with at
+    most n rows.  That is the box negligible_rank sums over at t = n, so
+    the independent check of both is eliminating the Gram matrix.  Degrees
+    above HOMDIM_DEGREE_CAP are refused before any partition is enumerated.
     """
     if n < 1:
         raise DomainError("the classical-group rank n must be >= 1")
     d = source.r + target.s
     if d != source.s + target.r:
         return 0
-    if d == 0:
-        return 1
-    return sum(dimensions(parts)[0] ** 2 for parts in box_partitions(d, n, d))
+    if d > HOMDIM_DEGREE_CAP:
+        raise CapExceeded(f"character sum of degree {d} exceeds the cap {HOMDIM_DEGREE_CAP}")
+    return box_square_sum(d, n, d)
 
 
 def endomorphism_trace_form(obj: BiObject, t_value="symbolic", cap: int = DEGREE_CAP):

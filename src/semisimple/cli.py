@@ -171,7 +171,7 @@ def _improved_doc(p: int, d: int, cap: int) -> dict:
     imp = growth.improved_bound(p, d, cap)
     return {
         "M": imp.max_schur_dim,
-        "max_partition": list(imp.max_partition.parts),
+        "max_partition": list(imp.max_partition),
         "ratio": str(imp.ratio),
         "row_sum": imp.row_sum,
         "box_sum": imp.box_sum,
@@ -260,7 +260,6 @@ def _objects_from_args(args) -> tuple[BiObject, BiObject]:
 def cmd_brauer(args):
     from . import brauer
 
-    cap = args.cap_brauer_degree
     if args.brauer_op == "homdim":
         source, target = _objects_from_args(args)
         dim = brauer.schur_weyl_homdim(args.n, source, target)
@@ -274,7 +273,7 @@ def cmd_brauer(args):
     if args.brauer_op == "gram":
         source, target = _objects_from_args(args)
         t_value = _parse_t(args.t, args.mod)
-        matrix = brauer.gram_matrix(source, target, t_value, cap=cap)
+        matrix = brauer.gram_matrix(source, target, t_value, cap=args.cap_brauer_degree)
         entries = _render(lambda: [[_entry_str(x) for x in row] for row in matrix])
         return entries, entries
     if args.brauer_op == "rank":
@@ -282,7 +281,7 @@ def cmd_brauer(args):
         t_value = _parse_t(args.t, args.mod)
         if t_value == "symbolic":
             raise UsageError("rank needs an exact --t value")
-        rank, quotient = brauer.negligible_rank(source, target, t_value, cap=cap)
+        rank, quotient = brauer.negligible_rank(source, target, t_value, cap=args.cap_brauer_degree)
         doc = {
             "source": [source.r, source.s],
             "target": [target.r, target.s],
@@ -360,14 +359,13 @@ def _selftest_gram_vs_characters() -> bool:
 
 
 def _selftest_dimension_identity() -> bool:
-    from .partitions import dim_schur, dim_sym_irrep, enumerate_in_box
+    from math import prod
+
+    from .partitions import box_partitions, dimensions
 
     for d in range(1, 5):
         for n in range(1, 11):
-            total = sum(
-                dim_sym_irrep(lam) * dim_schur(lam, d)
-                for lam in enumerate_in_box(n, d, n)
-            )
+            total = sum(prod(dimensions(parts, d)) for parts in box_partitions(n, d, n))
             if total != d**n:
                 return False
     return True
@@ -481,12 +479,11 @@ def build_parser() -> argparse.ArgumentParser:
         else:
             q.add_argument("--t", required=True, help='"symbolic", an integer, or a fraction like 7/2')
             q.add_argument("--mod", type=int, help="interpret --t in F_p for this prime")
-        q.add_argument("--cap-brauer-degree", dest="cap_brauer_degree", type=int, default=DEGREE_CAP)
+            q.add_argument("--cap-brauer-degree", dest="cap_brauer_degree", type=int, default=DEGREE_CAP)
         add_format(q)
     q = br_sub.add_parser("compose")
     q.add_argument("--f", required=True, help="morphism JSON (applied second)")
     q.add_argument("--g", required=True, help="morphism JSON (applied first)")
-    q.add_argument("--cap-brauer-degree", dest="cap_brauer_degree", type=int, default=DEGREE_CAP)
     add_format(q)
 
     p_bnd = sub.add_parser("bounds", help="partition-enumeration lower bounds for growth rates")

@@ -377,10 +377,10 @@ def plancherel_square_sum(p: int, d: int, cap: int = BOUNDS_PRIME_CAP) -> int:
     """Sum of squared irreducible dimensions over partitions of p-1 inside
     the d x (p-d) box: the box-confinement mass of the Plancherel measure,
     scaled by (p-1)!."""
-    from .partitions import box_partitions, dimensions
+    from .partitions import box_square_sum
 
     _check_bounds_args(p, d, cap)
-    return sum(dimensions(parts)[0] ** 2 for parts in box_partitions(p - 1, d, p - d))
+    return box_square_sum(p - 1, d, p - d)
 
 
 def plancherel_root(p: int, square_sum: int):
@@ -411,7 +411,7 @@ class ImprovedBound:
     d: int
     bound: object
     max_schur_dim: int
-    max_partition: Partition
+    max_partition: tuple[int, ...]
     ratio: Fraction
     row_sum: int
     box_sum: int
@@ -420,7 +420,7 @@ class ImprovedBound:
 def improved_bound(p: int, d: int, cap: int = BOUNDS_PRIME_CAP) -> ImprovedBound:
     """One pass over the partitions of p-1 with at most d rows: row_sum,
     box_sum (first part at most p-d) and the first largest Schur dimension."""
-    from .partitions import Partition, box_partitions, dimensions
+    from .partitions import box_partitions, dimensions
     from .reals import ctx
 
     _check_bounds_args(p, d, cap)
@@ -438,7 +438,7 @@ def improved_bound(p: int, d: int, cap: int = BOUNDS_PRIME_CAP) -> ImprovedBound
         d=d,
         bound=ctx.root(ctx.mpf(ratio.numerator) / ratio.denominator, p - 1),
         max_schur_dim=best,
-        max_partition=Partition(best_parts),
+        max_partition=best_parts,
         ratio=ratio,
         row_sum=row_sum,
         box_sum=box_sum,

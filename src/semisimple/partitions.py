@@ -1,8 +1,10 @@
-"""Integer partitions, their dimension formulas, and box-constrained enumeration.
+"""Integer partitions as part tuples: box enumeration, the dimension
+formulas, and the square sum over a box.
 
-For a partition lam of n with l parts put l_i = lam_i + l - 1 - i
-(i = 0 .. l-1), the first-column hook lengths.  The Frobenius formula
-gives the dimension of the symmetric-group irreducible,
+A partition is a weakly decreasing tuple of positive parts.  For a
+partition lam of n with l parts put l_i = lam_i + l - 1 - i (i = 0 ..
+l-1), the first-column hook lengths.  The Frobenius formula gives the
+dimension of the symmetric-group irreducible,
 
     f_lam = n! prod_{i<j} (l_i - l_j) / prod_i l_i!,
 
@@ -10,50 +12,21 @@ and the content product turns it into the dimension of the Schur module,
 
     dim S^lam(K^d) = f_lam prod_i (d - i + lam_i - 1)! / (d - i - 1)! / n!,
 
-zero when lam has more than d rows.  Both come from one factorial table,
-and a quotient that is not integral raises RuntimeError.  The hook length
-and hook content formulas are the test oracles.  Enumeration inside a
-rows x cols box is one recursive generator of part tuples; the tensor-power
-lower bounds consume it directly.
+zero when lam has more than d rows.  A quotient that is not integral
+raises RuntimeError.  The hook length and hook content formulas are the
+test oracles.  Enumeration inside a rows x cols box is one recursive
+generator of part tuples; the growth bounds consume it directly, and
+`box_square_sum` is the one sum of f_lam^2 over a box, which the Brauer
+ranks, the Schur-Weyl hom dimension and the Plancherel bound all read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
-from itertools import accumulate, combinations, starmap
-from math import prod
-from operator import mul, sub
+from itertools import combinations, starmap
+from math import factorial, perm, prod
+from operator import sub
 
 from .scalars import DomainError
-
-
-@dataclass(frozen=True)
-class Partition:
-    """A weakly decreasing tuple of positive integers."""
-
-    parts: tuple[int, ...]
-
-    def __post_init__(self):
-        parts = tuple(int(x) for x in self.parts)
-        object.__setattr__(self, "parts", parts)
-        if any(x < 1 for x in parts):
-            raise DomainError("partition parts must be positive")
-        if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
-            raise DomainError("partition parts must be weakly decreasing")
-
-    @property
-    def size(self) -> int:
-        return sum(self.parts)
-
-    def __len__(self) -> int:
-        return len(self.parts)
-
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __str__(self):
-        return "(" + ",".join(map(str, self.parts)) + ")"
 
 
 def box_partitions(n: int, rows: int, cols: int):
@@ -78,17 +51,6 @@ def box_partitions(n: int, rows: int, cols: int):
     return descend(n, rows, cols) if n else iter([()])
 
 
-def enumerate_in_box(n: int, rows: int, cols: int) -> list[Partition]:
-    """The partitions of box_partitions(n, rows, cols), in its order."""
-    return [Partition(parts) for parts in box_partitions(n, rows, cols)]
-
-
-@lru_cache(maxsize=32)
-def factorial_table(m: int) -> tuple[int, ...]:
-    """0!, 1!, .., m!"""
-    return tuple(accumulate(range(1, m + 1), mul, initial=1))
-
-
 def dimensions(parts: tuple[int, ...], d: int = 0) -> tuple[int, int]:
     """(f_lam, dim S^lam(K^d)) of the part tuple lam by the Frobenius formula.
 
@@ -96,31 +58,21 @@ def dimensions(parts: tuple[int, ...], d: int = 0) -> tuple[int, int]:
     d = 0 costs nothing beyond f_lam.
     """
     n, ell = sum(parts), len(parts)
-    fact = factorial_table(n if ell > d else n + d - 1)
     firsts = [x - j for j, x in enumerate(parts, 1 - ell)]  # the l_i
     vandermonde = prod(starmap(sub, combinations(firsts, 2)))
-    hooks = prod(map(fact.__getitem__, firsts))
-    f, rem = divmod(fact[n] * vandermonde, hooks)
+    hooks = prod(map(factorial, firsts))
+    f, rem = divmod(factorial(n) * vandermonde, hooks)
     if rem:
         raise RuntimeError(f"the Frobenius quotient of {parts} is not integral")
     if ell > d:
         return f, 0
-    contents = prod([fact[d - 1 - i + x] // fact[d - 1 - i] for i, x in enumerate(parts)])
+    contents = prod([perm(d - 1 - i + x, x) for i, x in enumerate(parts)])
     schur, rem = divmod(vandermonde * contents, hooks)
     if rem:
         raise RuntimeError(f"the content product of {parts} at d={d} is not integral")
     return f, schur
 
 
-def dim_sym_irrep(lam: Partition) -> int:
-    """Dimension of the symmetric-group irreducible attached to lam."""
-    if not lam.parts:
-        raise DomainError("empty partition has no symmetric-group label")
-    return dimensions(lam.parts)[0]
-
-
-def dim_schur(lam: Partition, d: int) -> int:
-    """Dimension of the Schur module S^lam(K^d); zero exactly when lam has more than d rows."""
-    if len(lam.parts) > d:
-        return 0
-    return dimensions(lam.parts, d)[1]
+def box_square_sum(n: int, rows: int, cols: int) -> int:
+    """Sum of f_lam^2 over the partitions lam of n in the rows x cols box."""
+    return sum(dimensions(parts)[0] ** 2 for parts in box_partitions(n, rows, cols))

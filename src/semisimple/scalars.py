@@ -45,13 +45,18 @@ class CapExceeded(RuntimeError):
 #: worst Gram matrix at 720 x 720 (brauer).
 DEGREE_CAP = 6
 
+#: Largest degree d at which brauer.schur_weyl_homdim sums over the
+#: partitions of d: at most p(40) = 37,338 of them.  Fixed, like the padic
+#: binomial row cap: no parameter or flag raises it.
+HOMDIM_DEGREE_CAP = 40
+
 #: Default largest group order p^e; JordanModule(..., cap=...) raises it at
 #: the caller's risk, for that module and those derived from it.  A tensor
 #: pair costs one elimination of at most p^e x p^e scalars; squares and
 #: exterior powers are bounded by modrep.INDUCED_DIM_CAP as well.
 ORDER_CAP = 64
 
-#: Partition enumeration cap for the growth lower bounds (p(46) is ~10^5 partitions).
+#: Prime cap of the partition enumeration in the growth lower bounds (p(46) is ~10^5 partitions).
 BOUNDS_PRIME_CAP = 47
 
 #: Most entries one document may list: p - 1 multiplicities for a fusion

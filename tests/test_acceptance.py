@@ -8,7 +8,7 @@ budget are timed with cold caches so the measurement is honest.
 import random
 import time
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
 
 from mpmath import mp
 
@@ -37,8 +37,8 @@ from semisimple.growth import (
     exterior_dimension_sequence,
 )
 from semisimple.modrep import JordanModule, jordan_tensor, to_verlinde
-from semisimple.partitions import dim_schur, dim_sym_irrep, enumerate_in_box
-from semisimple.scalars import WORKING_DPS, T, exact_det, q_int
+from semisimple.partitions import box_partitions, dimensions
+from semisimple.scalars import WORKING_DPS, T, exact_det, exact_rank, q_int
 from semisimple.verlinde import (
     FusionElement,
     fusion,
@@ -104,7 +104,11 @@ def test_criterion_03_two_strand_endomorphism_algebra():
 
 
 def test_criterion_04_gram_rank_vs_characters():
-    """Gram rank at t = n equals the character hom dimension, r+s <= 3, < 60 s."""
+    """Gram rank at t = n equals the character hom dimension, r+s <= 3, < 60 s.
+
+    The Gram matrix itself is eliminated (Bareiss, at most 6 x 6): at t = n
+    negligible_rank sums over the same box as schur_weyl_homdim.
+    """
     start = time.monotonic()
     ok = True
     for r in range(4):
@@ -113,7 +117,7 @@ def test_criterion_04_gram_rank_vs_characters():
             for n in range(1, 6):
                 rank, quotient = negligible_rank(obj, obj, n)
                 expected = schur_weyl_homdim(n, obj, obj)
-                if rank != expected or quotient != expected:
+                if rank != expected or quotient != expected or exact_rank(gram_matrix(obj, obj, n)) != expected:
                     ok = False
     elapsed = time.monotonic() - start
     report(4, ok and elapsed < 60, f"Gram rank vs characters in {elapsed:.2f}s (< 60 s)")
@@ -140,10 +144,7 @@ def test_criterion_06_weighted_dimension_identity():
     ns = set(range(1, 13)) | {p - 1 for p in (5, 7, 11, 13)}
     for d in range(1, 5):
         for n in sorted(ns):
-            total = sum(
-                dim_sym_irrep(lam) * dim_schur(lam, d)
-                for lam in enumerate_in_box(n, d, n)
-            )
+            total = sum(prod(dimensions(lam, d)) for lam in box_partitions(n, d, n))
             ok = ok and total == d**n
     report(6, ok, "weighted dimension identity for d <= 4, N <= 12")
 

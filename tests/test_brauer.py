@@ -42,7 +42,7 @@ from semisimple.brauer import (
     tensor,
     trace,
 )
-from semisimple.partitions import dim_sym_irrep, enumerate_in_box
+from semisimple.partitions import box_partitions, dimensions
 from semisimple.scalars import CapExceeded, DomainError, FpScalar, T, TPolynomial, exact_det, exact_rank, rank_mod_p
 
 B11 = BiObject(1, 1)
@@ -381,11 +381,11 @@ ORACLE_T += [FpScalar(x, p) for p in (7, 11) for x in range(p)]
 
 def content_rank(d, t):
     """Sum of f_lam^2 over the partitions lam of d whose content product
-    prod (t + j - i) over the boxes (i, j) is nonzero (hook length formula)."""
+    prod (t + j - i) over the boxes (i, j) is nonzero, over Q or in F_p."""
     return sum(
-        dim_sym_irrep(lam) ** 2
-        for lam in enumerate_in_box(d, d, d)
-        if all(t + j - i != 0 for i, part in enumerate(lam.parts) for j in range(part))
+        dimensions(lam)[0] ** 2
+        for lam in box_partitions(d, d, d)
+        if all(t + j - i != 0 for i, part in enumerate(lam) for j in range(part))
     )
 
 
@@ -493,10 +493,12 @@ def test_negligible_rank_matches_elimination_on_every_space_of_degree_at_most_5(
     st.integers(1, 5).flatmap(lambda d: st.tuples(st.just(d), st.integers(0, d), st.integers(0, d))),
     st.integers(-40, 40),
     st.integers(1, 12),
+    st.sampled_from([None, 7, 11, 13, 2**31 - 1]),
 )
-def test_negligible_rank_is_the_content_rank(space, a, b):
+def test_negligible_rank_is_the_content_rank(space, a, b, p):
+    # p is None: t = a/b in Q; else t = a in F_p, p > d
     d, r, s = space
-    t = Fraction(a, b)
+    t = Fraction(a, b) if p is None else FpScalar(a, p)
     assert negligible_rank(BiObject(r, s), BiObject(d - s, d - r), t) == (content_rank(d, t),) * 2
 
 
@@ -548,10 +550,12 @@ def test_schur_weyl_homdim_examples():
 
 
 def test_gram_rank_matches_character_dimension():
+    # at t = n negligible_rank sums over the box schur_weyl_homdim sums over,
+    # so the Gram matrix is eliminated as well (Bareiss, at most 24 x 24)
     for obj in small_objects(4):
         for n in range(1, 6):
             rank, _ = negligible_rank(obj, obj, n)
-            assert rank == schur_weyl_homdim(n, obj, obj)
+            assert rank == exact_rank(gram_matrix(obj, obj, n)) == schur_weyl_homdim(n, obj, obj)
 
 
 # -- serialization ----------------------------------------------------------------

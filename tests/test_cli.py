@@ -9,7 +9,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 from pathlib import Path
 
 import pytest
@@ -189,6 +189,36 @@ def test_homdim_document(capsys):
     code, out, _ = run(capsys, "brauer", "homdim", "--n", "2", "--r", "3", "--s", "0")
     assert code == 0
     assert json.loads(out)["dim"] == 5
+
+
+@pytest.mark.parametrize("n, r, s", [(2, 4000, 4000), (2000, 1000, 1000), (3, 1000, 1000), (30, 30, 30),
+                                     (2, 30, 30)])
+def test_homdim_past_the_degree_cap_is_refused_at_once(capsys, n, r, s):
+    # each of degree r + s > 40; the first had an answer of more than 4300 digits
+    start = time.perf_counter()
+    code, out, err = run(capsys, "brauer", "homdim", "--n", str(n), "--r", str(r), "--s", str(s))
+    assert time.perf_counter() - start < 1
+    assert code == 4 and out == ""
+    assert err == f"cap exceeded: character sum of degree {r + s} exceeds the cap 40\n"
+
+
+def test_homdim_at_the_degree_cap(capsys):
+    # n >= d: every partition of 40 counts, and the f_lam^2 sum to 40!
+    code, out, _ = run(capsys, "brauer", "homdim", "--n", "40", "--r", "20", "--s", "20")
+    assert code == 0
+    assert json.loads(out)["dim"] == factorial(40)
+
+
+@pytest.mark.parametrize("argv", [
+    ["homdim", "--n", "2", "--r", "1", "--s", "1"],
+    ["compose", "--f", '{"source": [1, 0], "target": [1, 0], "pairs": [[0, 1]]}',
+     "--g", '{"source": [1, 0], "target": [1, 0], "pairs": [[0, 1]]}'],
+], ids=["homdim", "compose"])
+def test_brauer_degree_cap_is_an_option_of_gram_and_rank_only(capsys, argv):
+    assert run(capsys, "brauer", *argv)[0] == 0
+    code, out, err = run(capsys, "brauer", *argv, "--cap-brauer-degree", "6")
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: --cap-brauer-degree 6" in err
 
 
 def test_csv_output(capsys):
@@ -441,6 +471,17 @@ def test_fusion_table_csv_holds_one_row_at_a_time():
     assert int(proc.stdout) < 40 * 1024
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux only")
+def test_bounds_at_a_large_prime_in_bounded_memory():
+    # the one partition (20010,): a table of every factorial up to 20010! peaked at 329 MB
+    src = str(Path(semisimple.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _PEAK_RSS_PROBE, "bounds", "plancherel", "--p", "20011", "--d", "1",
+                           "--cap-bounds-p", "20011"], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 40 * 1024
+
+
 def test_padic_large_binomial_in_bounded_time():
     n, p = 20000, 3
     doc = run_cli("padic", "--p", str(p), "--binomial", str(n), guard=30)
@@ -527,10 +568,10 @@ def test_requests_import_numpy_and_mpmath_only_when_they_use_them(argv, code, lo
     assert json.loads(proc.stdout) == [code, loaded, sorted(modules)]
 
 
-#: The names `semisimple/__init__.py` imported from its submodules when it imported all of them.
+#: The public names of `semisimple`, each defined in one submodule.
 EXPORTED = {
     "CapExceeded", "DomainError", "FpScalar", "T", "TPolynomial", "exact_det", "exact_rank", "is_prime", "q_int",
-    "Partition", "dim_schur", "dim_sym_irrep", "enumerate_in_box",
+    "box_partitions", "box_square_sum", "dimensions",
     "BiObject", "DiagramMorphism", "WalledDiagram", "algebra_is_semisimple", "braiding", "compose",
     "endomorphism_trace_form", "gram_matrix", "hom_basis", "identity", "negligible_rank", "schur_weyl_homdim",
     "tensor", "trace",
@@ -589,6 +630,8 @@ _PRIME = _mostly(st.sampled_from([2, 3, 5, 7, 13]), [0, 4, 2147483647, 2**61 - 1
 _BLOCKS = _mostly(st.lists(st.integers(1, 16), min_size=1, max_size=4).map(lambda xs: ",".join(map(str, xs))),
                   ["", "0", "17", "1,,2", "x"])
 _ORDER = dict(e=_int(1, 3, huge=True), cap_order=_int(1, 300))
+#: r or s of a hom space: mostly at most 4, else 30, 1000 or 4000.
+_HOMDIM_SIDE = _mostly(_int(0, 4), [30, 1000, 4000])
 _T = st.sampled_from(["symbolic", "3", "-2", "7/2", "-5/3", "1/0", "t", "9" * 1500, "9" * 5000])
 _COEFF = st.sampled_from([
     "2", "-3", "true", "1.5", "null", '"t^3 - 2t"', '"x"', '"t^65536"', '"t^65537"', '"t^100000000000"',
@@ -611,8 +654,10 @@ _MORPHISM = _mostly(st.builds(_morphism, _DIAGRAM, st.lists(_COEFF, min_size=1, 
 
 #: argv for every subcommand, sized so that no example starts a large
 #: allocation or a request that no cap bounds yet (`padic --binomial`
-#: past 10^4, `brauer homdim` past degree 8), and so that each answers in
-#: well under a second (Lambda^4 J_16 takes seconds).
+#: past 10^4), and so that each answers in well under a second (Lambda^4
+#: J_16 takes seconds).  `brauer homdim` draws each of r and s past 4
+#: about one time in eight, so degrees past its cap of 40 and just under
+#: it both occur.
 _ARGV = st.one_of(
     _command("fusion", flags=["--table"], required=dict(p=_PRIME), i=_int(1, 12, huge=True),
              j=_int(1, 12, huge=True), cap_fusion_entries=_int(0, 10**4), format=_FORMAT),
@@ -622,12 +667,11 @@ _ARGV = st.one_of(
              cap_bounds_p=_int(2, 31), format=_FORMAT),
     _command("padic", required=dict(p=_PRIME), **_ORDER, blocks=_BLOCKS, binomial=_int(0, 10**4),
              length=_int(0, 10**4), format=_FORMAT),
-    _command("brauer", "homdim", required=dict(n=_int(1, 50, huge=True), r=_int(0, 4), s=_int(0, 4)),
-             u=_int(0, 4), v=_int(0, 4), cap_brauer_degree=_int(0, 6), format=_FORMAT),
+    _command("brauer", "homdim", required=dict(n=_int(1, 50, huge=True), r=_HOMDIM_SIDE, s=_HOMDIM_SIDE),
+             u=_int(0, 4), v=_int(0, 4), format=_FORMAT),
     *(_command("brauer", op, required=dict(r=_int(0, 2), s=_int(0, 2), t=_T), u=_int(0, 2), v=_int(0, 2),
                mod=_PRIME, cap_brauer_degree=_int(0, 6), format=_FORMAT) for op in ("gram", "rank")),
-    _command("brauer", "compose", required=dict(f=_MORPHISM, g=_MORPHISM), cap_brauer_degree=_int(0, 6),
-             format=_FORMAT),
+    _command("brauer", "compose", required=dict(f=_MORPHISM, g=_MORPHISM), format=_FORMAT),
     *(_command("bounds", kind, required=dict(p=_PRIME, d=_int(1, 12, huge=True)), cap_bounds_p=_int(2, 31),
                format=_FORMAT) for kind in ("plancherel", "improved")),
     _command("selftest", seed=_int(0, 10**6, huge=True), format=_FORMAT),

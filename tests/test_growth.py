@@ -43,7 +43,7 @@ from semisimple.growth import (
 from semisimple import modrep
 from semisimple.cli import main
 from semisimple.modrep import JordanModule, ext2, exterior_power, sym2, to_verlinde
-from semisimple.partitions import Partition, dim_sym_irrep, enumerate_in_box
+from semisimple.partitions import box_partitions, dimensions
 from semisimple.scalars import WORKING_DPS, CapExceeded, DomainError, FpScalar, q_int
 from semisimple.verlinde import FusionElement, fp_dim, is_invertible
 
@@ -596,9 +596,9 @@ def test_improved_bound_trivial_column():
 def test_improved_bound_two_rows():
     imp = improved_bound(7, 2)
     assert imp.max_schur_dim == 7
-    assert imp.max_partition == Partition((6,))
+    assert imp.max_partition == (6,)
     # four admissible shapes with at most 2 rows
-    assert len(enumerate_in_box(6, 2, 6)) == 4
+    assert len(list(box_partitions(6, 2, 6))) == 4
 
 
 def test_improved_bound_inequality_chain():
@@ -606,7 +606,7 @@ def test_improved_bound_inequality_chain():
     for p, d in [(7, 2), (11, 3), (13, 4)]:
         imp = improved_bound(p, d)
         assert imp.row_sum * imp.max_schur_dim >= d ** (p - 1)
-        row_sum = sum(dim_sym_irrep(lam) for lam in enumerate_in_box(p - 1, d, p - 1))
+        row_sum = sum(dimensions(lam)[0] for lam in box_partitions(p - 1, d, p - 1))
         assert imp.row_sum == row_sum
 
 

@@ -3,25 +3,19 @@
 Oracles: a standalone partition counter for cardinalities, a
 semistandard-tableau counter for Schur module dimensions (weight
 enumeration, no hook lengths involved), and the hook length and hook
-content formulas for the Frobenius-formula kernel.  The growth bounds are
-compared with the two-pass route over the hook formulas that they replaced.
+content formulas for the Frobenius-formula kernel and the box square sum.
+The growth bounds are compared with the two-pass route over the hook
+formulas that they replaced.
 """
 
-from math import factorial
+import math
+from math import factorial, prod
 
 import pytest
 
 from semisimple import partitions
 from semisimple.growth import improved_bound, plancherel_square_sum
-from semisimple.partitions import (
-    Partition,
-    box_partitions,
-    dim_schur,
-    dim_sym_irrep,
-    dimensions,
-    enumerate_in_box,
-    factorial_table,
-)
+from semisimple.partitions import box_partitions, box_square_sum, dimensions
 from semisimple.scalars import DomainError
 
 
@@ -70,14 +64,14 @@ def conjugate(parts):
 
 
 def hook_lengths(lam):
-    """Hook length of every cell (i, j) of lam, row by row."""
-    conj = conjugate(lam.parts)
-    return [[lam.parts[i] - j + conj[j] - i - 1 for j in range(lam.parts[i])] for i in range(len(lam.parts))]
+    """Hook length of every cell (i, j) of the part tuple lam, row by row."""
+    conj = conjugate(lam)
+    return [[lam[i] - j + conj[j] - i - 1 for j in range(lam[i])] for i in range(len(lam))]
 
 
 def hook_dim(lam):
     """f_lam = n! / (product of the hook lengths)."""
-    num = factorial(lam.size)
+    num = factorial(sum(lam))
     for row in hook_lengths(lam):
         for h in row:
             num, rem = divmod(num, h)
@@ -87,7 +81,7 @@ def hook_dim(lam):
 
 def hook_content_dim(lam, d):
     """dim S^lam(K^d) = product of (d + j - i) / product of the hook lengths."""
-    if len(lam.parts) > d:
+    if len(lam) > d:
         return 0
     num, hooks = 1, 1
     for i, row in enumerate(hook_lengths(lam)):
@@ -104,114 +98,114 @@ def two_pass_improved(p, d):
     formulas over the row-constrained partitions, then over the box again."""
     best = best_lam = None
     row_sum = 0
-    for lam in enumerate_in_box(p - 1, d, p - 1):
+    for lam in box_partitions(p - 1, d, p - 1):
         dim_s = hook_content_dim(lam, d)
         row_sum += hook_dim(lam)
         if best is None or dim_s > best:
             best, best_lam = dim_s, lam
-    box_sum = sum(hook_dim(lam) for lam in enumerate_in_box(p - 1, d, p - d))
+    box_sum = sum(hook_dim(lam) for lam in box_partitions(p - 1, d, p - d))
     return best, best_lam, row_sum, box_sum
-
-
-def test_partition_validation():
-    with pytest.raises(DomainError):
-        Partition((1, 2))
-    with pytest.raises(DomainError):
-        Partition((2, 0))
 
 
 def test_conjugate_involution():
     for n in range(9):
-        for lam in enumerate_in_box(n, n, n):
-            assert conjugate(conjugate(lam.parts)) == lam.parts
+        for lam in box_partitions(n, n, n):
+            assert conjugate(conjugate(lam)) == lam
 
 
 def test_enumerate_in_box_examples():
-    assert [lam.parts for lam in enumerate_in_box(2, 1, 2)] == [(2,)]
-    assert [lam.parts for lam in enumerate_in_box(4, 2, 2)] == [(2, 2)]
-    assert [lam.parts for lam in enumerate_in_box(4, 2, 3)] == [(2, 2), (3, 1)]
+    assert list(box_partitions(2, 1, 2)) == [(2,)]
+    assert list(box_partitions(4, 2, 2)) == [(2, 2)]
+    assert list(box_partitions(4, 2, 3)) == [(2, 2), (3, 1)]
 
 
 def test_enumerate_in_box_is_lexicographic_and_unique():
     for n in range(1, 10):
-        out = [lam.parts for lam in enumerate_in_box(n, n, n)]
+        out = list(box_partitions(n, n, n))
         assert out == sorted(out)
         assert len(out) == len(set(out))
 
 
 def test_enumerate_counts_match_partition_function():
     for n in range(21):
-        assert len(enumerate_in_box(n, n, n)) == count_partitions(n)
+        assert len(list(box_partitions(n, n, n))) == count_partitions(n)
 
 
 def test_enumerate_box_constraints_hold():
     for n in range(1, 11):
         for rows in range(5):
             for cols in range(5):
-                for lam in enumerate_in_box(n, rows, cols):
-                    assert lam.size == n
-                    assert len(lam.parts) <= rows
-                    assert all(part <= cols for part in lam.parts)
+                for lam in box_partitions(n, rows, cols):
+                    assert sum(lam) == n
+                    assert len(lam) <= rows
+                    assert all(part <= cols for part in lam)
+                    assert all(x >= y >= 1 for x, y in zip(lam, lam[1:] + (1,)))
 
 
 def test_dim_sym_irrep_examples():
-    assert dim_sym_irrep(Partition((6,))) == 1
-    assert dim_sym_irrep(Partition((2, 1))) == 2  # hooks 3, 1, 1
-    assert sum(dim_sym_irrep(lam) ** 2 for lam in enumerate_in_box(4, 4, 4)) == 24
+    assert dimensions((6,))[0] == 1
+    assert dimensions((2, 1))[0] == 2  # hooks 3, 1, 1
+    assert box_square_sum(4, 4, 4) == 24
 
 
 def test_dim_sym_irrep_sum_of_squares():
     for n in range(1, 13):
-        total = sum(dim_sym_irrep(lam) ** 2 for lam in enumerate_in_box(n, n, n))
+        total = sum(dimensions(lam)[0] ** 2 for lam in box_partitions(n, n, n))
         assert total == factorial(n)
 
 
 def test_dim_schur_examples():
     for d in range(1, 6):
-        assert dim_schur(Partition((1,)), d) == d
-    assert dim_schur(Partition((1, 1, 1)), 2) == 0
-    assert dim_schur(Partition((2, 1)), 3) == 8
+        assert dimensions((1,), d) == (1, d)
+    assert dimensions((1, 1, 1), 2) == (1, 0)
+    assert dimensions((2, 1), 3) == (2, 8)
 
 
 def test_dim_schur_vs_tableau_oracle():
     for n in range(1, 7):
         for d in range(1, 5):
-            for lam in enumerate_in_box(n, n, n):
-                assert dim_schur(lam, d) == count_ssyt(lam.parts, d)
+            for lam in box_partitions(n, n, n):
+                assert dimensions(lam, d)[1] == count_ssyt(lam, d)
 
 
 def test_weighted_dimension_identity():
     # sum over partitions with at most d rows of dim(irrep) * dim(Schur) = d^N
     for d in range(1, 5):
         for n in range(1, 11):
-            total = sum(
-                dim_sym_irrep(lam) * dim_schur(lam, d)
-                for lam in enumerate_in_box(n, d, n)
-            )
+            total = sum(prod(dimensions(lam, d)) for lam in box_partitions(n, d, n))
             assert total == d**n
 
 
 def test_kernel_matches_the_hook_formulas():
     # every partition of n <= 20: f_lam, and dim S^lam(K^d) for every d <= 8
     for n in range(21):
-        for lam in enumerate_in_box(n, n, n):
-            f = hook_dim(lam) if n else 1
+        for lam in box_partitions(n, n, n):
+            f = hook_dim(lam)
             for d in range(9):
-                assert dimensions(lam.parts, d) == (f, hook_content_dim(lam, d))
-                assert dim_schur(lam, d) == hook_content_dim(lam, d)
-            if n:
-                assert dim_sym_irrep(lam) == f
+                assert dimensions(lam, d) == (f, hook_content_dim(lam, d))
 
 
 def test_kernel_refuses_a_non_integral_quotient(monkeypatch):
     assert dimensions((2, 2), 5) == (2, 50)
-    fact = factorial_table(8)
-    monkeypatch.setattr(partitions, "factorial_table", lambda m: fact[:3] + (7,) + fact[4:])  # 3! read as 7
+    # the hooks are 3! 2! and the content factors perm(6, 2) perm(5, 2)
+    monkeypatch.setattr(partitions, "factorial", lambda m: 7 if m == 3 else math.factorial(m))  # 3! read as 7
     with pytest.raises(RuntimeError, match="Frobenius"):
         dimensions((2, 2), 5)
-    monkeypatch.setattr(partitions, "factorial_table", lambda m: fact[:6] + (24 * 31,) + fact[7:])  # 6!/4! read as 31
+    monkeypatch.setattr(partitions, "factorial", math.factorial)
+    monkeypatch.setattr(partitions, "perm", lambda m, k: 31 if (m, k) == (6, 2) else math.perm(m, k))  # 6!/4! read as 31
     with pytest.raises(RuntimeError, match="content"):
         dimensions((2, 2), 5)
+
+
+def test_box_square_sum_matches_the_hook_formula():
+    # every box of at most 7 x 7, empty ones included; the empty partition of 0 fits every box
+    for n in range(13):
+        everything = list(box_partitions(n, n, n))
+        for rows in range(8):
+            for cols in range(8):
+                inside = [lam for lam in everything if len(lam) <= rows and all(x <= cols for x in lam)]
+                assert box_square_sum(n, rows, cols) == sum(hook_dim(lam) ** 2 for lam in inside)
+    assert box_square_sum(0, 0, 0) == 1 and box_square_sum(5, 0, 5) == box_square_sum(5, 5, 0) == 0
 
 
 def test_box_partitions_are_the_box_filter_of_all_partitions():
@@ -232,5 +226,5 @@ def test_bounds_match_the_two_pass_hook_route():
             imp = improved_bound(p, d)
             assert (imp.max_schur_dim, imp.max_partition, imp.row_sum, imp.box_sum) == two_pass_improved(p, d)
             assert plancherel_square_sum(p, d) == sum(
-                hook_dim(lam) ** 2 for lam in enumerate_in_box(p - 1, d, p - d)
+                hook_dim(lam) ** 2 for lam in box_partitions(p - 1, d, p - d)
             )
