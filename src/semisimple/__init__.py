@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 #: The public names each submodule defines.
 _EXPORTS = {
     "scalars": "CapExceeded DomainError FpScalar T TPolynomial exact_det exact_rank is_prime q_int",
-    "partitions": "box_partitions box_square_sum dimensions",
+    "partitions": "box_partitions box_square_sum box_walk dimensions",
     "brauer": "BiObject DiagramMorphism WalledDiagram algebra_is_semisimple braiding compose "
               "endomorphism_trace_form gram_matrix hom_basis identity negligible_rank schur_weyl_homdim "
               "tensor trace",

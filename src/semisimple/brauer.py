@@ -508,8 +508,9 @@ def schur_weyl_homdim(n: int, source: BiObject, target: BiObject) -> int:
 
     After moving duals across, the dimension is the sum of squared
     symmetric-group irreducible dimensions over partitions of d with at
-    most n rows.  That is the box negligible_rank sums over at t = n, so
-    the independent check of both is eliminating the Gram matrix.  Degrees
+    most n rows, d! when n >= d.  That is the box negligible_rank sums
+    over at t = n, so the independent check of both is eliminating the
+    Gram matrix.  Degrees
     above HOMDIM_DEGREE_CAP are refused before any partition is enumerated.
     """
     if n < 1:

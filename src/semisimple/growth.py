@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
+from operator import mod
 
 from .scalars import (
     BOUNDS_PRIME_CAP,
@@ -276,24 +278,28 @@ class PadicDigits:
 def padic_digits(p: int, dims) -> PadicDigits:
     """Extract digits from the exterior-power dimension sequence.
 
-    dims[n] is the categorical dimension of the n-th exterior power, as an
-    F_p scalar (or plain integer), with dims[0] = 1.  The generating
-    function must factor as a product of (1 + z^(p^i))^(t_i), and a
-    sequence not of that form is rejected loudly rather than approximated.
+    dims is a sequence: dims[n] is the categorical dimension of the n-th
+    exterior power, as an F_p scalar (or plain integer), with dims[0] = 1.
+    The generating function must factor as a product of (1 + z^(p^i))^(t_i),
+    and a sequence not of that form is rejected loudly rather than
+    approximated.
     The digits are read off one level at a time: t = series[1] < p, so
     series = Q(z^p) (1 + z)^t exactly when series[a*p + b] = series[a*p] *
     C(t, b) mod p for every index, checked a column series[b::p] at a time,
     and the next level is Q, series[0::p].
     """
     check_prime(p)
-    series = []
-    for x in dims:
-        if isinstance(x, FpScalar):
-            if x.p != p:
-                raise DomainError("mixed moduli in the dimension sequence")
-            series.append(x.value)
-        else:
-            series.append(int(x) % p)
+    if set(map(type, dims)) <= {int}:  # one pass at C speed for plain integers
+        series = list(map(mod, dims, repeat(p)))
+    else:
+        series = []
+        for x in dims:
+            if isinstance(x, FpScalar):
+                if x.p != p:
+                    raise DomainError("mixed moduli in the dimension sequence")
+                series.append(x.value)
+            else:
+                series.append(int(x) % p)
     if not series or series[0] != 1:
         raise DomainError("the dimension sequence must start with 1")
     digits = []
@@ -418,19 +424,19 @@ class ImprovedBound:
 
 
 def improved_bound(p: int, d: int, cap: int = BOUNDS_PRIME_CAP) -> ImprovedBound:
-    """One pass over the partitions of p-1 with at most d rows: row_sum,
-    box_sum (first part at most p-d) and the first largest Schur dimension."""
-    from .partitions import box_partitions, dimensions
+    """One walk over the partitions of p-1 with at most d rows: row_sum,
+    box_sum (first part at most p-d) and the largest Schur dimension, at
+    the lexicographically least partition that reaches it."""
+    from .partitions import box_walk
     from .reals import ctx
 
     _check_bounds_args(p, d, cap)
     best, best_parts, row_sum, box_sum = 0, (), 0, 0
-    for parts in box_partitions(p - 1, d, p - 1):
-        f, dim_s = dimensions(parts, d)
+    for parts, f, dim_s in box_walk(p - 1, d, p - 1, schur=True):
         row_sum += f
         if parts[0] <= p - d:
             box_sum += f
-        if dim_s > best:
+        if dim_s > best or dim_s == best and parts < best_parts:
             best, best_parts = dim_s, parts
     ratio = Fraction(d ** (p - 1), best)
     return ImprovedBound(

@@ -1,5 +1,5 @@
 """Integer partitions as part tuples: box enumeration, the dimension
-formulas, and the square sum over a box.
+formulas, and one walk over a box that carries them.
 
 A partition is a weakly decreasing tuple of positive parts.  For a
 partition lam of n with l parts put l_i = lam_i + l - 1 - i (i = 0 ..
@@ -14,26 +14,46 @@ and the content product turns it into the dimension of the Schur module,
 
 zero when lam has more than d rows.  A quotient that is not integral
 raises RuntimeError.  The hook length and hook content formulas are the
-test oracles.  Enumeration inside a rows x cols box is one recursive
-generator of part tuples; the growth bounds consume it directly, and
-`box_square_sum` is the one sum of f_lam^2 over a box, which the Brauer
-ranks, the Schur-Weyl hom dimension and the Plancherel bound all read.
+test oracles.  `box_partitions` and `dimensions` take one partition at a
+time: they are the independent route the walk is tested against, and the
+selftest's weighted-dimension identity reads them.
+
+`box_walk` builds every partition in a rows x cols box from its bottom
+row up, one number of rows l at a time.  The row with b rows below it
+and part a has first-column hook length a + b, whatever rows come above
+it, so the Vandermonde product and prod l_i! are carried down the walk: a
+new row multiplies in its differences with the b hook lengths below it
+and its own factorial, and a finished partition costs the one division
+f_lam = n! Delta / prod l_i!, against O(l^2) products and l factorials
+when each partition is taken alone.  Padded with z = rows - l zero rows,
+lam has hook lengths l_i + z and z-1 .. 0, so
+
+    dim S^lam(K^rows) = Delta prod_i perm(l_i + z, z) / prod_{j=z}^{rows-1} j!,
+
+and the walk carries the content product prod_i perm(l_i + z, z) as
+well.  `box_square_sum`, the one sum of f_lam^2 over a box, reads the
+walk; the Brauer ranks, the Schur-Weyl hom dimension and the Plancherel
+bound all call it, and the improved growth bound walks the box itself.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, starmap
-from math import factorial, perm, prod
+from math import comb, factorial, perm, prod
 from operator import sub
 
 from .scalars import DomainError
 
 
+def _check_box(n: int, rows: int, cols: int):
+    if n < 0 or rows < 0 or cols < 0:
+        raise DomainError("box parameters must be nonnegative")
+
+
 def box_partitions(n: int, rows: int, cols: int):
     """Part tuples of the partitions of n with at most `rows` parts, each
     at most `cols`, in ascending lexicographic order, each exactly once."""
-    if n < 0 or rows < 0 or cols < 0:
-        raise DomainError("box parameters must be nonnegative")
+    _check_box(n, rows, cols)
     prefix: list[int] = []
 
     def descend(remaining: int, max_rows: int, max_part: int):
@@ -73,6 +93,57 @@ def dimensions(parts: tuple[int, ...], d: int = 0) -> tuple[int, int]:
     return f, schur
 
 
+def box_walk(n: int, rows: int, cols: int, schur: bool = False):
+    """(parts, f_lam, dim S^lam(K^rows)) for each partition lam of n in the
+    rows x cols box, exactly once, by increasing number of rows but not
+    lexicographically within one.  The Schur dimension is None unless
+    `schur`."""
+    _check_box(n, rows, cols)
+    return _walk(n, rows, cols, schur) if n else iter([((), 1, 1 if schur else None)])
+
+
+def _walk(n: int, rows: int, cols: int, schur: bool):
+    if n > rows * cols:  # no partition fits, and so cols >= 1 below
+        return
+    if n <= cols:  # one row: f = 1, and S^(n) is Sym^n
+        yield (n,), 1, comb(n + rows - 1, n) if schur else None
+    n_fact = factorial(n)
+    for ell in range(max(2, -(-n // cols)), min(rows, n) + 1):  # ell rows hold at most ell * cols
+        z = rows - ell
+        padding = prod(map(factorial, range(z, rows))) if schur else 1
+        # a node: the sum left to place, the least next part, the parts top
+        # first, their l_i bottom first, the Vandermonde, prod l_i! and the
+        # content product of those rows
+        stack = [(n, 1, (), (), 1, 1, 1)]
+        while stack:
+            remaining, low, parts, firsts, vand, hooks, contents = stack.pop()
+            b = len(firsts)
+            left = ell - b  # at least 2 rows to place, and every branch completes
+            for a in range(max(low, remaining - (left - 1) * cols), min(cols, remaining // left) + 1):
+                x = a + b
+                v = vand * prod(map(x.__sub__, firsts))
+                hs = hooks * factorial(x)
+                c = contents * perm(x + z, z) if schur else 1
+                if left > 2:
+                    stack.append((remaining - a, a, (a,) + parts, firsts + (x,), v, hs, c))
+                    continue
+                top = remaining - a  # the top row is forced
+                t = top + b + 1
+                v *= prod(map(t.__sub__, firsts)) * (t - x)
+                f, rem = divmod(n_fact * v, hs * factorial(t))
+                dim_s = None
+                if schur:
+                    dim_s, rem_s = divmod(v * c * perm(t + z, z), padding)
+                    rem = rem or rem_s
+                if rem:
+                    raise RuntimeError(f"the Frobenius quotient of {(top, a) + parts} is not integral")
+                yield (top, a) + parts, f, dim_s
+
+
 def box_square_sum(n: int, rows: int, cols: int) -> int:
-    """Sum of f_lam^2 over the partitions lam of n in the rows x cols box."""
-    return sum(dimensions(parts)[0] ** 2 for parts in box_partitions(n, rows, cols))
+    """Sum of f_lam^2 over the partitions lam of n in the rows x cols box;
+    n! when the box holds every partition of n."""
+    _check_box(n, rows, cols)
+    if rows >= n and cols >= n:
+        return factorial(n)
+    return sum(f * f for _, f, _ in _walk(n, rows, cols, False))

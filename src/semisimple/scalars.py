@@ -46,8 +46,9 @@ class CapExceeded(RuntimeError):
 DEGREE_CAP = 6
 
 #: Largest degree d at which brauer.schur_weyl_homdim sums over the
-#: partitions of d: at most p(40) = 37,338 of them.  Fixed, like the padic
-#: binomial row cap: no parameter or flag raises it.
+#: partitions of d with at most n rows: at most p(40) = 37,338 of them, and
+#: none when n >= d, where the sum is d!.  Fixed, like the padic binomial
+#: row cap: no parameter or flag raises it.
 HOMDIM_DEGREE_CAP = 40
 
 #: Default largest group order p^e; JordanModule(..., cap=...) raises it at

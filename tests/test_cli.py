@@ -571,7 +571,7 @@ def test_requests_import_numpy_and_mpmath_only_when_they_use_them(argv, code, lo
 #: The public names of `semisimple`, each defined in one submodule.
 EXPORTED = {
     "CapExceeded", "DomainError", "FpScalar", "T", "TPolynomial", "exact_det", "exact_rank", "is_prime", "q_int",
-    "box_partitions", "box_square_sum", "dimensions",
+    "box_partitions", "box_square_sum", "box_walk", "dimensions",
     "BiObject", "DiagramMorphism", "WalledDiagram", "algebra_is_semisimple", "braiding", "compose",
     "endomorphism_trace_form", "gram_matrix", "hom_basis", "identity", "negligible_rank", "schur_weyl_homdim",
     "tensor", "trace",

@@ -413,6 +413,22 @@ def test_padic_digits_binomial_example():
     assert got.as_integer() == 7
 
 
+def test_padic_digits_read_every_entry_type_alike():
+    # plain ints are reduced in one pass; bools, numpy integers and F_p scalars by the loop
+    import numpy as np
+
+    row = [comb(7, n) for n in range(8)]  # 7 = 2 + 1*5, unreduced
+    for dims in (row, [x - 5 for x in row], list(map(np.int64, row)), [FpScalar(x, 5) for x in row],
+                 [FpScalar(1, 5), *row[1:]]):
+        assert padic_digits(5, dims).digits == (2, 1)
+    assert padic_digits(5, [True, True]).digits == padic_digits(5, [1, np.int8(1)]).digits == (1,)
+    assert padic_digits(5, [True, False]).digits == (0,)
+    with pytest.raises(DomainError, match="mixed moduli"):
+        padic_digits(5, [1, FpScalar(2, 5), FpScalar(1, 7)])
+    with pytest.raises(DomainError, match="start with 1"):
+        padic_digits(5, [False, True])
+
+
 def peel_digits(p, dims):
     """Digits by dividing out (1 + z) t times over the whole series, then
     requiring the quotient to be a series in z^p."""

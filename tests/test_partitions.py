@@ -1,21 +1,24 @@
-"""Partition enumeration and dimension formula tests.
+"""Partition enumeration, dimension formula and box walk tests.
 
 Oracles: a standalone partition counter for cardinalities, a
 semistandard-tableau counter for Schur module dimensions (weight
 enumeration, no hook lengths involved), and the hook length and hook
 content formulas for the Frobenius-formula kernel and the box square sum.
-The growth bounds are compared with the two-pass route over the hook
-formulas that they replaced.
+The box walk is compared with the one-partition-at-a-time route,
+`box_partitions` with `dimensions`, and the growth bounds with the
+two-pass route over the hook formulas and with the lexicographic route
+over `dimensions` that they replaced.
 """
 
 import math
+from collections import Counter
 from math import factorial, prod
 
 import pytest
 
 from semisimple import partitions
 from semisimple.growth import improved_bound, plancherel_square_sum
-from semisimple.partitions import box_partitions, box_square_sum, dimensions
+from semisimple.partitions import box_partitions, box_square_sum, box_walk, dimensions
 from semisimple.scalars import DomainError
 
 
@@ -104,6 +107,20 @@ def two_pass_improved(p, d):
         if best is None or dim_s > best:
             best, best_lam = dim_s, lam
     box_sum = sum(hook_dim(lam) for lam in box_partitions(p - 1, d, p - d))
+    return best, best_lam, row_sum, box_sum
+
+
+def lexicographic_improved(p, d):
+    """improved_bound's exact fields by `dimensions`, one partition at a
+    time in ascending lexicographic order, keeping the first largest Schur
+    dimension."""
+    best, best_lam, row_sum, box_sum = 0, (), 0, 0
+    for lam in box_partitions(p - 1, d, p - 1):
+        f, dim_s = dimensions(lam, d)
+        row_sum += f
+        box_sum += f if lam[0] <= p - d else 0
+        if dim_s > best:
+            best, best_lam = dim_s, lam
     return best, best_lam, row_sum, box_sum
 
 
@@ -228,3 +245,48 @@ def test_bounds_match_the_two_pass_hook_route():
             assert plancherel_square_sum(p, d) == sum(
                 hook_dim(lam) ** 2 for lam in box_partitions(p - 1, d, p - d)
             )
+
+
+def test_walk_matches_the_one_partition_route():
+    # every box with n <= 14 and rows, cols in [0, n + 1], empty ones included
+    for n in range(15):
+        for rows in range(n + 2):
+            for cols in range(n + 2):
+                want = Counter((lam, *dimensions(lam, rows)) for lam in box_partitions(n, rows, cols))
+                assert Counter(box_walk(n, rows, cols, schur=True)) == want
+                assert Counter(box_walk(n, rows, cols)) == Counter((lam, f, None) for lam, f, _ in want)
+    assert list(box_walk(0, 0, 0, schur=True)) == [((), 1, 1)]
+    assert list(box_walk(0, 3, 0)) == [((), 1, None)]
+    assert list(box_walk(5, 0, 5)) == list(box_walk(5, 5, 0)) == list(box_walk(5, 2, 2)) == []
+    for args in ((-1, 2, 2), (3, -1, 2), (3, 2, -1)):
+        with pytest.raises(DomainError):
+            box_walk(*args)  # refused on the call, before any partition is asked for
+
+
+def test_walk_refuses_a_non_integral_quotient(monkeypatch):
+    # (2, 2) in the 3 x 2 box: l = (3, 2), Delta = 1, content factors perm(4, 1) perm(3, 1), padding 1! 2!
+    assert list(box_walk(4, 3, 2, schur=True))[0] == ((2, 2), 2, 6)
+    monkeypatch.setattr(partitions, "factorial", lambda m: 7 if m == 3 else math.factorial(m))  # 3! read as 7
+    with pytest.raises(RuntimeError, match="Frobenius"):
+        list(box_walk(4, 3, 2))
+    monkeypatch.setattr(partitions, "factorial", math.factorial)
+    monkeypatch.setattr(partitions, "perm", lambda m, k: 5 if (m, k) == (4, 1) else math.perm(m, k))  # 4 read as 5
+    with pytest.raises(RuntimeError, match="Frobenius"):
+        list(box_walk(4, 3, 2, schur=True))
+
+
+def test_box_square_sum_of_a_full_box_is_n_factorial():
+    # Sum f_lam^2 over all partitions of n is n!; the sum over a box one row or column short is less
+    for n in (1, 20, 40):
+        assert box_square_sum(n, n, n) == box_square_sum(n, n + 3, 2 * n) == factorial(n)
+    assert box_square_sum(20, 19, 20) == box_square_sum(20, 20, 19) == factorial(20) - 1
+
+
+def test_improved_bound_matches_the_lexicographic_route():
+    # the walk is not lexicographic, and two partitions reach M at (5, 3), (7, 5) and (13, 8)
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+        for d in range(1, p):
+            imp = improved_bound(p, d)
+            assert (imp.max_schur_dim, imp.max_partition, imp.row_sum, imp.box_sum) == lexicographic_improved(p, d)
+    assert [improved_bound(p, d).max_partition for p, d in ((5, 3), (7, 5), (13, 8))] == [
+        (3, 1), (4, 2), (6, 3, 2, 1)]
