@@ -88,11 +88,14 @@ def _render(build):
 
 
 def _emit(doc, rows, fmt: str) -> None:
-    """Stream the document to stdout in pieces, never as one string."""
+    """Stream the document to stdout in pieces, never as one string.  A
+    handler may hand over its JSON text already rendered, as an iterator of
+    pieces."""
     if fmt == "json":
-        chunks = json.JSONEncoder(indent=2).iterencode(doc)
-        while piece := "".join(itertools.islice(chunks, 4096)):  # a write per token takes 2.5x as long
-            sys.stdout.write(piece)
+        if isinstance(doc, (dict, list)):
+            tokens = json.JSONEncoder(indent=2).iterencode(doc)
+            doc = iter(lambda: "".join(itertools.islice(tokens, 4096)), "")  # a write per token takes 2.5x as long
+        sys.stdout.writelines(doc)
         sys.stdout.write("\n")
     else:
         import csv
@@ -105,6 +108,16 @@ def _emit(doc, rows, fmt: str) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _table_json(p: int, table):
+    """The `fusion --table` document as JSONEncoder(indent=2) writes it,
+    rendered a row at a time so that no more than one row is held."""
+    yield f'{{\n  "p": {p},\n  "table": ['
+    for n, (i, j, x) in enumerate(table):
+        row = json.dumps({"i": i, "j": j, "m": list(x.multiplicities), "pretty": str(x)}, indent=2)
+        yield ("," if n else "") + "\n    " + row.replace("\n", "\n    ")
+    yield "\n  ]\n}"
+
+
 def cmd_fusion(args):
     from . import verlinde
 
@@ -114,14 +127,7 @@ def cmd_fusion(args):
         if args.format == "csv":  # the rows only: no document, no pretty strings
             header = ["i", "j"] + [f"m{k}" for k in range(1, p)]
             return None, itertools.chain([header], ([i, j, *x.multiplicities] for i, j, x in table))
-        doc = {
-            "p": p,
-            "table": [
-                {"i": i, "j": j, "m": list(x.multiplicities), "pretty": str(x)}
-                for i, j, x in table
-            ],
-        }
-        return doc, None
+        return _table_json(p, table), None
     if args.i is None or args.j is None:
         raise UsageError("fusion needs either --table or both --i and --j")
     x = verlinde.fusion(p, args.i, args.j, args.cap_fusion_entries)
@@ -226,13 +232,17 @@ def cmd_padic(args):
     if (args.blocks is None) == (args.binomial is None):
         raise UsageError("padic needs exactly one of --blocks or --binomial")
     if args.blocks is not None:
+        if args.length is not None:
+            raise UsageError("--length applies to --binomial only")
         v = _module_from_args(args, args.blocks)
-        dims = growth.exterior_dimension_sequence(v)
+        dims = [x.value for x in growth.exterior_dimension_sequence(v)]
         source = {"blocks": list(v.blocks)}
     else:
         d_value = args.binomial
         if d_value < 0:
             raise UsageError("--binomial takes a nonnegative integer")
+        if args.length is not None and args.length < 0:
+            raise UsageError("--length takes a nonnegative integer")
         length = args.length if args.length is not None else d_value + 1
         dims = growth.binomials_mod_p(d_value, p, length)
         source = {"binomial": d_value}
@@ -240,7 +250,7 @@ def cmd_padic(args):
     doc = {
         "p": p,
         **source,
-        "dims": [x.value if isinstance(x, FpScalar) else x for x in dims],
+        "dims": dims,
         "digits": list(digits.digits),
         "value": digits.as_integer(),
     }

@@ -10,6 +10,13 @@ written in the basis [1]_q .. [(p-1)/2]_q of the real subfield of Q(q),
 give m_k + m_{p-k} and m_k - m_{p-k} coefficient by coefficient, once the
 second is multiplied by [2]_q and folded by [j]_q = [p-j]_q.
 
+The binomial rows mod p and the p-adic digits read one Lucas product,
+prod_i (1 + z^(p^i))^(t_i) mod p (Lucas 1878): `_lucas_row` yields it a
+block at a time as the Kronecker product of the digit rows C(t_i, b) mod p,
+`binomials_mod_p` fills a row with it, and `padic_digits` checks a series
+against it.  Each digit row stops where the row does, so a row costs its
+length, never p.
+
 Each function imports the modules it calls (`modrep`, `verlinde`,
 `partitions`) where it calls them, so the binomial digits and the bounds
 load neither Jordan modules nor the fusion ring.
@@ -19,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import repeat
+from itertools import count, islice, repeat, takewhile
 from operator import mod
 
 from .scalars import (
@@ -38,7 +45,7 @@ from .scalars import (
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class GrowthRate:
     """An exact growth rate: a multiplicity vector plus its numeric value.
 
@@ -48,7 +55,7 @@ class GrowthRate:
 
     p: int
     m: tuple[int, ...]
-    numeric: object = field(init=False)
+    numeric: object = field(init=False, compare=False)
 
     def __post_init__(self):
         from .reals import ctx
@@ -64,14 +71,6 @@ class GrowthRate:
     @property
     def is_zero(self) -> bool:
         return not any(self.m)
-
-    def __eq__(self, other):
-        if not isinstance(other, GrowthRate):
-            return NotImplemented
-        return self.p == other.p and self.m == other.m
-
-    def __hash__(self):
-        return hash((self.p, self.m))
 
     @property
     def exact_form(self) -> str:
@@ -275,22 +274,52 @@ class PadicDigits:
         return sum(d * self.p**i for i, d in enumerate(self.digits))
 
 
+def _lucas_row(digits, p: int, length: int, row):
+    """Yield the coefficients of prod_i (1 + z^(p^i))^(t_i) mod p, t_i =
+    digits[i] for every p^i < length, from z^1 up to z^(length - 1), as
+    pairs (start, block) of consecutive blocks.
+
+    By Lucas' theorem this is C(n, k) mod p for n = sum t_i p^i.  The
+    factors below i reach at most z^(p^i - 1), so the coefficients from
+    z^(p^i) on are the Kronecker product of the digit row C(t_i, b) mod p
+    with the first p^i: block b = 1 .. t_i is C(t_i, b) times them, and the
+    rest up to z^(p^(i+1) - 1) is zero.  Each block reads those first
+    coefficients from `row`, which must hold every coefficient before it:
+    the caller's row being filled, or a series being checked against the
+    product.  The digit row is made by C(t, b) = C(t, b - 1)(t - b + 1)/b
+    and stops at the last b with b p^i < length, so a row costs its length,
+    never p.
+    """
+    step = 1
+    for t in digits:
+        if step >= length:
+            break
+        c = 1
+        for b in range(1, min(t, (length - 1) // step) + 1):
+            c = c * (t - b + 1) * pow(b, -1, p) % p
+            yield b * step, [c * x % p for x in islice(row, min(step, length - b * step))]
+        end = step * (t + 1)
+        step *= p
+        yield end, [0] * (min(step, length) - end)
+
+
 def padic_digits(p: int, dims) -> PadicDigits:
     """Extract digits from the exterior-power dimension sequence.
 
     dims is a sequence: dims[n] is the categorical dimension of the n-th
     exterior power, as an F_p scalar (or plain integer), with dims[0] = 1.
-    The generating function must factor as a product of (1 + z^(p^i))^(t_i),
-    and a sequence not of that form is rejected loudly rather than
-    approximated.
-    The digits are read off one level at a time: t = series[1] < p, so
-    series = Q(z^p) (1 + z)^t exactly when series[a*p + b] = series[a*p] *
-    C(t, b) mod p for every index, checked a column series[b::p] at a time,
-    and the next level is Q, series[0::p].
+    The generating function must factor as the Lucas product of
+    (1 + z^(p^i))^(t_i), and a sequence not of that form is rejected loudly
+    rather than approximated.  The lower factors reach at most
+    z^(p^i - 1), so t_i = series[p^i] for every p^i below the length, and
+    the series is compared with the product block by block, each block
+    made from the series' own first entries, already checked, so that the
+    product is never held as a list of its own.
     """
     check_prime(p)
-    if set(map(type, dims)) <= {int}:  # one pass at C speed for plain integers
-        series = list(map(mod, dims, repeat(p)))
+    if set(map(type, dims)) <= {int}:  # passes at C speed for plain integers
+        reduced = type(dims) is list and 0 <= min(dims, default=0) and max(dims, default=0) < p
+        series = dims if reduced else list(map(mod, dims, repeat(p)))
     else:
         series = []
         for x in dims:
@@ -302,49 +331,27 @@ def padic_digits(p: int, dims) -> PadicDigits:
                 series.append(int(x) % p)
     if not series or series[0] != 1:
         raise DomainError("the dimension sequence must start with 1")
-    digits = []
-    while len(series) > 1:
-        t = series[1]
-        row = [1]  # C(t, b) mod p; the factor t - b + 1 zeroes it past t
-        for b in range(1, min(p, len(series))):
-            row.append(row[-1] * (t - b + 1) * pow(b, -1, p) % p)
-        heads = series[0::p]
-        for b, c in enumerate(row[1:], start=1):
-            column = series[b::p]
-            if column != [h * c % p for h in heads[:len(column)]]:
-                raise DomainError(
-                    "dimension sequence is not a product of binomial factors"
-                )
-        digits.append(t)
-        series = heads
+    digits = [series[q] for q in takewhile(len(series).__gt__, (p**i for i in count()))]
+    for at, block in _lucas_row(digits, p, len(series), series):
+        if series[at:at + len(block)] != block:
+            raise DomainError("dimension sequence is not a product of binomial factors")
     return PadicDigits(p, tuple(digits))
 
 
 def binomials_mod_p(n: int, p: int, length: int) -> list[int]:
-    """C(n, k) mod p for 0 <= k < length and n >= 0, by Lucas' theorem: the
-    product of C(n_i, k_i) over the base-p digits, zero when some k_i > n_i.
-    Refused, before any entry is computed, when `length` exceeds
-    FUSION_ENTRY_CAP."""
+    """C(n, k) mod p for 0 <= k < length and n >= 0: the Lucas product over
+    the base-p digits t_i of n, built a block at a time; only the digits
+    with p^i < length are read.  Refused, before any entry is computed,
+    when `length` exceeds FUSION_ENTRY_CAP."""
     check_prime(p)
     if n < 0:
         raise DomainError(f"binomial row {n} is negative")
     if length > FUSION_ENTRY_CAP:
         raise CapExceeded(f"binomial row of {length} entries exceeds the cap {FUSION_ENTRY_CAP}")
-    digits = []
-    while n:
-        n, digit = divmod(n, p)
-        digits.append(digit)
-    fact = [1]  # i! mod p for every digit value i
-    for i in range(1, max(digits, default=0) + 1):
-        fact.append(fact[-1] * i % p)
-    out = []
-    for k in range(length):
-        c = 1
-        for a in digits:
-            k, b = divmod(k, p)
-            c = c * fact[a] * pow(fact[b] * fact[a - b], -1, p) % p if b <= a else 0
-        out.append(0 if k else c)
-    return out
+    row = [1][:length]
+    for _, block in _lucas_row((n // p**i % p for i in count()), p, length, row):
+        row += block
+    return row
 
 
 def exterior_dimension_sequence(v: JordanModule) -> list[FpScalar]:

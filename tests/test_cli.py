@@ -103,6 +103,18 @@ def test_padic_binomial_matches_comb(capsys):
             assert doc["value"] == n
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--binomial", "20", "--length", "-3"], "--length takes a nonnegative integer"),
+    (["--blocks", "2,1", "--length", "4"], "--length applies to --binomial only"),
+], ids=["negative-length", "length-with-blocks"])
+def test_padic_length_is_a_nonnegative_option_of_the_binomial_path(capsys, argv, message):
+    code, out, err = run(capsys, "padic", "--p", "3", *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+    code, out, _ = run(capsys, "padic", "--p", "3", "--binomial", "20", "--length", "0")
+    assert code == 3 and out == ""  # the empty series has no leading 1
+
+
 def test_bounds_documents(capsys):
     code, out, _ = run(capsys, "bounds", "plancherel", "--p", "5", "--d", "2")
     assert code == 0
@@ -482,6 +494,38 @@ def test_bounds_at_a_large_prime_in_bounded_memory():
     assert int(proc.stdout) < 40 * 1024
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux only")
+def test_fusion_table_json_holds_one_row_at_a_time():
+    # 15,876 rows of 126 multiplicities: held as one document they peaked at 38 MB, one row at a time at 17 MB
+    src = str(Path(semisimple.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _PEAK_RSS_PROBE, "fusion", "--p", "127", "--table"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 28 * 1024
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux only")
+def test_padic_binomial_row_of_a_million_in_bounded_memory():
+    # the row, its check and the document: 38 MB when each entry and column was a list of its own, now 32 MB
+    src = str(Path(semisimple.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _PEAK_RSS_PROBE, "padic", "--p", "5", "--binomial", "1000000"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 36 * 1024
+
+
+def test_padic_binomial_row_at_a_huge_prime_costs_its_length():
+    # one digit p - 1: C(p - 1, k) = (-1)^k mod p, five entries however large p is
+    p = 2**61 - 1
+    start = time.perf_counter()
+    doc = run_cli("padic", "--p", str(p), "--binomial", str(p - 1), "--length", "5", guard=30)
+    assert time.perf_counter() - start < 5
+    assert doc["dims"] == [1, p - 1, 1, p - 1, 1]
+    assert doc["digits"] == [p - 1] and doc["value"] == p - 1
+
+
 def test_padic_large_binomial_in_bounded_time():
     n, p = 20000, 3
     doc = run_cli("padic", "--p", str(p), "--binomial", str(n), guard=30)
@@ -626,7 +670,8 @@ def _command(*head, flags=(), required=None, **optional):
 
 _FORMAT = st.sampled_from(["json", "csv"])
 #: Huge primes too: the default caps refuse them before anything p-sized is built.
-_PRIME = _mostly(st.sampled_from([2, 3, 5, 7, 13]), [0, 4, 2147483647, 2**61 - 1, 2**64 + 13, "x", "9" * 5000])
+_HUGE_PRIMES = [2147483647, 2**61 - 1, 2**64 + 13]
+_PRIME = _mostly(st.sampled_from([2, 3, 5, 7, 13]), [0, 4, *_HUGE_PRIMES, "x", "9" * 5000])
 _BLOCKS = _mostly(st.lists(st.integers(1, 16), min_size=1, max_size=4).map(lambda xs: ",".join(map(str, xs))),
                   ["", "0", "17", "1,,2", "x"])
 _ORDER = dict(e=_int(1, 3, huge=True), cap_order=_int(1, 300))
@@ -653,8 +698,7 @@ _MORPHISM = _mostly(st.builds(_morphism, _DIAGRAM, st.lists(_COEFF, min_size=1, 
                     ["", "[]", "{}", "{", '{"source": [1, 0], "target": [1, 0], "pairs": [[0, 1]]}'])
 
 #: argv for every subcommand, sized so that no example starts a large
-#: allocation or a request that no cap bounds yet (`padic --binomial`
-#: past 10^4), and so that each answers in well under a second (Lambda^4
+#: allocation, and so that each answers in well under a second (Lambda^4
 #: J_16 takes seconds).  `brauer homdim` draws each of r and s past 4
 #: about one time in eight, so degrees past its cap of 40 and just under
 #: it both occur.
@@ -665,8 +709,10 @@ _ARGV = st.one_of(
              k=_int(0, 3, huge=True), op=st.sampled_from(["tensor", "sym2", "ext2", "wedge", "cube"]), format=_FORMAT),
     _command("invariants", flags=["--bounds"], required=dict(p=_PRIME, blocks=_BLOCKS), **_ORDER,
              cap_bounds_p=_int(2, 31), format=_FORMAT),
-    _command("padic", required=dict(p=_PRIME), **_ORDER, blocks=_BLOCKS, binomial=_int(0, 10**4),
+    _command("padic", required=dict(p=_PRIME), **_ORDER, blocks=_BLOCKS, binomial=_mostly(_int(0, 10**4), [10**30]),
              length=_int(0, 10**4), format=_FORMAT),
+    st.sampled_from(_HUGE_PRIMES).flatmap(lambda p: _command(
+        "padic", required=dict(p=st.just(p), binomial=st.just(p - 1)), length=_int(0, 10**4), format=_FORMAT)),
     _command("brauer", "homdim", required=dict(n=_int(1, 50, huge=True), r=_HOMDIM_SIDE, s=_HOMDIM_SIDE),
              u=_int(0, 4), v=_int(0, 4), format=_FORMAT),
     *(_command("brauer", op, required=dict(r=_int(0, 2), s=_int(0, 2), t=_T), u=_int(0, 2), v=_int(0, 2),

@@ -137,6 +137,8 @@ def test_growth_rate_equality_is_exact_not_numeric():
     with mp.workdps(WORKING_DPS):
         assert abs(r1.numeric - r4.numeric) < mp.mpf("1e-40")
     assert r1 != r4
+    assert r1 == GrowthRate(5, [1, 0, 0, 0]) and hash(r1) == hash((5, (1, 0, 0, 0)))
+    assert len({r1, r4, GrowthRate(5, (1, 0, 0, 0))}) == 2
 
 
 def test_growth_rate_validates_like_a_fusion_element_and_computes_its_value():
@@ -508,6 +510,54 @@ def test_binomials_mod_p_refuse_a_negative_row_at_once():
     assert proc.returncode == 0, proc.stderr
     assert float(proc.stdout) < 1
     assert main(["padic", "--p", "5", "--binomial", "-1"]) == 2
+
+
+def test_binomials_mod_p_match_comb_on_sampled_entries_of_long_rows():
+    # comb(n, k) takes seconds for k near n / 2 at n = 10^6, so k is sampled within 20000 of either end
+    rng = random.Random(1009)
+    n, p = 10**6, 5  # nine base-5 digits
+    row = binomials_mod_p(n, p, n + 1)
+    assert len(row) == n + 1
+    ends = [*range(20000), *range(n - 20000, n + 1)]
+    for k in (0, 1, 4, 5, 624, 625, 3125, 15625, n - 15625, n - 1, n, *rng.sample(ends, 10)):
+        assert row[k] == comb(n, k) % p, k
+    p = 10007
+    n = 3 * p * p + 5 * p + 7  # three base-p digits, the last past any row under the cap
+    length = 3 * p
+    row = binomials_mod_p(n, p, length)
+    for k in (0, 1, 6, 7, 8, p - 1, p, p + 7, p + 8, 2 * p + 3, 3 * p - 1, *rng.sample(range(length), 5)):
+        assert row[k] == comb(n, k) % p, k
+
+
+def test_padic_digits_at_a_huge_prime_cost_their_length():
+    p = 2**61 - 1
+    assert padic_digits(p, [1, 3, 3, 1]).digits == (3,)
+    assert padic_digits(p, [1, 3, 3, 1, 0, 0]).digits == (3,)
+    with pytest.raises(DomainError, match="not a product"):
+        padic_digits(p, [1, 3, 3, 2])
+
+
+_HUGE_PRIME_ROW = """
+import resource, time
+resource.setrlimit(resource.RLIMIT_AS, (2**29, 2**29))  # a table sized by p fails in memory, not in swap
+from semisimple.growth import binomials_mod_p
+p = 2**61 - 1
+start = time.perf_counter()
+row = binomials_mod_p(p - 1, p, 5)
+assert row == [1, p - 1, 1, p - 1, 1], row
+assert binomials_mod_p(p - 2, p, 5) == [1, p - 2, 3, p - 4, 5]
+print(time.perf_counter() - start)
+"""
+
+
+def test_binomials_mod_p_at_a_huge_prime_in_bounded_time_and_memory():
+    # a digit row or factorial table sized by the digit p - 1 would never finish:
+    # run it in a child that the timeout and a 512 MB address-space limit stop
+    src = str(Path(modrep.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _HUGE_PRIME_ROW], capture_output=True, text=True, env=env, timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < 1
 
 
 def test_padic_digits_exterior_path():
