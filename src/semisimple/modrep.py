@@ -3,20 +3,24 @@
 A representation of Z/p^e over F_p is the Jordan type of a unipotent
 matrix of order dividing p^e.  Tensor products of two blocks, and for p
 odd the exterior square of one block, are read off graded Smith forms;
-other exterior powers of one block off rank profiles of nilpotent powers
-of their induced matrices over F_p (second differences of ranks).  Those
-of a sum of blocks split by the natural isomorphism, exact in every
+other exterior powers of one block no larger than p off SL_2 tilting
+characters, of one block whose size is a power of p off a count of
+orbits, and the rest off rank profiles of nilpotent powers of their
+induced matrices over F_p (second differences of ranks).  Those of a sum
+of blocks split by the natural isomorphism, exact in every
 characteristic,
 
     Lambda^k(A + B) = sum_i Lambda^i A (x) Lambda^(k-i) B,
 
 with A the first block, so the cross terms are tensor pairs and no
 induced matrix spans two blocks.  The cap on the induced dimension is
-still checked on the whole module first.  Nothing uses a closed-form
-table: the closed forms (Clebsch-Gordan, the e = 1 tensor, squares) serve
-as independent test oracles instead, as do the rank profiles of the
-Kronecker product and of the induced matrices of one block and of the
-whole module.
+still checked on the whole module first.  No route looks its answer up:
+each is a structural isomorphism (the direct-sum split, the flip below,
+the restriction from SL_2, the wedges of a permutation basis) together
+with proven or cited formulas.  The closed forms (Clebsch-Gordan, the
+e = 1 tensor, squares) serve as independent test oracles instead, as do
+the rank profiles of the Kronecker product and of the induced matrices
+of one block and of the whole module.
 
 The symmetric square builds no matrix of its own.  The flip c of the two
 factors of V (x) V commutes with U (x) U and c^2 = 1, so for p odd, where
@@ -72,15 +76,74 @@ the z^r coefficient of z^c times it, is a scalar times s^(D + 2(c - r)):
 the shape above, and the same elimination gives the blocks, summing to
 n(n-1)/2.
 
-Two routes stay dense, rank profiles of induced matrices.  At p = 2 the
-swap does not split A and h needs 1/2, so every exterior power of a block
-is dense there.  For k >= 3 the same substitution gives
-prod (1 + x_i/2) - prod (1 - x_i/2) = e_1 + e_3/4 + ..., not homogeneous,
-so no graded Smith form is known and Lambda^k J_n is dense at every p.
-For k = 2 at p odd the dense route is the test oracle.  These rank profiles
-(`jordan_type` of `_induced_matrix`) are the only numpy in this module, so
-tensor products, symmetric squares and exterior squares at p odd never
-import it.
+Lambda^k J_n for n <= p and k >= 3 comes from SL_2 (`_tilting_block`):
+Ver_p is the semisimplification both of Rep(Z/p) and of the tilting
+modules of SL_2 (Etingof-Ostrik, On semisimplification of tensor
+categories).  Let G = SL_2 over the algebraic closure of F_p, L(m) its
+simple module and T(m) its indecomposable tilting module of highest
+weight m, chi(m) = e^m + e^(m-2) + ... + e^(-m) the Weyl character, and
+u = [[1, 1], [0, 1]] in G, of order p.  Jordan types do not change under
+a field extension, so five steps give the type.
+
+1. For n <= p, u acts on L(n-1) = Sym^(n-1) F_p^2 as one block J_n,
+   whatever e is.  u fixes x and sends y to x + y, so
+   (u - 1)^(n-1) y^(n-1) = (n-1)! x^(n-1), which is not 0 as n - 1 < p.
+   The generator of Z/p^e acts on J_n as U_n, of order p, so the type of
+   Lambda^k J_n is that of u on Lambda^k L(n-1).
+2. After the fold below k <= n/2 < p, so k! is a unit and the
+   antisymmetrizer (1/k!) sum sgn(s) s is an idempotent of G-modules:
+   Lambda^k L(n-1) is a direct summand of the k-th tensor power of
+   L(n-1).  L(n-1) is a Weyl module and its dual for n - 1 <= p - 1, so
+   it is tilting, and so are tensor products of tilting modules and their
+   summands: Lambda^k L(n-1) is tilting.
+3. A tilting module is a sum of T(m)s and is determined by its character:
+   ch T(m) has the weight m once and none higher, so the multiplicities
+   are peeled from the highest weight down.  The weights of
+   Lambda^k L(n-1) are the sums of k distinct values among
+   n - 1, n - 3, ..., 1 - n.
+4. Donkin (On tilting modules for algebraic groups, Math. Z. 212, 1993)
+   gives the characters: ch T(m) = chi(m) for m <= p - 1,
+   chi(m) + chi(2p - 2 - m) for p - 1 < m <= 2p - 2, and by his tensor
+   product theorem ch T(p - 1 + r + ps) = ch T(p - 1 + r) ch T(s)^[1]
+   for 0 <= r <= p - 1 and s >= 1, where the Frobenius twist [1]
+   multiplies every weight by p (`_tilting_character`).
+5. T(m) = L(m) restricts to J_(m+1) for m <= p - 2, by step 1.  The
+   Steinberg module St = T(p - 1) restricts to J_p, the regular module of
+   F_p[u], which is free.  For 0 <= r <= p - 1, St (x) L(r) is tilting
+   with the weight p - 1 + r once and none higher, so T(p - 1 + r) is its
+   summand, and T(p - 1 + r + ps) = T(p - 1 + r) (x) T(s)^[1].  A free
+   module tensored with any module is free, and a summand of a free
+   module over the local ring F_p[u] is free, so T(m) for m >= p - 1
+   restricts to dim T(m)/p copies of J_p.
+
+Lambda^k J_q for q = p^g > p is a permutation module (`_orbit_block`).
+J_q is the permutation module of x -> x + 1 on X = Z/q: with P its
+matrix, it is the cyclic module F_p[P] = F_p[x]/(x^q - 1), and
+x^q - 1 = (x - 1)^q as q is a power of p, so it is one block J_q.  The wedges e_S of the k-subsets S of X
+are a basis of Lambda^k, and P e_S = +-e_(S+1).  The stabilizer of S is
+the subgroup H of Z/q of some order p^f.  H acts freely on X, so S is
+k/p^f orbits of length p^f, and a generator h of H permutes S in k/p^f
+cycles of length p^f, of sign (-1)^((p^f - 1) k/p^f): +1 for p odd, and
+-1 = 1 in F_2.  So h e_S = e_S with h = P^(q/p^f), and the vectors
+P^i e_S, 0 <= i < q/p^f, are a basis of a cyclic module on which
+P^(q/p^f) = 1: the block J_(q/p^f).  A k-subset is fixed by the subgroup
+of order p^f if and only if it is a union of its q/p^f orbits; there are
+F(f) = C(q/p^f, k/p^f) of them if p^f divides k, and 0 otherwise.  The
+subgroups of Z/q form a chain, so F(f) - F(f + 1) subsets have
+stabilizer of order exactly p^f, in orbits of q/p^f, and
+
+    Lambda^k J_q = sum_f J_(q/p^f)^((F(f) - F(f + 1)) p^f / q).
+
+At p = 2, Lambda^2 J_64 = J_64^31 + J_32.
+
+Blocks larger than p whose size is not a power of p stay dense, rank
+profiles of their induced matrices (`jordan_type` of `_induced_matrix`):
+Lambda^2 at p = 2, where the swap does not split A and h needs 1/2, and
+Lambda^k for k >= 3 at every p, where the substitution of the exterior
+square gives prod (1 + x_i/2) - prod (1 - x_i/2) = e_1 + e_3/4 + ...,
+not homogeneous, so no graded Smith form is known.  The dense route is
+also the test oracle of the other three.  These rank profiles are the
+only numpy in this module, so no other route imports it.
 
 Only the exterior powers Lambda^k V with k <= dim V / 2 are computed;
 `_wedge_type` folds a larger k to d - k itself: the wedge pairing
@@ -256,6 +319,69 @@ def _wedge2_block(p: int, n: int) -> tuple[int, ...]:
     return _graded_smith(M, [D - 2 * r for r in range(m)], [2 * c for c in range(m)], p, n * (n - 1) // 2)
 
 
+@lru_cache(maxsize=None)
+def _tilting_character(p: int, m: int) -> dict[int, int]:
+    """Weights of the SL_2 tilting module T(m) in characteristic p, with
+    their multiplicities, by Donkin's formulas (see the module docstring)."""
+    if m < 2 * p - 1:
+        weyl = (m,) if m < p else (m, 2 * p - 2 - m)
+        return Counter(w for j in weyl for w in range(-j, j + 1, 2))
+    s, r = divmod(m - p + 1, p)
+    twisted = _tilting_character(p, s)
+    out = Counter()
+    for a, x in _tilting_character(p, p - 1 + r).items():
+        for b, y in twisted.items():
+            out[a + p * b] += x * y
+    return out
+
+
+def _tilting_block(p: int, n: int, k: int) -> tuple[int, ...]:
+    """Jordan type of Lambda^k J_n for n <= p and k < p: Lambda^k L(n-1) as a
+    sum of SL_2 tilting modules T(m), each restricted to u (see the module
+    docstring)."""
+    ways = [Counter({0: 1})] + [Counter() for _ in range(k)]  # ways[j][w]: j-subsets of the weights seen, of sum w
+    for v in range(n - 1, -n, -2):
+        for j in range(k, 0, -1):
+            for w, c in ways[j - 1].items():
+                ways[j][w + v] += c
+    char = +ways[k]
+    blocks = []
+    while char:
+        m = max(char)
+        a = char[m]  # a negative multiplicity drops blocks, and the sum check refuses them
+        tilting = _tilting_character(p, m)
+        for w, x in tilting.items():
+            char[w] -= a * x
+            if not char[w]:
+                del char[w]
+        if m <= p - 2:
+            blocks += [m + 1] * a
+        else:
+            free, rest = divmod(a * sum(tilting.values()), p)
+            if rest:
+                raise RuntimeError(f"the free part {a} T({m}) at p = {p} has dimension not divisible by p")
+            blocks += [p] * free
+    if sum(blocks) != comb(n, k):
+        raise RuntimeError(f"Jordan blocks {blocks} do not sum to the dimension {comb(n, k)}")
+    return tuple(sorted(blocks, reverse=True))
+
+
+def _orbit_block(p: int, q: int, k: int) -> tuple[int, ...]:
+    """Jordan type of Lambda^k J_q for q a power of p and 1 <= k < q: one block
+    J_(q/p^f) per orbit of k-subsets of Z/q with stabilizer of order p^f
+    (see the module docstring)."""
+    blocks, f, fixed = [], 0, comb(q, k)
+    while fixed:  # fixed is F(f), 0 once p^f > k
+        step = p ** (f + 1)
+        below = comb(q // step, k // step) if k % step == 0 else 0
+        orbits, rest = divmod((fixed - below) * p**f, q)
+        if rest:
+            raise RuntimeError(f"{fixed - below} {k}-subsets of Z/{q} with stabilizer {p}^{f} are no whole orbits")
+        blocks += [q // p**f] * orbits
+        fixed, f = below, f + 1
+    return tuple(blocks)
+
+
 def _tensor_blocks(p: int, xs: tuple[int, ...], ys: tuple[int, ...]) -> tuple[int, ...]:
     """Block sizes of (+) J_m (x) (+) J_n, descending: one graded Smith form per pair of blocks."""
     pairs = (_tensor_pair(p, min(m, n), max(m, n)) for m in xs for n in ys)
@@ -306,8 +432,9 @@ def _wedge_type(p: int, blocks: tuple[int, ...], k: int) -> tuple[int, ...]:
     Empty for k > d, and k > d/2 is computed as d - k (see the module
     docstring).  Lambda^0 V = K and Lambda^1 V = V are read off directly;
     for 2 <= k <= d/2 the cap keeps d <= 91, which bounds the depth of the
-    split.  A single block takes a graded Smith form for k = 2 at p odd and
-    the induced matrix otherwise."""
+    split.  A single block takes a graded Smith form for k = 2 at p odd,
+    tilting characters if it is no larger than p, a count of orbits if its
+    size is a power of p, and the induced matrix otherwise."""
     d = sum(blocks)
     _check_induced_dim(comb(d, k))
     if k > d:
@@ -324,6 +451,10 @@ def _wedge_type(p: int, blocks: tuple[int, ...], k: int) -> tuple[int, ...]:
         return tuple(sorted(pieces, reverse=True))
     if k == 2 and p > 2:
         return _wedge2_block(p, d)
+    if d <= p:
+        return _tilting_block(p, d, k)
+    if pow(p, d, d) == 0:  # d divides p^d: a power of p
+        return _orbit_block(p, d, k)
     basis = list(itertools.combinations(range(d), k))
     return jordan_type(_induced_matrix(blocks, basis) % p, p)
 

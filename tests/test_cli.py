@@ -588,8 +588,9 @@ REQUESTS = [
     (["decompose", "--p", "5", "--blocks", "3", "--op", "tensor", "--with-blocks", "3"], 0, [], DECOMPOSE),
     (["decompose", "--p", "5", "--blocks", "4,2", "--op", "ext2"], 0, [], DECOMPOSE),
     (["decompose", "--p", "5", "--blocks", "4,2", "--op", "sym2"], 0, [], DECOMPOSE),
-    # exterior powers at p = 2, and of degree 3, are dense rank profiles: numpy
-    (["decompose", "--p", "2", "--e", "2", "--blocks", "4", "--op", "ext2"], 0, ["numpy"], DECOMPOSE),
+    # exterior powers of a block larger than p whose size is not a power of p are dense rank
+    # profiles: numpy, at p = 2 for the square and at every p for degree 3
+    (["decompose", "--p", "2", "--e", "3", "--blocks", "5", "--op", "ext2"], 0, ["numpy"], DECOMPOSE),
     (["decompose", "--p", "3", "--e", "2", "--blocks", "7", "--op", "wedge", "--k", "3"], 0, ["numpy"], DECOMPOSE),
     # refusals load what the handler imports before it refuses
     (["decompose", "--p", "5", "--e", "3", "--blocks", "4"], 4, [], DECOMPOSE),
@@ -597,6 +598,10 @@ REQUESTS = [
     (["padic", "--p", "5", "--binomial", "16777216"], 4, [], {"cli", "scalars", "growth"}),
     # the bounds of an invariants report, at d = dim mod p != 0, enumerate partitions
     (["invariants", "--p", "7", "--blocks", "3,2", "--bounds"], 0, ["mpmath"], INVARIANTS | {"partitions"}),
+    # exterior powers of blocks no larger than p are SL_2 tilting characters, and of a block whose
+    # size is a power of p an orbit count: no numpy
+    (["decompose", "--p", "7", "--blocks", "7,5", "--op", "wedge", "--k", "3"], 0, [], DECOMPOSE),
+    (["decompose", "--p", "2", "--e", "6", "--blocks", "64", "--op", "ext2"], 0, [], DECOMPOSE),
 ]
 
 

@@ -1,9 +1,10 @@
 """Jordan block decomposition tests.
 
 Tensor pairs and, for p odd, exterior squares of single blocks come from
-graded Smith forms; other exterior powers of single blocks from rank
-profiles over F_p, those of sums from their direct-sum splitting, and
-symmetric squares as V (x) V minus Lambda^2 V.  The independent oracles
+graded Smith forms; other exterior powers of single blocks from SL_2
+tilting characters (blocks no larger than p), a count of orbits (blocks
+of p-power size) or rank profiles over F_p, those of sums from their
+direct-sum splitting, and symmetric squares as V (x) V minus Lambda^2 V.  The independent oracles
 are the rank profile of the dense Kronecker product U_m (x) U_n and of the
 symmetric induced matrix Sym^2 U (both built here, nowhere in the
 library), the rank profile of the exterior induced matrix of a single
@@ -24,7 +25,9 @@ from semisimple.modrep import (
     JordanModule,
     _graded_smith,
     _induced_matrix,
+    _orbit_block,
     _tensor_pair,
+    _tilting_block,
     _wedge2_block,
     _wedge_type,
     ext2,
@@ -35,7 +38,7 @@ from semisimple.modrep import (
     sym2,
     to_verlinde,
 )
-from semisimple.scalars import CapExceeded, DomainError, rank_mod_p
+from semisimple.scalars import CapExceeded, DomainError, is_prime, rank_mod_p
 from semisimple.verlinde import FusionElement
 
 
@@ -503,6 +506,86 @@ def test_exterior_powers_of_many_blocks_at_degrees_0_and_1():
         assert exterior_power(v, 1).blocks == exterior_power(v, v.dim - 1).blocks == v.blocks
     with pytest.raises(CapExceeded):
         exterior_power(JordanModule(3, 1, (1,) * 4097), 1)
+
+
+def dense_wedge(p, n, k):
+    """Lambda^k J_n from the rank profile of its C(n, k)-dimensional induced matrix."""
+    return jordan_type(_induced_matrix((n,), list(itertools.combinations(range(n), k))) % p, p)
+
+
+def test_exterior_powers_of_blocks_no_larger_than_p_match_the_induced_matrix():
+    cases = [(p, n, k) for p in (3, 5, 7, 11, 13) for n in range(1, p + 1) for k in range(3, n // 2 + 1)
+             if comb(n, k) <= 500]
+    for p, n, k in cases:
+        oracle = dense_wedge(p, n, k)
+        assert _wedge_type(p, (n,), k) == _tilting_block(p, n, k) == oracle, (p, n, k)
+    assert len(cases) == 29
+
+
+def test_exterior_powers_of_blocks_no_larger_than_p_sum_to_the_dimension_within_j_p():
+    # every prime p <= 64, n <= p and 3 <= k <= n/2 within the cap; the route checks the sum itself
+    cases = 0
+    for p in filter(is_prime, range(2, 65)):
+        for n in range(6, p + 1):
+            for k in range(3, n // 2 + 1):
+                if comb(n, k) <= 4096:
+                    blocks = _tilting_block(p, n, k)
+                    assert sum(blocks) == comb(n, k) and max(blocks) <= p, (p, n, k)
+                    cases += 1
+    assert cases == 564
+    # past the block sizes the type is the characteristic-zero one: Lambda^3 J_6 = J_10 + J_6 + J_4
+    assert _tilting_block(4294967311, 6, 3) == (10, 6, 4)
+
+
+def test_tilting_peeling_refuses_a_wrong_character(monkeypatch):
+    # with each T(m) cut to the weights m and -m, a weight past p - 2 leaves a part of dimension 2,
+    # and below it the blocks no longer sum to C(n, k)
+    monkeypatch.setattr(modrep, "_tilting_character", lambda p, m: {m: 1, -m: 1})
+    with pytest.raises(RuntimeError, match="not divisible by p"):
+        _tilting_block(7, 6, 3)
+    with pytest.raises(RuntimeError, match="do not sum"):
+        _tilting_block(13, 6, 3)
+
+
+def test_exterior_powers_of_p_power_blocks_match_the_induced_matrix():
+    cases = [(p, q, k) for p, q in [(2, 4), (2, 8), (2, 16), (2, 32), (2, 64), (3, 9), (3, 27), (5, 25), (7, 49)]
+             for k in range(1, q // 2 + 1) if comb(q, k) <= 1300]
+    for p, q, k in cases:
+        oracle = dense_wedge(p, q, k)
+        assert _wedge_type(p, (q,), k) == _orbit_block(p, q, k) == oracle, (p, q, k)
+    assert _orbit_block(2, 64, 2) == (64,) * 31 + (32,)
+    assert _orbit_block(3, 27, 3) == (27,) * 108 + (9,)
+    # on a set whose size is not a power of p the k-subsets are no whole orbits of p-power size
+    with pytest.raises(RuntimeError, match="no whole orbits"):
+        _orbit_block(3, 6, 2)
+
+
+def test_exterior_powers_of_small_and_p_power_blocks_build_no_matrix(monkeypatch, capsys):
+    # oracles first, from the dense route on the whole module, then the routes without it
+    small = [(7, (7, 5)), (13, (8, 1)), (5, (4, 3, 1)), (2, (8, 2)), (3, (9, 2))]
+    expected = {(p, blocks): [whole_module_type(p, blocks, k) for k in range(sum(blocks) + 1)]
+                for p, blocks in small}  # C(12, 6) = 924 at most
+
+    def refuse(*args):
+        raise AssertionError("no induced matrix for blocks no larger than p or of p-power size")
+
+    monkeypatch.setattr(modrep, "_induced_matrix", refuse)
+    monkeypatch.setattr(modrep, "jordan_type", refuse)
+    _wedge_type.cache_clear()
+    for p, blocks in small:
+        assert [_wedge_type(p, blocks, k) for k in range(sum(blocks) + 1)] == expected[p, blocks], (p, blocks)
+    assert exterior_power(J(61, 30), 3).dim == comb(30, 3)
+    assert ext2(J(2, 64, e=6)).blocks == (64,) * 31 + (32,)
+    assert exterior_power(J(3, 27, e=3), 3).blocks == (27,) * 108 + (9,)
+    # a block larger than p of another size still takes the dense route
+    with pytest.raises(AssertionError, match="no induced matrix"):
+        exterior_power(J(3, 7, e=2), 3)
+    # the cap still refuses on the whole dimension, before any route is taken
+    for argv in [("--p", "61", "--blocks", "30,1", "--op", "wedge", "--k", "3"),
+                 ("--p", "2", "--e", "6", "--blocks", "64,28", "--op", "ext2")]:
+        assert main(["decompose", *argv]) == 4
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("cap exceeded: induced matrix of dimension ")
 
 
 # -- negligible filtering and the fusion image ---------------------------------------
