@@ -34,9 +34,35 @@ so lam drops out exactly when that interval holds a root, a c in (-d, d)
 with t + c = 0 over Q or mod p.  Read as a box: a root c <= 0 allows at
 most -c rows and a root c > 0 parts of at most c, so the survivors are the
 partitions of d in the box the least such bounds give, and the rank is
-`partitions.box_square_sum` over it.  For t in F_p with p <= d the group
-algebra is not semisimple, the content products do not give the rank, and
-the Gram matrix is eliminated mod p.
+`partitions.box_square_sum` over it.
+
+For t in F_p with p <= d the group algebra is not semisimple and the
+content products do not give the rank; the semisimplification of the
+representations of GL_n does, in five steps.  Let n in [0, p) be the
+residue of t and V = K^n over an algebraic closure K of F_p.
+
+1. sigma acts on V^(x)d by permuting the factors, with trace
+   n^cycles(sigma), so up to the order of its rows the Gram matrix t^E is
+   the trace form of K[S_d] acting on V^(x)d.
+2. Schur-Weyl duality holds over any infinite field (de Concini-Procesi
+   1976): K[S_d] maps onto End_GL_n(V^(x)d).  So the rank is that of the
+   trace form on End_GL_n(V^(x)d), whose radical is the negligible
+   morphisms.
+3. By semisimplification (Etingof-Ostrik, On semisimplification of tensor
+   categories) the quotient is the sum of Mat_{m_T}(K) over the
+   indecomposable summands T of V^(x)d with dim T != 0 in K, m_T the
+   multiplicity of T; these summands are tilting modules T(lam).  So the
+   rank is the sum of the m_T^2.
+4. For n < p the T(lam) with dim T(lam) != 0 are those with lam in the
+   fundamental alcove, lam_1 - lam_n <= p - n, and in the quotient V (x) -
+   adds one box to lam while staying in the alcove (Georgiev-Mathieu,
+   Fusion rings for modular representations of Chevalley groups, 1994;
+   Andersen 1992).  So m_lam counts the standard tableaux of shape lam
+   whose prefixes all stay in the alcove, and the rank is
+   `partitions.alcove_square_sum(d, n, p - n)`, 0 at n = 0.
+5. For d < p the alcove is the content box n x (p - n): a partition with
+   n rows and lam_1 > p - n has more than p - 1 boxes.  So the two routes
+   agree where both apply, and the box walk, the faster, serves d < p.
 """
 
 from __future__ import annotations
@@ -45,10 +71,10 @@ import itertools
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from operator import itemgetter
 from types import MappingProxyType
 
-from .partitions import box_square_sum
+from .partitions import alcove_square_sum, box_square_sum
 from .scalars import (
     DEGREE_CAP,
     HOMDIM_DEGREE_CAP,
@@ -58,7 +84,6 @@ from .scalars import (
     T,
     TPolynomial,
     exact_rank,
-    row_echelon_mod_p,
 )
 
 
@@ -424,36 +449,22 @@ def trace(f: DiagramMorphism) -> TPolynomial:
     return out
 
 
-#: Entries of the (rows, d!, d) permutation block `_gram_exponents` builds at
-#: once; bounds its index temporaries to a few MB at any degree.
-_EXPONENT_BLOCK = 2**20
-
-
-def _gram_exponents(d: int) -> np.ndarray:
-    """E[i, j] = cycles(sigma_i^-1 sigma_j) over the permutations of range(d).
+def _gram_exponents(d: int) -> list[list[int]]:
+    """E[i][j] = cycles(sigma_i^-1 sigma_j) over the permutations of range(d).
 
     The permutations are in hom_basis order, so on every hom space of
-    degree d the Gram entry of basis diagrams i and j is t^E[i, j].  A
-    cycle is counted at its smallest point: x starts a cycle when no later
-    point of its orbit under the composite is smaller.
+    degree d the Gram entry of basis diagrams i and j is t^E[i][j].  A
+    cycle is counted at its smallest point: x starts a cycle when no point
+    of its orbit x, sigma(x), .. sigma^(d-1)(x) is smaller.
     """
-    import numpy as np
-
-    n = factorial(d)
-    perms = np.array(list(itertools.permutations(range(d))), dtype=np.uint8).reshape(n, d)
-    inverses = np.argsort(perms, axis=1).astype(np.uint8)
-    points = np.arange(d, dtype=np.uint8)
-    out = np.empty((n, n), dtype=np.uint8)
-    step = max(1, _EXPONENT_BLOCK // max(n * d, 1))
-    for lo in range(0, n, step):
-        g = inverses[lo:lo + step][:, perms]  # g[i, j, x] = sigma_i^-1(sigma_j(x))
-        image = g
-        low = np.minimum(points, image)
-        for _ in range(d - 2):
-            image = np.take_along_axis(g, image, axis=-1)
-            np.minimum(low, image, out=low)
-        out[lo:lo + step] = (low == points).sum(axis=-1, dtype=np.uint8)
-    return out
+    if d < 2:  # itemgetter needs two points to return a tuple
+        return [[d]]
+    perms = list(itertools.permutations(range(d)))
+    cycles = {sigma: sum(x == min(itertools.accumulate(range(1, d), lambda y, _: sigma[y], initial=x))
+                         for x in range(d)) for sigma in perms}
+    after = [itemgetter(*sigma) for sigma in perms]  # after[j](h) = h o sigma_j
+    inverses = (sorted(range(d), key=sigma.__getitem__) for sigma in perms)
+    return [[cycles[g(inverse)] for g in after] for inverse in inverses]
 
 
 def gram_matrix(source: BiObject, target: BiObject, t_value="symbolic", cap: int = DEGREE_CAP):
@@ -470,7 +481,7 @@ def gram_matrix(source: BiObject, target: BiObject, t_value="symbolic", cap: int
     powers = [T**k for k in range(d + 1)]
     if t_value != "symbolic":
         powers = [x.evaluate(t_value) for x in powers]
-    return [[powers[e] for e in row] for row in _gram_exponents(d).tolist()]
+    return [[powers[e] for e in row] for row in _gram_exponents(d)]
 
 
 def negligible_rank(source: BiObject, target: BiObject, t_value, cap: int = DEGREE_CAP) -> tuple[int, int]:
@@ -481,8 +492,9 @@ def negligible_rank(source: BiObject, target: BiObject, t_value, cap: int = DEGR
     quotient dimension).  Where F_p[S_d] is semisimple (t rational, or t
     in F_p with p > d) it is the sum of f_lam^2 over the partitions lam of
     d with no box of content c where t + c = 0, the box those roots c
-    describe (see the module docstring); for t in F_p with p <= d the Gram
-    matrix is eliminated mod p.
+    describe.  For t in F_p with p <= d it is the sum of m_lam^2 over the
+    tableaux of the fundamental alcove of GL_n, n the residue of t (the
+    module docstring has both proofs).
     """
     if t_value == "symbolic" or not isinstance(t_value, (int, Fraction, FpScalar)):
         raise DomainError("negligible rank needs an exact (rational or F_p) parameter value")
@@ -490,11 +502,7 @@ def negligible_rank(source: BiObject, target: BiObject, t_value, cap: int = DEGR
     if d is None:
         return 0, 0
     if isinstance(t_value, FpScalar) and t_value.p <= d:
-        import numpy as np
-
-        p = t_value.p
-        powers = np.array([pow(t_value.value, k, p) for k in range(d + 1)], dtype=np.int64)
-        rank = len(row_echelon_mod_p(powers[_gram_exponents(d)], p))
+        rank = alcove_square_sum(d, t_value.value, t_value.p - t_value.value)
     else:
         roots = [c for c in range(1 - d, d) if t_value + c == 0]
         rows = min((-c for c in roots if c <= 0), default=d)

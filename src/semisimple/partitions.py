@@ -34,6 +34,15 @@ and the walk carries the content product prod_i perm(l_i + z, z) as
 well.  `box_square_sum`, the one sum of f_lam^2 over a box, reads the
 walk; the Brauer ranks, the Schur-Weyl hom dimension and the Plancherel
 bound all call it, and the improved growth bound walks the box itself.
+
+The second sum, `alcove_square_sum`, counts tableaux instead of
+partitions: m_lam is the number of standard tableaux of shape lam whose
+every prefix shape stays in the alcove lam_1 - lam_rows <= level (lam
+padded with zeros to `rows` parts), grown one box per step over a dict of
+shapes.  It is the Brauer rank at t in F_p with p <= d (see `brauer`).
+When n < rows + level every such alcove shape of size n lies in the
+rows x level box, every m_lam = f_lam, and the two sums agree; that is
+its oracle, with elimination of the Gram matrix.
 """
 
 from __future__ import annotations
@@ -147,3 +156,21 @@ def box_square_sum(n: int, rows: int, cols: int) -> int:
     if rows >= n and cols >= n:
         return factorial(n)
     return sum(f * f for _, f, _ in _walk(n, rows, cols, False))
+
+
+def alcove_square_sum(n: int, rows: int, level: int) -> int:
+    """Sum of m_lam^2 over the partitions lam of n, where m_lam counts the
+    standard tableaux of shape lam whose every prefix shape has at most
+    `rows` rows and, padded with zeros to `rows` parts, lam_1 - lam_rows
+    <= level."""
+    _check_box(n, rows, level)
+    counts = {(0,) * rows: 1}
+    for _ in range(n):
+        grown: dict[tuple[int, ...], int] = {}
+        for shape, m in counts.items():
+            for i in range(rows):
+                new = (*shape[:i], shape[i] + 1, *shape[i + 1:])
+                if (i == 0 or shape[i] < shape[i - 1]) and new[0] - new[-1] <= level:
+                    grown[new] = grown.get(new, 0) + m
+        counts = grown
+    return sum(m * m for m in counts.values())

@@ -304,8 +304,6 @@ class TPolynomial:
             acc = acc * x + c
         return acc
 
-    __call__ = evaluate
-
     def __eq__(self, other):
         if isinstance(other, int):
             other = TPolynomial((other,))

@@ -20,7 +20,11 @@ from .scalars import FUSION_ENTRY_CAP, CapExceeded, DomainError, FpScalar, check
 
 @dataclass(frozen=True)
 class FusionElement:
-    """A nonnegative integer combination of the simple labels L_1..L_{p-1}."""
+    """A nonnegative integer combination of the simple labels L_1..L_{p-1}.
+
+    `zero`, `unit` and `simple` refuse a p whose p - 1 multiplicities
+    exceed FUSION_ENTRY_CAP; `from_json` is bounded by its own input.
+    """
 
     p: int
     multiplicities: tuple[int, ...]
@@ -36,7 +40,7 @@ class FusionElement:
 
     @classmethod
     def zero(cls, p: int) -> "FusionElement":
-        return cls(p, (0,) * (p - 1))
+        return 0 * cls.unit(p)
 
     @classmethod
     def unit(cls, p: int) -> "FusionElement":
@@ -44,7 +48,7 @@ class FusionElement:
 
     @classmethod
     def simple(cls, p: int, k: int) -> "FusionElement":
-        check_prime(p)
+        _check_fusion_args(p, p - 1, FUSION_ENTRY_CAP)
         if not 1 <= k <= p - 1:
             raise DomainError(f"label {k} outside [1, {p - 1}]")
         m = [0] * (p - 1)

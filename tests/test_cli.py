@@ -582,8 +582,8 @@ REQUESTS = [
     # ranks where F_p[S_d] is semisimple are read off the partitions of d
     (["brauer", "rank", "--r", "1", "--s", "1", "--t", "7/2"], 0, [], BRAUER),
     (["brauer", "rank", "--r", "2", "--s", "2", "--t", "3", "--mod", "7"], 0, [], BRAUER),
-    # the probe sees an import: this request needs numpy
-    (["brauer", "rank", "--r", "1", "--s", "1", "--t", "1", "--mod", "2"], 0, ["numpy"], BRAUER),
+    # ranks at p <= d are read off the alcove tableaux of GL_n, n the residue of t
+    (["brauer", "rank", "--r", "1", "--s", "1", "--t", "1", "--mod", "2"], 0, [], BRAUER),
     # tensor pairs and, at p odd, exterior squares of one block are graded Smith forms over Python ints
     (["decompose", "--p", "5", "--blocks", "3", "--op", "tensor", "--with-blocks", "3"], 0, [], DECOMPOSE),
     (["decompose", "--p", "5", "--blocks", "4,2", "--op", "ext2"], 0, [], DECOMPOSE),
@@ -602,6 +602,9 @@ REQUESTS = [
     # size is a power of p an orbit count: no numpy
     (["decompose", "--p", "7", "--blocks", "7,5", "--op", "wedge", "--k", "3"], 0, [], DECOMPOSE),
     (["decompose", "--p", "2", "--e", "6", "--blocks", "64", "--op", "ext2"], 0, [], DECOMPOSE),
+    # a rank at p <= d, and Gram matrices, whose exponents are counted over Python lists: no numpy
+    (["brauer", "rank", "--r", "3", "--s", "3", "--t", "3", "--mod", "5"], 0, [], BRAUER),
+    (["brauer", "gram", "--r", "1", "--s", "1", "--t", "symbolic"], 0, [], BRAUER),
 ]
 
 
@@ -706,7 +709,10 @@ _MORPHISM = _mostly(st.builds(_morphism, _DIAGRAM, st.lists(_COEFF, min_size=1, 
 #: allocation, and so that each answers in well under a second (Lambda^4
 #: J_16 takes seconds).  `brauer homdim` draws each of r and s past 4
 #: about one time in eight, so degrees past its cap of 40 and just under
-#: it both occur.
+#: it both occur.  `brauer rank` costs no d! x d! matrix, so it draws r and
+#: s up to 5 and degree caps up to 10, and reaches ranks at p <= d past
+#: the default cap; `brauer gram` lists its d!^2 entries, so it keeps r
+#: and s at most 2.
 _ARGV = st.one_of(
     _command("fusion", flags=["--table"], required=dict(p=_PRIME), i=_int(1, 12, huge=True),
              j=_int(1, 12, huge=True), cap_fusion_entries=_int(0, 10**4), format=_FORMAT),
@@ -720,8 +726,9 @@ _ARGV = st.one_of(
         "padic", required=dict(p=st.just(p), binomial=st.just(p - 1)), length=_int(0, 10**4), format=_FORMAT)),
     _command("brauer", "homdim", required=dict(n=_int(1, 50, huge=True), r=_HOMDIM_SIDE, s=_HOMDIM_SIDE),
              u=_int(0, 4), v=_int(0, 4), format=_FORMAT),
-    *(_command("brauer", op, required=dict(r=_int(0, 2), s=_int(0, 2), t=_T), u=_int(0, 2), v=_int(0, 2),
-               mod=_PRIME, cap_brauer_degree=_int(0, 6), format=_FORMAT) for op in ("gram", "rank")),
+    *(_command("brauer", op, required=dict(r=_int(0, side), s=_int(0, side), t=_T), u=_int(0, 2), v=_int(0, 2),
+               mod=_PRIME, cap_brauer_degree=_int(0, cap), format=_FORMAT)
+      for op, side, cap in (("gram", 2, 6), ("rank", 5, 10))),
     _command("brauer", "compose", required=dict(f=_MORPHISM, g=_MORPHISM), format=_FORMAT),
     *(_command("bounds", kind, required=dict(p=_PRIME, d=_int(1, 12, huge=True)), cap_bounds_p=_int(2, 31),
                format=_FORMAT) for kind in ("plancherel", "improved")),

@@ -7,7 +7,9 @@ content formulas for the Frobenius-formula kernel and the box square sum.
 The box walk is compared with the one-partition-at-a-time route,
 `box_partitions` with `dimensions`, and the growth bounds with the
 two-pass route over the hook formulas and with the lexicographic route
-over `dimensions` that they replaced.
+over `dimensions` that they replaced.  The alcove square sum is checked
+against the box square sum where the alcove is a box, against closed
+walks on a path at two rows, and against level-rank duality.
 """
 
 import math
@@ -18,7 +20,7 @@ import pytest
 
 from semisimple import partitions
 from semisimple.growth import improved_bound, plancherel_square_sum
-from semisimple.partitions import box_partitions, box_square_sum, box_walk, dimensions
+from semisimple.partitions import alcove_square_sum, box_partitions, box_square_sum, box_walk, dimensions
 from semisimple.scalars import DomainError
 
 
@@ -290,3 +292,41 @@ def test_improved_bound_matches_the_lexicographic_route():
             assert (imp.max_schur_dim, imp.max_partition, imp.row_sum, imp.box_sum) == lexicographic_improved(p, d)
     assert [improved_bound(p, d).max_partition for p, d in ((5, 3), (7, 5), (13, 8))] == [
         (3, 1), (4, 2), (6, 3, 2, 1)]
+
+
+def path_closed_walks(vertices, length):
+    """Closed walks of the given length from an end of the path on `vertices` vertices."""
+    counts = [1] + [0] * (vertices - 1)
+    for _ in range(length):
+        padded = [0, *counts, 0]
+        counts = [padded[v] + padded[v + 2] for v in range(vertices)]
+    return counts[0]
+
+
+def test_alcove_square_sum_is_the_box_square_sum_below_rows_plus_level():
+    # below p = rows + level no shape with `rows` rows reaches past the box,
+    # so every tableau stays in the alcove; every n, empty alcoves included
+    for p in (13, 17):
+        for n in range(p + 1):
+            for d in range(p):
+                assert alcove_square_sum(d, n, p - n) == box_square_sum(d, n, p - n)
+
+
+def test_alcove_square_sum_of_two_rows_counts_closed_walks_on_a_path():
+    # at two rows a shape is its size and lam_1 - lam_2 in [0, p - 2], which
+    # each box moves by one: sum m_lam^2 counts the closed walks of length 2d
+    for p in (5, 7, 11, 13):
+        for d in range(20):
+            assert alcove_square_sum(d, 2, p - 2) == path_closed_walks(p - 1, 2 * d)
+
+
+def test_alcove_square_sum_is_level_rank_symmetric():
+    # GL_n at level p - n against GL_(p-n) at level n, past p too
+    for p in (2, 3, 5, 7, 11, 13):
+        for n in range(p + 1):
+            for d in range(14):
+                assert alcove_square_sum(d, n, p - n) == alcove_square_sum(d, p - n, n)
+    assert alcove_square_sum(0, 0, 0) == 1 and alcove_square_sum(4, 0, 5) == alcove_square_sum(4, 5, 0) == 0
+    for args in ((-1, 2, 2), (3, -1, 2), (3, 2, -1)):
+        with pytest.raises(DomainError):
+            alcove_square_sum(*args)

@@ -17,7 +17,7 @@ from mpmath import mp
 
 from semisimple import verlinde
 from semisimple.modrep import JordanModule, jordan_tensor, to_verlinde
-from semisimple.scalars import WORKING_DPS, DomainError, FpScalar, q_int
+from semisimple.scalars import FUSION_ENTRY_CAP, WORKING_DPS, CapExceeded, DomainError, FpScalar, q_int
 from semisimple.verlinde import (
     FusionElement,
     cat_dim,
@@ -253,6 +253,16 @@ def test_fusion_keeps_no_table_at_module_level():
     # every product is read off the Clebsch-Gordan range, so no cache grows with p^2
     list(fusion_table(13))
     assert [name for name, value in vars(verlinde).items() if hasattr(value, "cache_info")] == []
+
+
+def test_fusion_element_constructors_refuse_a_huge_prime_at_once():
+    # p - 1 = 2^31 - 2 multiplicities would be a tuple of about 16 GB
+    p = 2**31 - 1
+    for make in (FusionElement.zero, FusionElement.unit, lambda q: FusionElement.simple(q, 2)):
+        with pytest.raises(CapExceeded, match="exceeds the cap"):
+            make(p)
+    # below the cap they answer as before
+    assert 17 - 1 <= FUSION_ENTRY_CAP and FusionElement.zero(17).is_zero and FusionElement.unit(17).length == 1
 
 
 def test_plus_subring_predicate():
