@@ -518,7 +518,9 @@ def schur_weyl_homdim(n: int, source: BiObject, target: BiObject) -> int:
     symmetric-group irreducible dimensions over partitions of d with at
     most n rows, d! when n >= d.  That is the box negligible_rank sums
     over at t = n, so the independent check of both is eliminating the
-    Gram matrix.  Degrees
+    Gram matrix.  Its other side is d! less the sum over the partitions of
+    more than n rows, whichever holds fewer partitions: at n = 20 and
+    degree 40, 2,087 partitions against 35,251.  Degrees
     above HOMDIM_DEGREE_CAP are refused before any partition is enumerated.
     """
     if n < 1:

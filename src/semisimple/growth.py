@@ -389,7 +389,9 @@ def _check_bounds_args(p: int, d: int, cap: int):
 def plancherel_square_sum(p: int, d: int, cap: int = BOUNDS_PRIME_CAP) -> int:
     """Sum of squared irreducible dimensions over partitions of p-1 inside
     the d x (p-d) box: the box-confinement mass of the Plancherel measure,
-    scaled by (p-1)!."""
+    scaled by (p-1)!.  Here p - 1 = d + (p - d) - 1, so the sum is also
+    (p-1)! less the two tails past the box, lam_1 > p - d and l(lam) > d;
+    `box_square_sum` walks whichever side holds fewer partitions."""
     from .partitions import box_square_sum
 
     _check_bounds_args(p, d, cap)

@@ -31,9 +31,32 @@ lam has hook lengths l_i + z and z-1 .. 0, so
     dim S^lam(K^rows) = Delta prod_i perm(l_i + z, z) / prod_{j=z}^{rows-1} j!,
 
 and the walk carries the content product prod_i perm(l_i + z, z) as
-well.  `box_square_sum`, the one sum of f_lam^2 over a box, reads the
-walk; the Brauer ranks, the Schur-Weyl hom dimension and the Plancherel
-bound all call it, and the improved growth bound walks the box itself.
+well.
+
+`box_square_sum` is the one sum of f_lam^2 over a box: the Brauer ranks,
+the Schur-Weyl hom dimension and the Plancherel bound all call it, and
+the improved growth bound, which needs the largest Schur dimension over
+the whole box, walks the box itself.  It takes one of two routes.
+
+- The walk.  f_lam = f_lam', so the rows x cols box and the cols x rows
+  box have the same sum, and the walk takes the smaller side as its row
+  bound: fewer rows, fewer nodes.
+- The tails.  When n <= rows + cols, no partition of n has both lam_1 >
+  cols and more than rows rows, because lam_1 + l(lam) - 1 <= n.  By RSK
+  (Schensted 1961) these are the permutations of n with an increasing
+  subsequence longer than cols and those with a decreasing one longer
+  than rows, two disjoint sets, so the box sum is n! - T(cols) - T(rows),
+  where T(k) sums f_lam^2 over lam_1 > k (and, by conjugation, over
+  l(lam) > k).  The walk reads T(k) with one more bound: the top row is
+  at least k + 1, so a part with left - 1 rows above it, the top among
+  them, is at most (remaining - k - 1) // (left - 1).
+
+The route with fewer partitions runs.  The box holds as many partitions
+as its conjugate: those with parts at most rows, less those with more
+than cols rows (the sum of p(m) over m < n - cols); the tails hold the
+rest of p(n).  The count adds one
+part size at a time and stops once the tails are shown to be no smaller,
+so a thin box, whose walk is cheap, costs a few passes over n + 1 numbers.
 
 The second sum, `alcove_square_sum`, counts tableaux instead of
 partitions: m_lam is the number of standard tableaux of shape lam whose
@@ -111,10 +134,12 @@ def box_walk(n: int, rows: int, cols: int, schur: bool = False):
     return _walk(n, rows, cols, schur) if n else iter([((), 1, 1 if schur else None)])
 
 
-def _walk(n: int, rows: int, cols: int, schur: bool):
+def _walk(n: int, rows: int, cols: int, schur: bool, least_top: int = 1):
+    """box_walk for n >= 1, restricted to the partitions whose first part
+    is at least `least_top`."""
     if n > rows * cols:  # no partition fits, and so cols >= 1 below
         return
-    if n <= cols:  # one row: f = 1, and S^(n) is Sym^n
+    if least_top <= n <= cols:  # one row: f = 1, and S^(n) is Sym^n
         yield (n,), 1, comb(n + rows - 1, n) if schur else None
     n_fact = factorial(n)
     for ell in range(max(2, -(-n // cols)), min(rows, n) + 1):  # ell rows hold at most ell * cols
@@ -128,7 +153,11 @@ def _walk(n: int, rows: int, cols: int, schur: bool):
             remaining, low, parts, firsts, vand, hooks, contents = stack.pop()
             b = len(firsts)
             left = ell - b  # at least 2 rows to place, and every branch completes
-            for a in range(max(low, remaining - (left - 1) * cols), min(cols, remaining // left) + 1):
+            # the rows above a are at least a and the top at least least_top (so
+            # no ell holds a partition past n - least_top + 1 rows); remaining <=
+            # left * cols at every node, so a <= cols follows
+            high = min(remaining // left, (remaining - least_top) // (left - 1))
+            for a in range(max(low, remaining - (left - 1) * cols), high + 1):
                 x = a + b
                 v = vand * prod(map(x.__sub__, firsts))
                 hs = hooks * factorial(x)
@@ -151,11 +180,44 @@ def _walk(n: int, rows: int, cols: int, schur: bool):
 
 def box_square_sum(n: int, rows: int, cols: int) -> int:
     """Sum of f_lam^2 over the partitions lam of n in the rows x cols box;
-    n! when the box holds every partition of n."""
+    n! when the box holds every partition of n.  Walks the box or, when
+    n <= rows + cols, the two tails outside it, whichever holds fewer
+    partitions."""
     _check_box(n, rows, cols)
-    if rows >= n and cols >= n:
+    rows, cols = sorted((rows, cols))  # f_lam = f_lam', and fewer rows walk faster
+    if rows >= n:
         return factorial(n)
+    if n <= rows + cols:
+        inside, outside = _side_counts(n, rows, cols)
+        if outside < inside:
+            return _tail_square_sum(n, rows, cols)
     return sum(f * f for _, f, _ in _walk(n, rows, cols, False))
+
+
+def _tail_square_sum(n: int, rows: int, cols: int) -> int:
+    """n! less the sums of f_lam^2 over lam_1 > rows and over lam_1 > cols:
+    the rows x cols box sum when n <= rows + cols."""
+    return factorial(n) - sum(f * f for k in (rows, cols) for _, f, _ in _walk(n, n, n, False, k + 1))
+
+
+def _side_counts(n: int, rows: int, cols: int) -> tuple[int, int]:
+    """(inside, min(outside, inside)): the numbers of partitions of n in the
+    rows x cols box and outside it, for rows <= cols and rows < n <= rows +
+    cols.  After part j, counts[m] is the number of partitions of m into
+    parts at most j; the count stops at the first j that shows the outside
+    no smaller, so a thin box costs a few passes."""
+    counts, inside = [1] + [0] * n, 0
+    for j in range(1, n + 1):
+        for m in range(j, n + 1):
+            counts[m] += counts[m - j]
+        if j == rows:
+            # the conjugate box: parts at most rows, less the partitions made of a
+            # first column of length c > cols and any partition of the n - c < rows
+            # boxes right of it
+            inside = counts[n] - sum(counts[: max(n - cols, 0)])
+        if j >= rows and counts[n] >= 2 * inside:
+            break
+    return inside, min(counts[n] - inside, inside)
 
 
 def alcove_square_sum(n: int, rows: int, level: int) -> int:

@@ -391,7 +391,9 @@ def q_int(p: int, k: int, power: int = 1):
 
     power=1 gives the ordinary q-integer, power=2 the q^2 variant.  Computed
     at WORKING_DPS digits; deterministic across runs.  [1] = 1 exactly, also
-    at p = 2, where the q^2 quotient is 0/0.
+    at p = 2, where the q^2 quotient is 0/0.  At power 1, [k] = [p-k] and the
+    sine of the smaller label is the one computed, so the two are equal
+    exactly, as `verlinde.fp_dim` computes them.
     """
     from .reals import ctx
 
@@ -400,6 +402,8 @@ def q_int(p: int, k: int, power: int = 1):
         raise DomainError(f"label k={k} outside [1, {p - 1}]")
     if power not in (1, 2):
         raise DomainError("power must be 1 or 2")
+    if power == 1:
+        k = min(k, p - k)
     if k == 1:
         return ctx.mpf(1)
     return ctx.sinpi(ctx.mpf(k * power) / p) / ctx.sinpi(ctx.mpf(power) / p)

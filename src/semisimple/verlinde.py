@@ -148,14 +148,20 @@ def cat_dim(x: FusionElement) -> FpScalar:
 def fp_dim(x: FusionElement):
     """Frobenius-Perron dimension: sum of m_k [k]_q at high precision.
 
-    [k]_q = sin(pi k/p) / sin(pi/p) shares its denominator across labels, so
-    the sum is taken over the sines and divided once.  Each term is computed
-    as `q_int` computes its numerator, so a simple label L_k gets exactly
-    `q_int(p, k)`."""
+    [k]_q = sin(pi k/p) / sin(pi/p) shares its denominator across labels, and
+    [k]_q = [p-k]_q, so labels k and p - k share one sine (at p = 2 the one
+    label is its own partner): the sum is taken over the sines of k <= p/2
+    and divided once.  Each sine is computed as `q_int` computes its
+    numerator, so a simple label L_k gets exactly `q_int(p, k)`."""
     from .reals import ctx
 
-    sines = sum((m * ctx.sinpi(ctx.mpf(k) / x.p) for k, m in enumerate(x.multiplicities, start=1) if m), ctx.mpf(0))
-    return sines / ctx.sinpi(ctx.mpf(1) / x.p)
+    p, m = x.p, x.multiplicities
+    sines = ctx.mpf(0)
+    for k in range(1, p // 2 + 1):
+        weight = m[k - 1] + m[p - k - 1] if 2 * k < p else m[k - 1]
+        if weight:
+            sines += weight * ctx.sinpi(ctx.mpf(k) / p)
+    return sines / ctx.sinpi(ctx.mpf(1) / p)
 
 
 def is_invertible(x: FusionElement) -> bool:

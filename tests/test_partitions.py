@@ -5,7 +5,10 @@ semistandard-tableau counter for Schur module dimensions (weight
 enumeration, no hook lengths involved), and the hook length and hook
 content formulas for the Frobenius-formula kernel and the box square sum.
 The box walk is compared with the one-partition-at-a-time route,
-`box_partitions` with `dimensions`, and the growth bounds with the
+`box_partitions` with `dimensions`; the two routes of the box square sum,
+the walk of the box and n! less its two tails, are each checked against
+the hook formula, and the counts that choose between them against the
+enumeration.  The growth bounds are compared with the
 two-pass route over the hook formulas and with the lexicographic route
 over `dimensions` that they replaced.  The alcove square sum is checked
 against the box square sum where the alcove is a box, against closed
@@ -275,6 +278,57 @@ def test_walk_refuses_a_non_integral_quotient(monkeypatch):
     monkeypatch.setattr(partitions, "perm", lambda m, k: 5 if (m, k) == (4, 1) else math.perm(m, k))  # 4 read as 5
     with pytest.raises(RuntimeError, match="Frobenius"):
         list(box_walk(4, 3, 2, schur=True))
+
+
+def test_tail_and_walk_routes_match_the_hook_formula():
+    # each route called directly, for every n <= 16 and rows, cols in [0, n + 1]
+    # with n <= rows + cols, where box_square_sum chooses between them
+    for n in range(1, 17):
+        hooks = {lam: hook_dim(lam) ** 2 for lam in box_partitions(n, n, n)}
+        for rows in range(n + 2):
+            for cols in range(n + 2):
+                assert box_square_sum(n, rows, cols) == box_square_sum(n, cols, rows)
+                if n > rows + cols:
+                    continue
+                want = sum(h for lam, h in hooks.items() if len(lam) <= rows and lam[0] <= cols)
+                assert partitions._tail_square_sum(n, rows, cols) == want
+                assert sum(f * f for _, f, _ in partitions._walk(n, rows, cols, False)) == want
+
+
+def test_side_counts_match_the_enumeration():
+    # (inside, min(outside, inside)) for rows <= cols and rows < n <= rows + cols
+    for n in range(1, 21):
+        total = len(list(box_partitions(n, n, n)))
+        for rows in range(n):
+            for cols in range(max(rows, n - rows), n + 2):
+                inside = len(list(box_partitions(n, rows, cols)))
+                assert partitions._side_counts(n, rows, cols) == (inside, min(total - inside, inside))
+
+
+def test_tail_walk_refuses_a_non_integral_quotient(monkeypatch):
+    # (2, 2) has l = (3, 2) and lies in the tail lam_1 > 1 of the 1 x 3 box, whose
+    # tails sum to 23 and 1
+    assert partitions._tail_square_sum(4, 1, 3) == 24 - 23 - 1 == 0
+    monkeypatch.setattr(partitions, "factorial", lambda m: 7 if m == 3 else math.factorial(m))  # 3! read as 7
+    with pytest.raises(RuntimeError, match="Frobenius"):
+        partitions._tail_square_sum(4, 1, 3)
+
+
+def test_box_square_sum_walks_the_smaller_side(monkeypatch):
+    # partitions visited, counted without a clock: the balanced Plancherel box at
+    # p = 47 holds 97,544 and its tails 8,014; the thinnest non-trivial one holds 23
+    walk, visited = partitions._walk, []
+
+    def counted(*args):
+        for item in walk(*args):
+            visited.append(item)
+            yield item
+
+    monkeypatch.setattr(partitions, "_walk", counted)
+    for box, most in (((46, 23, 24), 10**4), ((46, 24, 23), 10**4), ((46, 2, 45), 100), ((46, 45, 2), 100)):
+        visited.clear()
+        box_square_sum(*box)
+        assert len(visited) <= most, box
 
 
 def test_box_square_sum_of_a_full_box_is_n_factorial():

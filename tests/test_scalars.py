@@ -220,11 +220,10 @@ def test_q_int_of_label_one_is_exactly_one_at_p_2():
 
 
 def test_q_int_palindrome_symmetry():
-    with mp.workdps(WORKING_DPS):
-        eps = mp.mpf("1e-40")
-        for p in PRIMES_TO_50:
-            for k in range(1, p):
-                assert abs(q_int(p, k, 1) - q_int(p, p - k, 1)) < eps
+    # [k] = [p - k] exactly: both read the sine of the smaller label
+    for p in PRIMES_TO_50:
+        for k in range(1, p):
+            assert q_int(p, k, 1) == q_int(p, p - k, 1)
 
 
 def test_q_int_rejects_bad_labels():
