@@ -133,6 +133,8 @@ class WalledDiagram:
         object.__setattr__(self, "pairs", pairs)
         k = self.source.total + self.target.total
         seen = [x for pair in pairs for x in pair]
+        if not all(isinstance(x, int) for x in seen):  # 0.0 == 0 would pass the matching check
+            raise DomainError("diagram endpoints must be integers")
         if sorted(seen) != list(range(k)):
             raise DomainError("pairs do not form a perfect matching of the endpoints")
         starts = _class_starts(self.source, self.target)

@@ -414,78 +414,43 @@ def q_int(p: int, k: int, power: int = 1):
 # ---------------------------------------------------------------------------
 
 
-def residue_dtype(p: int):
-    """Array dtype for exact elimination mod p: int64 while a product of two
-    residues, at most (p-1)^2, fits; for larger p Python ints (object), which
-    never wrap."""
-    import numpy as np
-
-    return np.int64 if (p - 1) ** 2 < 2**63 else object
-
-
 def row_echelon_mod_p(matrix, p: int) -> np.ndarray:
     """Row echelon basis of the row space over F_p (nonzero rows only).
 
-    Eliminates in residue_dtype(p), so no product of residues wraps.
+    Every entry is reduced mod p first, in its own integer dtype or as a
+    Python int, and only the residues are narrowed to the narrowest dtype in
+    which no product of two of them, at most (p-1)^2, wraps: int16 up to
+    p = 181, int64 while (p-1)^2 < 2^63, Python ints (object) above that.
     """
     import numpy as np
 
-    A = np.array(matrix, dtype=residue_dtype(p), order="C")  # mod 2 views rows as uint64 words
+    A = np.asarray(matrix)
     if A.ndim != 2:
         raise DomainError("expected a 2-d matrix")
-    A %= p
-    if p == 2:
-        return _row_echelon_mod_2(A)
+    if A.dtype.kind in "iu" and p <= np.iinfo(A.dtype).max:
+        A = A % p
+    else:  # Python ints and any other entries, or p past the array's integer range
+        A = A.astype(object) % p
+    dtype = np.int16 if (p - 1) ** 2 < 2**15 else np.int64 if (p - 1) ** 2 < 2**63 else object
+    A = A.astype(dtype, order="C", copy=False)
     rows, cols = A.shape
     r = 0
     for c in range(cols):
         if r == rows:
             break
-        nz = np.nonzero(A[r:, c])[0]
+        nz = np.flatnonzero(A[r:, c])
         if nz.size == 0:
             continue
         piv = r + int(nz[0])
-        if piv != r:
+        if piv != r:  # the row swapped down is zero in column c
             A[[r, piv]] = A[[piv, r]]
         inv = pow(int(A[r, c]), -1, p)
         A[r, c:] = (A[r, c:] * inv) % p
-        below = np.nonzero(A[r + 1:, c])[0]
-        if below.size:
-            idx = r + 1 + below
+        if nz.size > 1:
+            idx = r + nz[1:]
             A[idx, c:] = (A[idx, c:] - np.outer(A[idx, c], A[r, c:])) % p
         r += 1
     return A[:r]
-
-
-def _row_echelon_mod_2(A: np.ndarray) -> np.ndarray:
-    """Bit-packed XOR elimination; one uint64 word holds 64 matrix columns."""
-    import numpy as np
-
-    rows, cols = A.shape
-    if rows == 0 or cols == 0:
-        return A[:0]
-    packed = np.packbits(A.astype(np.uint8), axis=1, bitorder="little")
-    words = -(-packed.shape[1] // 8)
-    packed = np.pad(packed, ((0, 0), (0, words * 8 - packed.shape[1])))
-    W = packed.view(np.uint64).reshape(rows, words)
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        w, bit = divmod(c, 64)
-        mask = np.uint64(1 << bit)
-        hits = np.nonzero(W[r:, w] & mask)[0]
-        if hits.size == 0:
-            continue
-        piv = r + int(hits[0])
-        if piv != r:
-            W[[r, piv]] = W[[piv, r]]
-        if hits.size > 1:
-            idx = r + hits[1:]
-            W[idx, w:] ^= W[r, w:]
-        r += 1
-    out = np.unpackbits(W[:r].view(np.uint8), axis=1, bitorder="little", count=cols)
-    return out.astype(np.int64)
 
 
 def rank_mod_p(matrix, p: int) -> int:

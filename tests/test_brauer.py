@@ -85,6 +85,10 @@ def test_diagram_wall_constraints():
     # not a perfect matching
     with pytest.raises(DomainError):
         WalledDiagram(B11, B11, ((0, 1), (2, 2)))
+    # float endpoints: 0.0 == 0 passes the matching check, but cannot index a list
+    for pairs in (((0, 1.0),), ((0.0, 1),)):
+        with pytest.raises(DomainError, match="integers"):
+            WalledDiagram(BiObject(1, 0), BiObject(1, 0), pairs)
 
 
 def perfect_matchings(points):

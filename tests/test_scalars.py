@@ -26,6 +26,7 @@ from semisimple.scalars import (
     is_prime,
     q_int,
     rank_mod_p,
+    row_echelon_mod_p,
 )
 
 PRIMES_TO_50 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
@@ -288,15 +289,28 @@ def test_exact_rank_mod_p_vs_minor_oracle():
         assert exact_rank(m) == best
 
 
-def test_rank_mod_p_exact_above_the_int64_product_bound():
-    # (p - 1)^2 >= 2^63, so int64 products of two residues would wrap
-    p = 2**32 + 15
+@pytest.mark.parametrize("p", [181, 191, 2**32 + 15])
+def test_rank_mod_p_exact_above_the_int64_product_bound(p):
+    # both sides of the int16 bound (p - 1)^2 < 2^15, and p = 2^32 + 15, where
+    # (p - 1)^2 >= 2^63 and int64 products of two residues would wrap
     rng = random.Random(19)
     for _ in range(20):
         left = [[rng.randrange(p) for _ in range(5)] for _ in range(6)]
         right = [[rng.randrange(p) for _ in range(6)] for _ in range(5)]
         m = [[sum(a * b for a, b in zip(row, col)) % p for col in zip(*right)] for row in left]
         assert rank_mod_p(m, p) == 5
+
+
+def test_rank_mod_p_reduces_entries_before_narrowing_them():
+    # a Python int past int64, and int64 entries past int16, are residues once reduced
+    import numpy as np
+
+    assert rank_mod_p([[2**70, 1], [1, 1]], 5) == 2  # 2^70 = 4 mod 5
+    assert rank_mod_p([[2**70 + 2, 1], [1, 1]], 5) == 1
+    big = np.array([[40000, 3], [70004, 100001]], dtype=np.int64)  # [[2, 3], [4, 6]] mod 7
+    assert rank_mod_p(big, 7) == 1
+    assert rank_mod_p(big, 13) == 2
+    assert row_echelon_mod_p(big, 7).tolist() == [[1, 5]]
 
 
 def test_exact_det_matches_cofactor_oracle():
@@ -313,10 +327,8 @@ def test_exact_det_polynomial():
 
 
 def test_mod2_echelon_matches_generic_elimination():
-    # the bit-packed characteristic-2 fast path against a plain elimination
+    # the one elimination at p = 2 against a plain XOR elimination
     import numpy as np
-
-    from semisimple.scalars import rank_mod_p, row_echelon_mod_p
 
     def plain_rank(m):
         a = m.copy() % 2
@@ -351,7 +363,7 @@ def test_mod2_echelon_matches_generic_elimination():
 
 
 def test_mod2_echelon_of_transposed_and_fortran_ordered_input():
-    # the packed words view each row's bytes as uint64, whatever the input's layout
+    # the rank at p = 2 does not depend on the input's memory layout
     import numpy as np
 
     m = np.random.default_rng(5).integers(0, 2, size=(20, 200)).astype(np.int64)

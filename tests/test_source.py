@@ -15,3 +15,26 @@ def test_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
              if isinstance(node, ast.Assert)]
     assert SOURCES and found == []
+
+
+def _numpy_imports(node: ast.AST, owner: str) -> list[str]:
+    """Dotted names of the defs whose bodies import numpy; the module name for a top-level import."""
+    found = []
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.Import, ast.ImportFrom)):
+            names = [alias.name for alias in child.names] if isinstance(child, ast.Import) else [child.module or ""]
+            if any(name.partition(".")[0] == "numpy" for name in names):
+                found.append(owner)
+        elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found += _numpy_imports(child, f"{owner}.{child.name}")
+        else:
+            found += _numpy_imports(child, owner)
+    return found
+
+
+def test_numpy_is_imported_only_by_the_dense_route():
+    # numpy costs about 100 ms at start-up; only the dense F_p rank profiles load it
+    found = {name
+             for path in SOURCES
+             for name in _numpy_imports(ast.parse(path.read_text(), filename=str(path)), path.stem)}
+    assert found == {"scalars.row_echelon_mod_p", "modrep.jordan_type", "modrep._induced_matrix"}
