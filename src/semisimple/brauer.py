@@ -78,6 +78,7 @@ from .partitions import alcove_square_sum, box_square_sum
 from .scalars import (
     DEGREE_CAP,
     HOMDIM_DEGREE_CAP,
+    PRODUCT_WORK_CAP,
     CapExceeded,
     DomainError,
     FpScalar,
@@ -400,10 +401,26 @@ def identity(obj: BiObject) -> DiagramMorphism:
     return DiagramMorphism.from_diagram(identity_diagram(obj))
 
 
+def _check_product_work(f: DiagramMorphism, g: DiagramMorphism, nodes: int) -> None:
+    """Refuse a product of f and g whose diagrams have `nodes` endpoints
+    when its estimated work passes PRODUCT_WORK_CAP."""
+
+    def sizes(m: DiagramMorphism) -> tuple[int, int, int]:  # terms, dense and nonzero coefficient entries
+        cs = [c.coeffs for c in m.terms.values()]
+        return len(cs), sum(map(len, cs)), sum(len(c) - c.count(0) for c in cs)
+
+    (nf, df, zf), (ng, dg, zg) = sizes(f), sizes(g)
+    work = nf * ng * (128 + 16 * nodes) + 4 * (ng * df + nf * dg) + zf * zg
+    if work > PRODUCT_WORK_CAP:
+        raise CapExceeded(f"a product of {nf} by {ng} terms needs about {work} coefficient operations, "
+                          f"past the cap {PRODUCT_WORK_CAP}")
+
+
 def compose(f: DiagramMorphism, g: DiagramMorphism) -> DiagramMorphism:
     """f o g, stacking diagram by diagram; every closed loop becomes a factor t."""
     if g.target != f.source:
         raise DomainError(f"cannot compose: {g.target} feeds into {f.source}")
+    _check_product_work(f, g, g.source.total + g.target.total + f.target.total)
     acc: dict[WalledDiagram, TPolynomial] = {}
     for dg, cg in g.terms.items():
         for df, cf in f.terms.items():
@@ -415,6 +432,7 @@ def compose(f: DiagramMorphism, g: DiagramMorphism) -> DiagramMorphism:
 
 def tensor(f: DiagramMorphism, g: DiagramMorphism) -> DiagramMorphism:
     """Side-by-side tensor product; coefficients multiply, no loops arise."""
+    _check_product_work(f, g, f.source.total + f.target.total + g.source.total + g.target.total)
     acc: dict[WalledDiagram, TPolynomial] = {}
     for d1, c1 in f.terms.items():
         for d2, c2 in g.terms.items():

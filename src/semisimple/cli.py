@@ -104,8 +104,14 @@ def _emit(doc, rows, fmt: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers: each returns (json_document, csv_rows)
+# Subcommand handlers: each returns (json_document, csv_rows), and a
+# one-row document's rows are `_csv(doc, *keys)`, read off the document
 # ---------------------------------------------------------------------------
+
+
+def _csv(doc: dict, *keys: str) -> list[list]:
+    """The header `keys` and one row of doc[k]; a list is written as its items joined by spaces."""
+    return [list(keys), [" ".join(map(str, doc[k])) if isinstance(doc[k], list) else doc[k] for k in keys]]
 
 
 def _table_json(p: int, table):
@@ -160,8 +166,7 @@ def cmd_decompose(args):
             raise UsageError("--op wedge needs --k")
         result = modrep.exterior_power(v, args.k)
     doc = result.to_json()
-    rows = [["p", "e", "blocks"], [result.p, result.e, " ".join(map(str, result.blocks))]]
-    return doc, rows
+    return doc, _csv(doc, "p", "e", "blocks")
 
 
 def _plancherel_doc(p: int, d: int, cap: int) -> dict:
@@ -208,21 +213,7 @@ def cmd_invariants(args):
         if args.bounds and d != 0
         else None
     )
-    header = ["p", "dim", "m", "b", "b_numeric", "ii", "iii", "iv"]
-    rows = [
-        header,
-        [
-            report.p,
-            report.dim,
-            " ".join(map(str, report.m)),
-            report.rate.exact_form,
-            _fmt_real(report.rate.numeric),
-            report.divisibility_mod_p,
-            report.dimension_match,
-            report.growth_below_dim,
-        ],
-    ]
-    return doc, rows
+    return doc, _csv({**doc, **doc["checks"]}, "p", "dim", "m", "b", "b_numeric", "ii", "iii", "iv")
 
 
 def cmd_padic(args):
@@ -254,8 +245,7 @@ def cmd_padic(args):
         "digits": list(digits.digits),
         "value": digits.as_integer(),
     }
-    rows = [["p", "digits", "value"], [p, " ".join(map(str, digits.digits)), digits.as_integer()]]
-    return doc, rows
+    return doc, _csv(doc, "p", "digits", "value")
 
 
 def _objects_from_args(args) -> tuple[BiObject, BiObject]:
@@ -267,43 +257,53 @@ def _objects_from_args(args) -> tuple[BiObject, BiObject]:
     return source, target
 
 
-def cmd_brauer(args):
-    from . import brauer
+def cmd_homdim(args):
+    from .brauer import schur_weyl_homdim
 
-    if args.brauer_op == "homdim":
-        source, target = _objects_from_args(args)
-        dim = brauer.schur_weyl_homdim(args.n, source, target)
-        doc = {
-            "n": args.n,
-            "source": [source.r, source.s],
-            "target": [target.r, target.s],
-            "dim": dim,
-        }
-        return doc, [["n", "source", "target", "dim"], [args.n, str(source), str(target), dim]]
-    if args.brauer_op == "gram":
-        source, target = _objects_from_args(args)
-        t_value = _parse_t(args.t, args.mod)
-        matrix = brauer.gram_matrix(source, target, t_value, cap=args.cap_brauer_degree)
-        entries = _render(lambda: [[_entry_str(x) for x in row] for row in matrix])
-        return entries, entries
-    if args.brauer_op == "rank":
-        source, target = _objects_from_args(args)
-        t_value = _parse_t(args.t, args.mod)
-        if t_value == "symbolic":
-            raise UsageError("rank needs an exact --t value")
-        rank, quotient = brauer.negligible_rank(source, target, t_value, cap=args.cap_brauer_degree)
-        doc = {
-            "source": [source.r, source.s],
-            "target": [target.r, target.s],
-            "t": args.t if args.mod is None else f"{args.t} mod {args.mod}",
-            "rank": rank,
-            "quotient_dim": quotient,
-        }
-        return doc, [["source", "target", "t", "rank"], [str(source), str(target), doc["t"], rank]]
-    # compose
+    source, target = _objects_from_args(args)
+    doc = {
+        "n": args.n,
+        "source": [source.r, source.s],
+        "target": [target.r, target.s],
+        "dim": schur_weyl_homdim(args.n, source, target),
+    }
+    return doc, _csv({**doc, "source": str(source), "target": str(target)}, "n", "source", "target", "dim")
+
+
+def cmd_gram(args):
+    from .brauer import gram_matrix
+
+    source, target = _objects_from_args(args)
+    t_value = _parse_t(args.t, args.mod)
+    matrix = gram_matrix(source, target, t_value, cap=args.cap_brauer_degree)
+    entries = _render(lambda: [[_entry_str(x) for x in row] for row in matrix])
+    return entries, entries
+
+
+def cmd_rank(args):
+    from .brauer import negligible_rank
+
+    source, target = _objects_from_args(args)
+    t_value = _parse_t(args.t, args.mod)
+    if t_value == "symbolic":
+        raise UsageError("rank needs an exact --t value")
+    rank, quotient = negligible_rank(source, target, t_value, cap=args.cap_brauer_degree)
+    doc = {
+        "source": [source.r, source.s],
+        "target": [target.r, target.s],
+        "t": args.t if args.mod is None else f"{args.t} mod {args.mod}",
+        "rank": rank,
+        "quotient_dim": quotient,
+    }
+    return doc, _csv({**doc, "source": str(source), "target": str(target)}, "source", "target", "t", "rank")
+
+
+def cmd_compose(args):
+    from .brauer import DiagramMorphism, compose
+
     try:
-        f = brauer.DiagramMorphism.from_json(json.loads(args.f))
-        g = brauer.DiagramMorphism.from_json(json.loads(args.g))
+        f = DiagramMorphism.from_json(json.loads(args.f))
+        g = DiagramMorphism.from_json(json.loads(args.g))
     except DomainError:
         raise
     except (ValueError, KeyError, TypeError) as exc:  # ValueError: bad JSON, or an integer past the digit limit
@@ -311,7 +311,7 @@ def cmd_brauer(args):
         if "set_int_max_str_digits" in str(exc):  # Python's advice names a call no CLI user can make
             reason = f"an integer has more than {sys.get_int_max_str_digits()} digits"
         raise UsageError(f"cannot parse morphism JSON: {reason}") from exc
-    doc = _render(brauer.compose(f, g).to_json)
+    doc = _render(compose(f, g).to_json)
     rows = [["pairs", "coeff"]] + [
         [json.dumps(term["pairs"]), term["coeff"]] for term in doc["terms"]
     ]
@@ -319,18 +319,9 @@ def cmd_brauer(args):
 
 
 def cmd_bounds(args):
-    if args.bound_kind == "plancherel":
-        inner = _plancherel_doc(args.p, args.d, args.cap_bounds_p)
-        doc = {"p": args.p, "d": args.d, **inner}
-        rows = [["p", "d", "square_sum", "bound"], [args.p, args.d, inner["square_sum"], inner["bound"]]]
-        return doc, rows
-    inner = _improved_doc(args.p, args.d, args.cap_bounds_p)
-    doc = {"p": args.p, "d": args.d, **inner}
-    rows = [
-        ["p", "d", "M", "ratio", "row_sum", "box_sum", "bound"],
-        [args.p, args.d, inner["M"], inner["ratio"], inner["row_sum"], inner["box_sum"], inner["bound"]],
-    ]
-    return doc, rows
+    bound = _plancherel_doc if args.bound_kind == "plancherel" else _improved_doc
+    doc = {"p": args.p, "d": args.d, **bound(args.p, args.d, args.cap_bounds_p)}
+    return doc, _csv(doc, *(k for k in doc if k != "max_partition"))  # the CSV row leaves the partition out
 
 
 # ---------------------------------------------------------------------------
@@ -435,51 +426,45 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact computations in diagram categories, modular Jordan blocks, and fusion rings.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    module = argparse.ArgumentParser(add_help=False)  # the Jordan module of decompose, invariants and padic
+    module.add_argument("--p", type=int, required=True)
+    module.add_argument("--e", type=int, default=1)
+    module.add_argument("--cap-order", dest="cap_order", type=int, default=ORDER_CAP)
 
-    def add_format(p):
-        p.add_argument("--format", choices=("json", "csv"), default="json")
+    def command(group, name, handler, parents=(), **kwargs):
+        q = group.add_parser(name, parents=parents, **kwargs)
+        q.add_argument("--format", choices=("json", "csv"), default="json")
+        q.set_defaults(handler=handler)
+        return q
 
-    p_fusion = sub.add_parser("fusion", help="products of simple labels in the fusion ring")
-    p_fusion.add_argument("--p", type=int, required=True)
-    p_fusion.add_argument("--i", type=int)
-    p_fusion.add_argument("--j", type=int)
-    p_fusion.add_argument("--table", action="store_true")
-    p_fusion.add_argument("--cap-fusion-entries", dest="cap_fusion_entries", type=int,
-                          default=FUSION_ENTRY_CAP)
-    add_format(p_fusion)
+    q = command(sub, "fusion", cmd_fusion, help="products of simple labels in the fusion ring")
+    q.add_argument("--p", type=int, required=True)
+    q.add_argument("--i", type=int)
+    q.add_argument("--j", type=int)
+    q.add_argument("--table", action="store_true")
+    q.add_argument("--cap-fusion-entries", dest="cap_fusion_entries", type=int, default=FUSION_ENTRY_CAP)
 
-    p_dec = sub.add_parser("decompose", help="tensor/symmetric/exterior decompositions of Jordan modules")
-    p_dec.add_argument("--p", type=int, required=True)
-    p_dec.add_argument("--e", type=int, default=1)
-    p_dec.add_argument("--blocks", required=True)
-    p_dec.add_argument("--op", choices=("tensor", "sym2", "ext2", "wedge"), default="tensor")
-    p_dec.add_argument("--with-blocks", dest="with_blocks")
-    p_dec.add_argument("--k", type=int)
-    p_dec.add_argument("--cap-order", dest="cap_order", type=int, default=ORDER_CAP)
-    add_format(p_dec)
+    q = command(sub, "decompose", cmd_decompose, [module],
+                help="tensor/symmetric/exterior decompositions of Jordan modules")
+    q.add_argument("--blocks", required=True)
+    q.add_argument("--op", choices=("tensor", "sym2", "ext2", "wedge"), default="tensor")
+    q.add_argument("--with-blocks", dest="with_blocks")
+    q.add_argument("--k", type=int)
 
-    p_inv = sub.add_parser("invariants", help="growth rate and dimension checks for a module")
-    p_inv.add_argument("--p", type=int, required=True)
-    p_inv.add_argument("--e", type=int, default=1)
-    p_inv.add_argument("--blocks", required=True)
-    p_inv.add_argument("--bounds", action="store_true", help="include partition lower bounds")
-    p_inv.add_argument("--cap-order", dest="cap_order", type=int, default=ORDER_CAP)
-    p_inv.add_argument("--cap-bounds-p", dest="cap_bounds_p", type=int, default=BOUNDS_PRIME_CAP)
-    add_format(p_inv)
+    q = command(sub, "invariants", cmd_invariants, [module], help="growth rate and dimension checks for a module")
+    q.add_argument("--blocks", required=True)
+    q.add_argument("--bounds", action="store_true", help="include partition lower bounds")
+    q.add_argument("--cap-bounds-p", dest="cap_bounds_p", type=int, default=BOUNDS_PRIME_CAP)
 
-    p_pad = sub.add_parser("padic", help="p-adic dimension digits from exterior powers")
-    p_pad.add_argument("--p", type=int, required=True)
-    p_pad.add_argument("--e", type=int, default=1)
-    p_pad.add_argument("--blocks")
-    p_pad.add_argument("--binomial", type=int, help="use the binomial sequence of this integer")
-    p_pad.add_argument("--length", type=int, help="series length for the binomial path")
-    p_pad.add_argument("--cap-order", dest="cap_order", type=int, default=ORDER_CAP)
-    add_format(p_pad)
+    q = command(sub, "padic", cmd_padic, [module], help="p-adic dimension digits from exterior powers")
+    q.add_argument("--blocks")
+    q.add_argument("--binomial", type=int, help="use the binomial sequence of this integer")
+    q.add_argument("--length", type=int, help="series length for the binomial path")
 
     p_br = sub.add_parser("brauer", help="walled diagram hom spaces, Gram matrices, ranks")
     br_sub = p_br.add_subparsers(dest="brauer_op", required=True)
-    for name in ("homdim", "gram", "rank"):
-        q = br_sub.add_parser(name)
+    for name, handler in (("homdim", cmd_homdim), ("gram", cmd_gram), ("rank", cmd_rank)):
+        q = command(br_sub, name, handler)
         q.add_argument("--r", type=int, required=True)
         q.add_argument("--s", type=int, required=True)
         q.add_argument("--u", type=int)
@@ -490,24 +475,20 @@ def build_parser() -> argparse.ArgumentParser:
             q.add_argument("--t", required=True, help='"symbolic", an integer, or a fraction like 7/2')
             q.add_argument("--mod", type=int, help="interpret --t in F_p for this prime")
             q.add_argument("--cap-brauer-degree", dest="cap_brauer_degree", type=int, default=DEGREE_CAP)
-        add_format(q)
-    q = br_sub.add_parser("compose")
+    q = command(br_sub, "compose", cmd_compose)
     q.add_argument("--f", required=True, help="morphism JSON (applied second)")
     q.add_argument("--g", required=True, help="morphism JSON (applied first)")
-    add_format(q)
 
     p_bnd = sub.add_parser("bounds", help="partition-enumeration lower bounds for growth rates")
     bnd_sub = p_bnd.add_subparsers(dest="bound_kind", required=True)
     for name in ("plancherel", "improved"):
-        q = bnd_sub.add_parser(name)
+        q = command(bnd_sub, name, cmd_bounds)
         q.add_argument("--p", type=int, required=True)
         q.add_argument("--d", type=int, required=True)
         q.add_argument("--cap-bounds-p", dest="cap_bounds_p", type=int, default=BOUNDS_PRIME_CAP)
-        add_format(q)
 
-    p_self = sub.add_parser("selftest", help="run the oracle-equivalence suite")
-    p_self.add_argument("--seed", type=int, default=0, help="sampling seed (affects test sampling only)")
-    add_format(p_self)
+    q = command(sub, "selftest", cmd_selftest, help="run the oracle-equivalence suite")
+    q.add_argument("--seed", type=int, default=0, help="sampling seed (affects test sampling only)")
 
     return parser
 
@@ -533,20 +514,12 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    handlers = {
-        "fusion": cmd_fusion,
-        "decompose": cmd_decompose,
-        "invariants": cmd_invariants,
-        "padic": cmd_padic,
-        "brauer": cmd_brauer,
-        "bounds": cmd_bounds,
-    }
     try:
         _warn_caps(args)
-        if args.command == "selftest":
-            return cmd_selftest(args)
-        doc, rows = handlers[args.command](args)
-        _emit(doc, rows, args.format)
+        outcome = args.handler(args)
+        if isinstance(outcome, int):  # selftest prints its own report
+            return outcome
+        _emit(*outcome, args.format)
         return 0
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -238,7 +238,7 @@ def jordan_type(U: np.ndarray, p: int) -> tuple[int, ...]:
             raise DomainError("matrix is not unipotent over F_p")
         ranks.append(basis.shape[0])
         product = np.rint(basis.astype(np.float64) @ Nf).astype(np.int64)
-        basis = row_echelon_mod_p(product % p, p)
+        basis = row_echelon_mod_p(product, p)
     ranks.append(0)
 
     def rank(k: int) -> int:
@@ -319,7 +319,6 @@ def _wedge2_block(p: int, n: int) -> tuple[int, ...]:
     return _graded_smith(M, [D - 2 * r for r in range(m)], [2 * c for c in range(m)], p, n * (n - 1) // 2)
 
 
-@lru_cache(maxsize=None)
 def _tilting_character(p: int, m: int) -> dict[int, int]:
     """Weights of the SL_2 tilting module T(m) in characteristic p, with
     their multiplicities, by Donkin's formulas (see the module docstring)."""
@@ -456,7 +455,7 @@ def _wedge_type(p: int, blocks: tuple[int, ...], k: int) -> tuple[int, ...]:
     if pow(p, d, d) == 0:  # d divides p^d: a power of p
         return _orbit_block(p, d, k)
     basis = list(itertools.combinations(range(d), k))
-    return jordan_type(_induced_matrix(blocks, basis) % p, p)
+    return jordan_type(_induced_matrix(blocks, basis), p)
 
 
 def sym2(v: JordanModule) -> JordanModule:

@@ -66,6 +66,13 @@ BOUNDS_PRIME_CAP = 47
 #: so their cost grows with p, not with the answer.
 FUSION_ENTRY_CAP = 2**24
 
+#: Most work one compose or tensor of two diagram morphisms may cost, in
+#: coefficient operations of about 0.1 us each: per pair of terms, 128
+#: plus 16 per endpoint of the diagram it makes, 4 per dense entry of the
+#: two coefficients, and the product of their nonzero counts.  Checked
+#: before the first pair is formed; fixed, like HOMDIM_DEGREE_CAP.
+PRODUCT_WORK_CAP = 2**24
+
 
 @lru_cache(maxsize=256)
 def is_prime(n: int) -> bool:

@@ -242,6 +242,17 @@ def test_tensor_square_of_arcs():
     assert compose(aa, aa) == T**2 * aa
 
 
+def test_tensor_work_is_capped_before_the_first_pair():
+    obj = BiObject(3, 3)
+    f = DiagramMorphism(obj, obj, [(d, TPolynomial.parse("t^60000")) for d in hom_basis(obj, obj)[:20]])
+    with pytest.raises(CapExceeded, match="a product of 20 by 20 terms"):
+        tensor(f, f)
+    with pytest.raises(CapExceeded, match="a product of 20 by 20 terms"):
+        compose(f, f)
+    small = DiagramMorphism(obj, obj, [(d, TPolynomial.parse("t^600")) for d in hom_basis(obj, obj)[:20]])
+    assert len(tensor(small, small).terms) == 400
+
+
 def test_braiding_is_involution():
     for a in small_objects(2):
         for b in small_objects(2):

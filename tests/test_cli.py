@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import semisimple
 from semisimple import modrep, verlinde
-from semisimple.brauer import BiObject, DiagramMorphism, compose, schur_weyl_homdim
+from semisimple.brauer import BiObject, DiagramMorphism, compose, hom_basis, schur_weyl_homdim
 from semisimple.cli import main
 from semisimple.modrep import JordanModule
 from semisimple.scalars import CapExceeded, T, TPolynomial
@@ -166,6 +166,31 @@ def test_compose_refuses_oversized_numbers_at_once(capsys, coeff, code, err):
     assert got[:2] == (code, "")
     assert got[2].startswith(err)
     assert "set_int_max_str_digits" not in got[2]
+
+
+def _endomorphisms_json(n: int, coeff: str) -> str:
+    """The first n diagrams of End([3, 3]), each times `coeff`."""
+    terms = [{"pairs": [list(p) for p in d.pairs], "coeff": coeff} for d in hom_basis(BiObject(3, 3), BiObject(3, 3))[:n]]
+    return json.dumps({"source": [3, 3], "target": [3, 3], "terms": terms}, separators=(",", ":"))
+
+
+@pytest.mark.parametrize("n", [20, 50])
+def test_compose_work_is_refused_before_the_first_pair(capsys, n):
+    # 1.4 KB of input at n = 20 took 20 s of coefficient products, every one 120001 entries long
+    f = _endomorphisms_json(n, "t^60000")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "brauer", "compose", "--f", f, "--g", f)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (4, "")
+    assert err.startswith(f"cap exceeded: a product of {n} by {n} terms needs about ")
+
+
+def test_compose_below_the_work_cap_answers(capsys):
+    f = _endomorphisms_json(20, "t^600")
+    code, out, _ = run(capsys, "brauer", "compose", "--f", f, "--g", f)
+    assert code == 0
+    g = DiagramMorphism.from_json(json.loads(f))
+    assert DiagramMorphism.from_json(json.loads(out)) == compose(g, g)
 
 
 @pytest.mark.parametrize("argv", [

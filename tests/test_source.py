@@ -38,3 +38,12 @@ def test_numpy_is_imported_only_by_the_dense_route():
              for path in SOURCES
              for name in _numpy_imports(ast.parse(path.read_text(), filename=str(path)), path.stem)}
     assert found == {"scalars.row_echelon_mod_p", "modrep.jordan_type", "modrep._induced_matrix"}
+
+
+def test_lru_caches_are_the_known_three():
+    # a cache is added here only once it is shown to be hit; an unhit one only holds memory
+    found = {f"{path.stem}.{node.name}"
+             for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, ast.FunctionDef) and any("lru_cache" in ast.unparse(d) for d in node.decorator_list)}
+    assert found == {"scalars.is_prime", "modrep._tensor_pair", "modrep._wedge_type"}
