@@ -84,6 +84,7 @@ from .scalars import (
     FpScalar,
     T,
     TPolynomial,
+    check_cap,
     exact_rank,
 )
 
@@ -184,8 +185,7 @@ def _hom_degree(source: BiObject, target: BiObject, cap: int) -> int | None:
     d = source.r + target.s
     if d != source.s + target.r:
         return None
-    if d > cap:
-        raise CapExceeded(f"hom space of degree {d} exceeds the cap {cap} ({d}! diagrams)")
+    check_cap("hom space of degree {0} ({0}! diagrams)", d, cap)
     return d
 
 
@@ -548,8 +548,7 @@ def schur_weyl_homdim(n: int, source: BiObject, target: BiObject) -> int:
     d = source.r + target.s
     if d != source.s + target.r:
         return 0
-    if d > HOMDIM_DEGREE_CAP:
-        raise CapExceeded(f"character sum of degree {d} exceeds the cap {HOMDIM_DEGREE_CAP}")
+    check_cap("character sum of degree {}", d, HOMDIM_DEGREE_CAP)
     return box_square_sum(d, n, d)
 
 

@@ -2,8 +2,10 @@
 
 Deterministic, scriptable access to the library: identical arguments
 always produce byte-identical output.  Documents go to stdout as JSON
-(default) or CSV; warnings go to stderr.  Exit codes: 0 success, 1
-self-test mismatch, 2 usage error, 3 domain error, 4 size cap exceeded.
+(default) or CSV; warnings go to stderr.  Exit codes: 0 success (also
+when the reader of stdout stops early), 1 self-test mismatch, 2 usage
+error, 3 domain error, 4 size cap exceeded.  An option the request would
+not read is a usage error.
 
 Start-up is most of a cheap request, so each handler imports the modules
 it calls where it calls them, and the option defaults are the caps in
@@ -16,6 +18,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import sys
 
 from .scalars import (
@@ -129,6 +132,8 @@ def cmd_fusion(args):
 
     p = args.p
     if args.table:
+        if (args.i, args.j) != (None, None):
+            raise UsageError("--i and --j do not apply with --table")
         table = verlinde.fusion_table(p, args.cap_fusion_entries)
         if args.format == "csv":  # the rows only: no document, no pretty strings
             header = ["i", "j"] + [f"m{k}" for k in range(1, p)]
@@ -152,18 +157,18 @@ def cmd_decompose(args):
     from . import modrep
 
     v = _module_from_args(args, args.blocks)
+    for option, value, op in (("--with-blocks", args.with_blocks, "tensor"), ("--k", args.k, "wedge")):
+        if value is None and args.op == op:  # each is given iff the operation reads it
+            raise UsageError(f"--op {op} needs {option}")
+        if value is not None and args.op != op:
+            raise UsageError(f"{option} applies to --op {op} only")
     if args.op == "tensor":
-        if args.with_blocks is None:
-            raise UsageError("--op tensor needs --with-blocks")
-        w = _module_from_args(args, args.with_blocks)
-        result = modrep.jordan_tensor(v, w)
+        result = modrep.jordan_tensor(v, _module_from_args(args, args.with_blocks))
     elif args.op == "sym2":
         result = modrep.sym2(v)
     elif args.op == "ext2":
         result = modrep.ext2(v)
     else:  # wedge
-        if args.k is None:
-            raise UsageError("--op wedge needs --k")
         result = modrep.exterior_power(v, args.k)
     doc = result.to_json()
     return doc, _csv(doc, "p", "e", "blocks")
@@ -193,6 +198,8 @@ def _improved_doc(p: int, d: int, cap: int) -> dict:
 def cmd_invariants(args):
     from . import growth
 
+    if args.cap_bounds_p != BOUNDS_PRIME_CAP and not args.bounds:
+        raise UsageError("--cap-bounds-p applies to --bounds only")
     v = _module_from_args(args, args.blocks)
     report = growth.invariant_report(v)
     doc = {
@@ -229,6 +236,8 @@ def cmd_padic(args):
         dims = [x.value for x in growth.exterior_dimension_sequence(v)]
         source = {"blocks": list(v.blocks)}
     else:
+        if args.cap_order != ORDER_CAP:
+            raise UsageError("--cap-order applies to --blocks only")
         d_value = args.binomial
         if d_value < 0:
             raise UsageError("--binomial takes a nonnegative integer")
@@ -487,7 +496,8 @@ def build_parser() -> argparse.ArgumentParser:
         q.add_argument("--d", type=int, required=True)
         q.add_argument("--cap-bounds-p", dest="cap_bounds_p", type=int, default=BOUNDS_PRIME_CAP)
 
-    q = command(sub, "selftest", cmd_selftest, help="run the oracle-equivalence suite")
+    q = sub.add_parser("selftest", help="run the oracle-equivalence suite")  # prints a report, not a document
+    q.set_defaults(handler=cmd_selftest)
     q.add_argument("--seed", type=int, default=0, help="sampling seed (affects test sampling only)")
 
     return parser
@@ -517,9 +527,13 @@ def main(argv=None) -> int:
     try:
         _warn_caps(args)
         outcome = args.handler(args)
-        if isinstance(outcome, int):  # selftest prints its own report
-            return outcome
-        _emit(*outcome, args.format)
+        if not isinstance(outcome, int):  # selftest prints its own report
+            _emit(*outcome, args.format)
+            outcome = 0
+        sys.stdout.flush()
+        return outcome
+    except BrokenPipeError:  # the reader stopped early; what it read stands
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # so the final flush cannot fail again
         return 0
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -32,10 +32,11 @@ from operator import mod
 from .scalars import (
     BOUNDS_PRIME_CAP,
     FUSION_ENTRY_CAP,
+    INDUCED_DIM_CAP,
     NUMERIC_TOL,
-    CapExceeded,
     DomainError,
     FpScalar,
+    check_cap,
     check_prime,
 )
 
@@ -346,8 +347,7 @@ def binomials_mod_p(n: int, p: int, length: int) -> list[int]:
     check_prime(p)
     if n < 0:
         raise DomainError(f"binomial row {n} is negative")
-    if length > FUSION_ENTRY_CAP:
-        raise CapExceeded(f"binomial row of {length} entries exceeds the cap {FUSION_ENTRY_CAP}")
+    check_cap("binomial row of {} entries", length, FUSION_ENTRY_CAP)
     row = [1][:length]
     for _, block in _lucas_row((n // p**i % p for i in count()), p, length, row):
         row += block
@@ -364,11 +364,9 @@ def exterior_dimension_sequence(v: JordanModule) -> list[FpScalar]:
     """
     if v.p == 2:
         raise DomainError("exterior powers are only offered for p > 2")
-    from .modrep import _check_induced_dim
-
     d, c = v.dim, 1
     for k in range(d // 2 + 1):  # C(d, k) rises up to k = d/2
-        _check_induced_dim(c)
+        check_cap("induced matrix of dimension {}", c, INDUCED_DIM_CAP)
         c = c * (d - k) // (k + 1)
     return [FpScalar(x, v.p) for x in binomials_mod_p(d, v.p, d + 1)]
 
@@ -380,8 +378,7 @@ def exterior_dimension_sequence(v: JordanModule) -> list[FpScalar]:
 
 def _check_bounds_args(p: int, d: int, cap: int):
     check_prime(p)
-    if p > cap:
-        raise CapExceeded(f"bound enumeration for p={p} exceeds the cap {cap}")
+    check_cap("bound enumeration for p={}", p, cap)
     if not 1 <= d <= p - 1:
         raise DomainError(f"d={d} outside [1, {p - 1}]")
 

@@ -159,10 +159,8 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from math import comb
 
-from .scalars import FUSION_ENTRY_CAP, ORDER_CAP, CapExceeded, DomainError, check_prime, row_echelon_mod_p
-
-#: Largest induced-matrix dimension for symmetric/exterior constructions.
-INDUCED_DIM_CAP = 4096
+from .scalars import (FUSION_ENTRY_CAP, INDUCED_DIM_CAP, ORDER_CAP, CapExceeded, DomainError, check_cap,
+                      check_prime, row_echelon_mod_p)
 
 
 @dataclass(frozen=True)
@@ -178,14 +176,12 @@ class JordanModule:
         check_prime(self.p)
         if self.e < 1:
             raise DomainError("order exponent must be >= 1")
-        # p >= 2, so e past the cap's bit length already puts p^e past the cap
-        if self.e > self.cap.bit_length() or self.p**self.e > self.cap:
-            raise CapExceeded(
-                f"group order {self.p}^{self.e} exceeds the cap {self.cap}"
-            )
+        # p >= 2, so p to the cap's bit length + 1 is past the cap: no larger power is taken,
+        # and the order that passes is p^e
+        order = self.p ** min(self.e, self.cap.bit_length() + 1)
+        check_cap(f"group order {self.p}^{self.e}", order, self.cap)
         blocks = tuple(sorted((int(b) for b in self.blocks), reverse=True))
         object.__setattr__(self, "blocks", blocks)
-        order = self.p**self.e
         for b in blocks:
             if not 1 <= b <= order:
                 raise DomainError(f"block size {b} outside [1, {order}]")
@@ -394,13 +390,6 @@ def jordan_tensor(a: JordanModule, b: JordanModule) -> JordanModule:
     return replace(a, blocks=_tensor_blocks(a.p, a.blocks, b.blocks))
 
 
-def _check_induced_dim(dim: int):
-    if dim > INDUCED_DIM_CAP:
-        raise CapExceeded(
-            f"induced matrix of dimension {dim} exceeds the cap {INDUCED_DIM_CAP}"
-        )
-
-
 def _induced_matrix(blocks: tuple[int, ...], basis: list[tuple[int, ...]]) -> np.ndarray:
     """Matrix of Lambda^k U, U unipotent with Jordan blocks `blocks`, on e_i1 ^ ... ^ e_ik.
 
@@ -435,7 +424,7 @@ def _wedge_type(p: int, blocks: tuple[int, ...], k: int) -> tuple[int, ...]:
     tilting characters if it is no larger than p, a count of orbits if its
     size is a power of p, and the induced matrix otherwise."""
     d = sum(blocks)
-    _check_induced_dim(comb(d, k))
+    check_cap("induced matrix of dimension {}", comb(d, k), INDUCED_DIM_CAP)
     if k > d:
         return ()
     if 2 * k > d:
@@ -463,7 +452,7 @@ def sym2(v: JordanModule) -> JordanModule:
     (see the module docstring)."""
     if v.p == 2:
         raise DomainError("the square does not split into Sym/Ext at p = 2")
-    _check_induced_dim(v.dim * (v.dim + 1) // 2)
+    check_cap("induced matrix of dimension {}", v.dim * (v.dim + 1) // 2, INDUCED_DIM_CAP)
     square = Counter(_tensor_blocks(v.p, v.blocks, v.blocks))
     wedge = Counter(_wedge_type(v.p, v.blocks, 2))
     if wedge - square:
@@ -504,8 +493,7 @@ def to_verlinde(v: JordanModule) -> FusionElement:
 
     if v.e != 1:
         raise DomainError("only order-p modules land in the fusion ring")
-    if v.p - 1 > FUSION_ENTRY_CAP:
-        raise CapExceeded(f"fusion-ring image of {v.p - 1} multiplicities exceeds the cap {FUSION_ENTRY_CAP}")
+    check_cap("fusion-ring image of {} multiplicities", v.p - 1, FUSION_ENTRY_CAP)
     m = [0] * (v.p - 1)
     for b in v.blocks:
         if b < v.p:

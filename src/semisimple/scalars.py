@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 from math import lcm
 from typing import Iterable
 
@@ -38,6 +38,12 @@ class CapExceeded(RuntimeError):
     """A computation was refused because it exceeds a configured size cap."""
 
 
+def check_cap(what: str, value: int, cap: int) -> None:
+    """Refuse a value past its cap, naming it as what.format(value)."""
+    if value > cap:
+        raise CapExceeded(f"{what.format(value)} exceeds the cap {cap}")
+
+
 # Default size caps.  Each module's functions take them as parameters; the
 # CLI reads its option defaults from here, so it loads no module to learn them.
 
@@ -54,8 +60,11 @@ HOMDIM_DEGREE_CAP = 40
 #: Default largest group order p^e; JordanModule(..., cap=...) raises it at
 #: the caller's risk, for that module and those derived from it.  A tensor
 #: pair costs one elimination of at most p^e x p^e scalars; squares and
-#: exterior powers are bounded by modrep.INDUCED_DIM_CAP as well.
+#: exterior powers are bounded by INDUCED_DIM_CAP as well.
 ORDER_CAP = 64
+
+#: Largest induced-matrix dimension for symmetric/exterior constructions (modrep).
+INDUCED_DIM_CAP = 4096
 
 #: Prime cap of the partition enumeration in the growth lower bounds (p(46) is ~10^5 partitions).
 BOUNDS_PRIME_CAP = 47
@@ -72,6 +81,9 @@ FUSION_ENTRY_CAP = 2**24
 #: two coefficients, and the product of their nonzero counts.  Checked
 #: before the first pair is formed; fixed, like HOMDIM_DEGREE_CAP.
 PRODUCT_WORK_CAP = 2**24
+
+#: Largest term degree TPolynomial.parse accepts, checked before the dense coefficient list is built.
+PARSE_DEGREE_CAP = 2**16
 
 
 @lru_cache(maxsize=256)
@@ -107,6 +119,16 @@ def check_prime(p: int) -> int:
     return p
 
 
+def _coerced(op):
+    """The binary operator op, given the other operand as self._coerce makes
+    it, or answering NotImplemented for an operand _coerce does not take."""
+    @wraps(op)
+    def guarded(self, other):
+        other = self._coerce(other)
+        return NotImplemented if other is NotImplemented else op(self, other)
+    return guarded
+
+
 class FpScalar:
     """An element of the prime field F_p, stored as an integer in [0, p)."""
 
@@ -129,38 +151,28 @@ class FpScalar:
             return FpScalar(other, self.p)
         return NotImplemented
 
+    @_coerced
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         return FpScalar(self.value + other.value, self.p)
 
     __radd__ = __add__
 
+    @_coerced
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         return FpScalar(self.value - other.value, self.p)
 
+    @_coerced
     def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         return FpScalar(other.value - self.value, self.p)
 
+    @_coerced
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         return FpScalar(self.value * other.value, self.p)
 
     __rmul__ = __mul__
 
+    @_coerced
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         if other.value == 0:
             raise ZeroDivisionError("division by zero in F_p")
         return FpScalar(self.value * pow(other.value, -1, self.p), self.p)
@@ -189,9 +201,6 @@ class FpScalar:
 
 
 _TERM_RE = re.compile(r"^(\d+)?(?:\*?t(?:\^(\d+))?)?$")
-
-#: Largest term degree TPolynomial.parse accepts, checked before the dense coefficient list is built.
-PARSE_DEGREE_CAP = 2**16
 
 
 class TPolynomial:
@@ -235,10 +244,8 @@ class TPolynomial:
             return TPolynomial((other,))
         return NotImplemented
 
+    @_coerced
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         n = max(len(self.coeffs), len(other.coeffs))
         a = self.coeffs + (0,) * (n - len(self.coeffs))
         b = other.coeffs + (0,) * (n - len(other.coeffs))
@@ -249,19 +256,15 @@ class TPolynomial:
     def __neg__(self):
         return TPolynomial(-c for c in self.coeffs)
 
+    @_coerced
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
+    @_coerced
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         if self.is_zero or other.is_zero:
             return TPolynomial()
         terms = [(j, b) for j, b in enumerate(other.coeffs) if b]
@@ -277,9 +280,11 @@ class TPolynomial:
     def __pow__(self, n: int):
         if n < 0:
             raise DomainError("negative power of a polynomial")
-        out = TPolynomial((1,))
-        for _ in range(n):
-            out = out * self
+        out = self if n else TPolynomial((1,))
+        for bit in bin(n)[3:]:  # the bits of n after the leading 1: square, then multiply by self at a 1
+            out = out * out
+            if bit == "1":
+                out = out * self
         return out
 
     def exact_div(self, divisor: "TPolynomial") -> "TPolynomial":
@@ -373,8 +378,7 @@ class TPolynomial:
                 k = int(exp) if exp is not None else 1
             else:
                 k = 0
-            if k > PARSE_DEGREE_CAP:
-                raise CapExceeded(f"term degree {k} exceeds the cap {PARSE_DEGREE_CAP}")
+            check_cap("term degree {}", k, PARSE_DEGREE_CAP)
             coeffs[k] = coeffs.get(k, 0) + sign * c
         if not coeffs:
             return cls()

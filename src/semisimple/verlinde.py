@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .scalars import FUSION_ENTRY_CAP, CapExceeded, DomainError, FpScalar, check_prime
+from .scalars import FUSION_ENTRY_CAP, DomainError, FpScalar, check_cap, check_prime
 
 
 @dataclass(frozen=True)
@@ -105,8 +105,7 @@ def _summands(p: int, i: int, j: int) -> range:
 
 def _check_fusion_args(p: int, count: int, cap: int):
     check_prime(p)
-    if count > cap:
-        raise CapExceeded(f"fusion document of {count} multiplicities exceeds the cap {cap}")
+    check_cap("fusion document of {} multiplicities", count, cap)
 
 
 def fusion(p: int, i: int, j: int, cap: int = FUSION_ENTRY_CAP) -> FusionElement:

@@ -282,6 +282,34 @@ def test_usage_error_exit_code(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["selftest", "--format", "csv"], "unrecognized arguments: --format csv"),
+    (["fusion", "--p", "5", "--table", "--i", "1", "--j", "9"], "error: --i and --j do not apply with --table"),
+    (["decompose", "--p", "5", "--blocks", "3", "--op", "sym2", "--with-blocks", "9", "--k", "2"],
+     "error: --with-blocks applies to --op tensor only"),
+    (["decompose", "--p", "5", "--blocks", "3", "--op", "ext2", "--k", "2"], "error: --k applies to --op wedge only"),
+    (["decompose", "--p", "5", "--blocks", "3", "--op", "tensor"], "error: --op tensor needs --with-blocks"),
+    (["decompose", "--p", "5", "--blocks", "3", "--op", "wedge"], "error: --op wedge needs --k"),
+    (["invariants", "--p", "5", "--blocks", "3", "--cap-bounds-p", "100"],
+     "error: --cap-bounds-p applies to --bounds only"),
+    (["padic", "--p", "5", "--binomial", "7", "--e", "3", "--cap-order", "1000"],
+     "error: --cap-order applies to --blocks only"),
+], ids=["selftest-format", "fusion-table-with-labels", "decompose-with-blocks", "decompose-k",
+        "decompose-no-with-blocks", "decompose-no-k", "invariants-cap-without-bounds", "padic-cap-order-binomial"])
+def test_an_option_the_request_does_not_read_is_a_usage_error(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.rstrip("\n").endswith(message)
+
+
+def test_a_cap_given_at_its_default_is_not_set(capsys):
+    # the test _warn_caps uses: only a value other than the default counts as set
+    assert run(capsys, "invariants", "--p", "5", "--blocks", "3", "--cap-bounds-p", "47") == \
+        run(capsys, "invariants", "--p", "5", "--blocks", "3")
+    assert run(capsys, "padic", "--p", "5", "--binomial", "7", "--cap-order", "64") == \
+        run(capsys, "padic", "--p", "5", "--binomial", "7")
+
+
 def test_domain_error_exit_code(capsys):
     code, _, err = run(capsys, "fusion", "--p", "6", "--table")
     assert code == 3
@@ -459,6 +487,19 @@ def run_cli(*argv, guard):
                           env=env, timeout=guard)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
+
+
+def test_a_reader_that_stops_early_ends_the_request_with_exit_0():
+    # the table at p = 61 is past any pipe buffer, so the CLI is still writing when the pipe closes
+    src = str(Path(semisimple.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = ["fusion", "--p", "61", "--table", "--format", "csv"]
+    proc = subprocess.Popen([sys.executable, "-m", "semisimple.cli", *argv], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline().startswith(b"i,j,m1,")
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 0 and b"Traceback" not in err, err
 
 
 def test_padic_exterior_powers_of_a_large_block_in_bounded_time():

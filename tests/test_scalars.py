@@ -5,6 +5,7 @@ all square submatrix determinants (cofactor expansion), so the two paths
 share no code.
 """
 
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -378,3 +379,24 @@ def test_poly_parse_refuses_a_degree_past_the_cap_before_allocating():
     for text in (f"t^{PARSE_DEGREE_CAP + 1}", "1 + t^100000000000"):
         with pytest.raises(CapExceeded):
             TPolynomial.parse(text)
+
+
+def test_poly_power_squares_repeatedly(monkeypatch):
+    # n multiplications would make T**4000 quadratic; squaring makes at most two per bit of n
+    calls = 0
+    mul = TPolynomial.__mul__
+
+    def counted(self, other):
+        nonlocal calls
+        calls += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(TPolynomial, "__mul__", counted)
+    assert T**4000 == TPolynomial([0] * 4000 + [1])
+    assert calls <= 2 * math.ceil(math.log2(4000)) + 1
+    monkeypatch.undo()
+    assert T**60000 == TPolynomial([0] * 60000 + [1])
+    for n in range(41):
+        assert (1 + T)**n == TPolynomial([math.comb(n, k) for k in range(n + 1)])
+    with pytest.raises(DomainError):
+        T**-1

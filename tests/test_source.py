@@ -47,3 +47,33 @@ def test_lru_caches_are_the_known_three():
              for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
              if isinstance(node, ast.FunctionDef) and any("lru_cache" in ast.unparse(d) for d in node.decorator_list)}
     assert found == {"scalars.is_prime", "modrep._tensor_pair", "modrep._wedge_type"}
+
+
+def _raises_of(node: ast.AST, owner: str, name: str) -> list[str]:
+    """Dotted names of the defs holding a `raise name(...)`."""
+    found = []
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Raise) and isinstance(child.exc, ast.Call) and ast.unparse(child.exc.func) == name:
+            found.append(owner)
+        elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found += _raises_of(child, f"{owner}.{child.name}", name)
+        else:
+            found += _raises_of(child, owner, name)
+    return found
+
+
+def test_every_plain_cap_is_checked_by_check_cap():
+    # a value past its cap is refused in one place; the other three refusals are not a value against a cap
+    found = [name
+             for path in SOURCES
+             for name in _raises_of(ast.parse(path.read_text(), filename=str(path)), path.stem, "CapExceeded")]
+    assert sorted(found) == ["brauer._check_product_work", "cli._render", "modrep.jordan_type", "scalars.check_cap"]
+
+
+def test_no_private_name_is_imported_across_modules():
+    found = [f"{path.stem} imports {node.module or ''}.{alias.name}"
+             for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("semisimple"))
+             for alias in node.names if alias.name.startswith("_")]
+    assert SOURCES and found == []
