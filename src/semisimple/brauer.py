@@ -63,6 +63,17 @@ residue of t and V = K^n over an algebraic closure K of F_p.
 5. For d < p the alcove is the content box n x (p - n): a partition with
    n rows and lam_1 > p - n has more than p - 1 boxes.  So the two routes
    agree where both apply, and the box walk, the faster, serves d < p.
+
+End([r, s]) is the walled Brauer algebra B_{r,s}(t), and whether it is
+semisimple over Q is read off a closed criterion with no elimination.  For
+r, s > 0 in characteristic 0, B_{r,s}(t) is semisimple iff t is not an
+integer, or |t| > r + s - 2, or t = 0 and (r, s) is one of (1, 2), (1, 3),
+(2, 1), (3, 1) (Cox, De Visscher, Doty and Martin, On the blocks of the
+walled Brauer algebra, J. Algebra 320 (2008), Theorem 6.3).  With r = 0 or
+s = 0 no composite closes a loop, so End([r, s]) is the group algebra
+Q[S_d] at every t, semisimple by Maschke's theorem.  The rank of the
+regular trace form (endomorphism_trace_form, Dickson's criterion) is the
+independent check of both statements.
 """
 
 from __future__ import annotations
@@ -85,7 +96,6 @@ from .scalars import (
     T,
     TPolynomial,
     check_cap,
-    exact_rank,
 )
 
 
@@ -591,8 +601,13 @@ def endomorphism_trace_form(obj: BiObject, t_value="symbolic", cap: int = DEGREE
 
 
 def algebra_is_semisimple(obj: BiObject, t_value, cap: int = DEGREE_CAP) -> bool:
-    """Whether End([r, s]) at a rational parameter value is a semisimple algebra."""
+    """Whether End([r, s]) at a rational parameter value is a semisimple algebra.
+
+    Read off the walled Brauer criterion of Cox-De Visscher-Doty-Martin
+    (module docstring); the rank of endomorphism_trace_form is its oracle.
+    """
     if not isinstance(t_value, (int, Fraction)):
         raise DomainError("algebra semisimplicity is tested over the rationals")
-    form = endomorphism_trace_form(obj, t_value, cap=cap)
-    return exact_rank(form) == len(form)
+    d = _hom_degree(obj, obj, cap)
+    return (0 in (obj.r, obj.s) or t_value % 1 != 0 or abs(t_value) > d - 2  # Q[S_d]; t not in Z; |t| > d - 2
+            or (t_value == 0 and 2 < d < 5 and 1 in (obj.r, obj.s)))

@@ -150,7 +150,7 @@ def cmd_fusion(args):
 def _module_from_args(args, blocks: str) -> JordanModule:
     from .modrep import JordanModule
 
-    return JordanModule(args.p, args.e, _parse_blocks(blocks), args.cap_order)
+    return JordanModule(args.p, 1 if args.e is None else args.e, _parse_blocks(blocks), args.cap_order)
 
 
 def cmd_decompose(args):
@@ -238,6 +238,8 @@ def cmd_padic(args):
     else:
         if args.cap_order != ORDER_CAP:
             raise UsageError("--cap-order applies to --blocks only")
+        if args.e is not None:  # given, even at 1: the binomial path builds no module
+            raise UsageError("--e applies to --blocks only")
         d_value = args.binomial
         if d_value < 0:
             raise UsageError("--binomial takes a nonnegative integer")
@@ -437,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     module = argparse.ArgumentParser(add_help=False)  # the Jordan module of decompose, invariants and padic
     module.add_argument("--p", type=int, required=True)
-    module.add_argument("--e", type=int, default=1)
+    module.add_argument("--e", type=int)  # None reads as 1: padic --binomial refuses it when given
     module.add_argument("--cap-order", dest="cap_order", type=int, default=ORDER_CAP)
 
     def command(group, name, handler, parents=(), **kwargs):

@@ -10,10 +10,14 @@ content products of the partitions of d where F_p[S_d] is semisimple, and
 off the alcove tableaux of GL_n where it is not; diagram stacking and
 elimination (Bareiss over Q, rank_mod_p over F_p) below are the oracle
 for both steps, with degree-7 eliminations pinned and the
-Fibonacci ranks at t = +-2 mod 5 past them.
+Fibonacci ranks at t = +-2 mod 5 past them.  Semisimplicity of End([r, s])
+is read off the walled Brauer criterion; the rank of the regular trace
+form is its oracle, over Q through degree 5 and mod a large prime at
+degree 6.
 """
 
 import random
+import time
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -587,6 +591,57 @@ def test_permutation_algebra_is_parameter_independent():
         assert algebra_is_semisimple(obj, t)
     assert negligible_rank(obj, obj, 0)[0] == 0
     assert negligible_rank(obj, obj, 1)[0] == 1
+
+
+
+def _trace_form_is_nondegenerate(obj, t):
+    """The oracle: Dickson's criterion, Bareiss over Q on the d! x d! regular trace form."""
+    form = endomorphism_trace_form(obj, t)
+    return exact_rank(form) == len(form)
+
+
+@pytest.mark.parametrize("obj", small_objects(4), ids=str)
+def test_semisimplicity_criterion_matches_the_trace_form(obj):
+    for t in [*range(-5, 6), Fraction(1, 2), Fraction(-7, 3)]:
+        assert algebra_is_semisimple(obj, t) == _trace_form_is_nondegenerate(obj, t), t
+
+
+@pytest.mark.parametrize("r, s, t, expected", [
+    (3, 2, 3, False), (3, 2, -4, True), (4, 1, -3, False), (4, 1, 4, True), (1, 4, 0, False),
+])
+def test_semisimplicity_criterion_at_degree_five_boundaries(r, s, t, expected):
+    # |t| = d - 2 is the last non-semisimple integer, and t = 0 leaves (1, 4) out
+    obj = BiObject(r, s)
+    assert algebra_is_semisimple(obj, t) == _trace_form_is_nondegenerate(obj, t) == expected
+
+
+def test_semisimplicity_criterion_at_degree_six():
+    # full rank mod a prime implies full rank over Q, so B_{3,3}(5) is semisimple
+    obj = BiObject(3, 3)
+    assert rank_mod_p(endomorphism_trace_form(obj, 5), 1000003) == factorial(6)
+    assert algebra_is_semisimple(obj, 5)
+
+
+@pytest.mark.parametrize("t", [FpScalar(2, 5), 0.5, "symbolic"], ids=["fp", "float", "symbolic"])
+def test_semisimplicity_needs_a_rational_parameter(t):
+    # the parameter is checked before the degree: degree 7 is past the default cap
+    with pytest.raises(DomainError):
+        algebra_is_semisimple(BiObject(4, 3), t)
+
+
+def test_semisimplicity_keeps_the_degree_cap():
+    with pytest.raises(CapExceeded, match=r"hom space of degree 7 \(7! diagrams\)"):
+        algebra_is_semisimple(BiObject(4, 3), 6)
+    start = time.perf_counter()
+    obj = BiObject(4, 3)
+    assert not algebra_is_semisimple(obj, 5, cap=7)
+    assert algebra_is_semisimple(obj, 6, cap=7)
+    assert algebra_is_semisimple(obj, Fraction(1, 2), cap=7)
+    for r in range(7):
+        for s in range(7 - r):
+            for t in [*range(-7, 8), Fraction(1, 2), Fraction(-7, 3)]:
+                algebra_is_semisimple(BiObject(r, s), t)
+    assert time.perf_counter() - start < 1  # 479 calls; one 720 x 720 form took minutes
 
 
 # -- character oracle ------------------------------------------------------------

@@ -294,8 +294,11 @@ def test_usage_error_exit_code(capsys):
      "error: --cap-bounds-p applies to --bounds only"),
     (["padic", "--p", "5", "--binomial", "7", "--e", "3", "--cap-order", "1000"],
      "error: --cap-order applies to --blocks only"),
+    (["padic", "--p", "5", "--binomial", "7", "--e", "3"], "error: --e applies to --blocks only"),
+    (["padic", "--p", "5", "--binomial", "7", "--e", "1"], "error: --e applies to --blocks only"),
 ], ids=["selftest-format", "fusion-table-with-labels", "decompose-with-blocks", "decompose-k",
-        "decompose-no-with-blocks", "decompose-no-k", "invariants-cap-without-bounds", "padic-cap-order-binomial"])
+        "decompose-no-with-blocks", "decompose-no-k", "invariants-cap-without-bounds", "padic-cap-order-binomial",
+        "padic-e-binomial", "padic-e-at-one-binomial"])
 def test_an_option_the_request_does_not_read_is_a_usage_error(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""

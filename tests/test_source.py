@@ -40,6 +40,14 @@ def test_numpy_is_imported_only_by_the_dense_route():
     assert found == {"scalars.row_echelon_mod_p", "modrep.jordan_type", "modrep._induced_matrix"}
 
 
+def test_brauer_eliminates_no_matrix():
+    # every Brauer answer is read off partitions, tableaux or a closed criterion
+    tree = ast.parse((Path(semisimple.__file__).parent / "brauer.py").read_text())
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names}
+    assert imported and not imported & {"bareiss", "exact_rank", "exact_det", "rank_mod_p", "row_echelon_mod_p"}
+
+
 def test_lru_caches_are_the_known_three():
     # a cache is added here only once it is shown to be hit; an unhit one only holds memory
     found = {f"{path.stem}.{node.name}"
