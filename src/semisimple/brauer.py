@@ -11,10 +11,10 @@ to right, then top row left to right.  In each row the up-arrows come
 first: bottom indices [0, r) point up and [r, r+s) point down; with
 B = r + s, top indices [B, B+u) point up and [B+u, B+u+v) point down.
 `_class_starts` gives these four class starts, and validation, the hom
-basis and juxtaposition all read them there.  A pair inside one row joins
-an up and a down endpoint; a pair across the rows joins two endpoints of
-the same direction.  Stacking and closing both follow the alternating
-walks of two overlaid matchings (`_walks`).
+basis, juxtaposition and the braiding all read them there.  A pair inside
+one row joins an up and a down endpoint; a pair across the rows joins two
+endpoints of the same direction.  Stacking and closing both follow the
+alternating walks of two overlaid matchings (`_walks`).
 
 Gram matrices are group matrices of S_d.  A hom space of degree d has one
 basis diagram per permutation sigma of range(d), and the trace pairing of
@@ -80,6 +80,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_right
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
@@ -145,7 +146,7 @@ class WalledDiagram:
         object.__setattr__(self, "pairs", pairs)
         k = self.source.total + self.target.total
         seen = [x for pair in pairs for x in pair]
-        if not all(isinstance(x, int) for x in seen):  # 0.0 == 0 would pass the matching check
+        if not all(type(x) is int for x in seen):  # 0.0 == 0 and True == 1 would pass the matching check
             raise DomainError("diagram endpoints must be integers")
         if sorted(seen) != list(range(k)):
             raise DomainError("pairs do not form a perfect matching of the endpoints")
@@ -324,7 +325,7 @@ class DiagramMorphism:
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         data: dict[WalledDiagram, TPolynomial] = {}
-        items = terms.items() if isinstance(terms, dict) else terms
+        items = terms.items() if isinstance(terms, Mapping) else terms
         for dia, coeff in items:
             if dia.source != source or dia.target != target:
                 raise DomainError("term does not match the morphism's source/target")
@@ -347,14 +348,15 @@ class DiagramMorphism:
         return not self.terms
 
     def __add__(self, other: "DiagramMorphism") -> "DiagramMorphism":
+        if not isinstance(other, DiagramMorphism):
+            return NotImplemented
         if (self.source, self.target) != (other.source, other.target):
             raise DomainError("cannot add morphisms between different objects")
-        out = dict(self.terms)
-        for d, c in other.terms.items():
-            out[d] = out.get(d, TPolynomial()) + c
-        return DiagramMorphism(self.source, self.target, out)
+        return DiagramMorphism(self.source, self.target, [*self.terms.items(), *other.terms.items()])
 
     def __sub__(self, other: "DiagramMorphism") -> "DiagramMorphism":
+        if not isinstance(other, DiagramMorphism):
+            return NotImplemented
         return self + (-1) * other
 
     def __rmul__(self, scalar) -> "DiagramMorphism":
@@ -362,10 +364,6 @@ class DiagramMorphism:
         return DiagramMorphism(
             self.source, self.target, [(d, c * v) for d, v in self.terms.items()]
         )
-
-    def __matmul__(self, other: "DiagramMorphism") -> "DiagramMorphism":
-        """Composition self o other (apply `other` first)."""
-        return compose(self, other)
 
     def __eq__(self, other):
         if not isinstance(other, DiagramMorphism):
@@ -431,38 +429,27 @@ def compose(f: DiagramMorphism, g: DiagramMorphism) -> DiagramMorphism:
     if g.target != f.source:
         raise DomainError(f"cannot compose: {g.target} feeds into {f.source}")
     _check_product_work(f, g, g.source.total + g.target.total + f.target.total)
-    acc: dict[WalledDiagram, TPolynomial] = {}
-    for dg, cg in g.terms.items():
-        for df, cf in f.terms.items():
-            dia, loops = _stack(df, dg)
-            coeff = cf * cg * T**loops
-            acc[dia] = acc.get(dia, TPolynomial()) + coeff
-    return DiagramMorphism(g.source, f.target, acc)
+    stacked = ((_stack(df, dg), cf * cg) for dg, cg in g.terms.items() for df, cf in f.terms.items())
+    return DiagramMorphism(g.source, f.target, ((dia, c * T**loops) for (dia, loops), c in stacked))
 
 
 def tensor(f: DiagramMorphism, g: DiagramMorphism) -> DiagramMorphism:
     """Side-by-side tensor product; coefficients multiply, no loops arise."""
     _check_product_work(f, g, f.source.total + f.target.total + g.source.total + g.target.total)
-    acc: dict[WalledDiagram, TPolynomial] = {}
-    for d1, c1 in f.terms.items():
-        for d2, c2 in g.terms.items():
-            dia = _juxtapose(d1, d2)
-            acc[dia] = acc.get(dia, TPolynomial()) + c1 * c2
-    return DiagramMorphism(f.source @ g.source, f.target @ g.target, acc)
+    terms = ((_juxtapose(d1, d2), c1 * c2) for d1, c1 in f.terms.items() for d2, c2 in g.terms.items())
+    return DiagramMorphism(f.source @ g.source, f.target @ g.target, terms)
 
 
 def braiding(a: BiObject, b: BiObject) -> DiagramMorphism:
     """The symmetry a (x) b -> b (x) a: every strand crosses the other block."""
-    R = a.r + b.r
-    S = a.s + b.s
-    O = R + S
+    source, target = a @ b, b @ a
+    starts = _class_starts(source, target)
     pairs = []
-    pairs += [(i, O + b.r + i) for i in range(a.r)]
-    pairs += [(a.r + j, O + j) for j in range(b.r)]
-    pairs += [(R + i, O + R + b.s + i) for i in range(a.s)]
-    pairs += [(R + a.s + j, O + R + j) for j in range(b.s)]
-    dia = WalledDiagram(BiObject(R, S), BiObject(R, S), tuple(pairs))
-    return DiagramMorphism.from_diagram(dia)
+    for c, n, moved in ((0, source.r, b.r), (1, source.s, b.s)):
+        # bottom class c lists a's endpoints then b's, top class c + 2 b's then a's:
+        # the k-th of the n bottom ones meets top (k + moved) mod n
+        pairs += [(starts[c] + k, starts[c + 2] + (k + moved) % n) for k in range(n)]
+    return DiagramMorphism.from_diagram(WalledDiagram(source, target, tuple(pairs)))
 
 
 def trace(f: DiagramMorphism) -> TPolynomial:
@@ -497,6 +484,12 @@ def _gram_exponents(d: int) -> list[list[int]]:
     return [[cycles[g(inverse)] for g in after] for inverse in inverses]
 
 
+def _powers(t_value, d: int) -> list:
+    """t^0 .. t^d: integer polynomials for "symbolic", exact values at t_value otherwise."""
+    powers = [T**k for k in range(d + 1)]
+    return powers if t_value == "symbolic" else [x.evaluate(t_value) for x in powers]
+
+
 def gram_matrix(source: BiObject, target: BiObject, t_value="symbolic", cap: int = DEGREE_CAP):
     """Gram matrix of the trace pairing on Hom(source, target).
 
@@ -508,9 +501,7 @@ def gram_matrix(source: BiObject, target: BiObject, t_value="symbolic", cap: int
     d = _hom_degree(source, target, cap)
     if d is None:
         return []
-    powers = [T**k for k in range(d + 1)]
-    if t_value != "symbolic":
-        powers = [x.evaluate(t_value) for x in powers]
+    powers = _powers(t_value, d)
     return [[powers[e] for e in row] for row in _gram_exponents(d)]
 
 
@@ -580,22 +571,22 @@ def endomorphism_trace_form(obj: BiObject, t_value="symbolic", cap: int = DEGREE
             dia, loops = _stack(di, dj)
             row.append((index[dia], loops))
         prod.append(row)
+    powers = _powers(t_value, obj.total)
     # trace of left multiplication by b_k
     reg_trace = []
     for k in range(n):
-        tr = TPolynomial()
+        tr = 0
         for j in range(n):
             idx, loops = prod[k][j]
             if idx == j:
-                tr = tr + T**loops
+                tr = tr + powers[loops]
         reg_trace.append(tr)
     rows = []
     for i in range(n):
         row = []
         for j in range(n):
             idx, loops = prod[i][j]
-            entry = T**loops * reg_trace[idx]
-            row.append(entry if t_value == "symbolic" else entry.evaluate(t_value))
+            row.append(powers[loops] * reg_trace[idx])
         rows.append(row)
     return rows
 

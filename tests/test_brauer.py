@@ -89,8 +89,8 @@ def test_diagram_wall_constraints():
     # not a perfect matching
     with pytest.raises(DomainError):
         WalledDiagram(B11, B11, ((0, 1), (2, 2)))
-    # float endpoints: 0.0 == 0 passes the matching check, but cannot index a list
-    for pairs in (((0, 1.0),), ((0.0, 1),)):
+    # float and bool endpoints: 0.0 == 0 and True == 1 pass the matching check
+    for pairs in (((0, 1.0),), ((0.0, 1),), ((0, True),), ((False, 1),)):
         with pytest.raises(DomainError, match="integers"):
             WalledDiagram(BiObject(1, 0), BiObject(1, 0), pairs)
 
@@ -204,6 +204,21 @@ def test_composition_is_bilinear_over_polynomial_coefficients():
 def test_compose_rejects_middle_mismatch():
     with pytest.raises(DomainError):
         compose(identity(B11), identity(BiObject(2, 0)))
+
+
+def test_morphism_rebuilds_from_its_own_terms():
+    f = arc_morphism() + 3 * identity(B11)
+    assert DiagramMorphism(f.source, f.target, f.terms) == f
+
+
+def test_morphism_sum_takes_only_morphisms_of_one_hom_space():
+    f = arc_morphism()
+    with pytest.raises(TypeError):
+        f + 1
+    with pytest.raises(TypeError):
+        f - 1
+    with pytest.raises(DomainError, match="different objects"):
+        f + identity(BiObject(2, 0))
 
 
 def test_composition_associative_random_triples():
@@ -408,6 +423,21 @@ def content_rank(d, t):
         for lam in box_partitions(d, d, d)
         if all(t + j - i != 0 for i, part in enumerate(lam) for j in range(part))
     )
+
+
+@pytest.mark.parametrize("obj", [BiObject(2, 1), BiObject(2, 2)], ids=str)
+def test_symbolic_gram_determinant_is_the_content_product(obj):
+    # past 2 x 2, Bareiss over Z[t] divides by earlier pivots (TPolynomial.exact_div)
+    d = obj.total
+    expected = T**0
+    for lam in box_partitions(d, d, d):
+        f = dimensions(lam)[0]
+        for i, part in enumerate(lam):
+            for j in range(part):
+                expected = expected * (T + (j - i)) ** (f * f)
+    if d == 3:
+        assert expected == T**6 * (T + 1) ** 5 * (T - 1) ** 5 * (T + 2) * (T - 2)
+    assert exact_det(gram_matrix(obj, obj)) == expected
 
 
 def test_gram_exponents_match_stacked_loop_counts():

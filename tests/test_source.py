@@ -1,6 +1,7 @@
 """Static checks on the package source."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import semisimple
@@ -85,3 +86,14 @@ def test_no_private_name_is_imported_across_modules():
              if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("semisimple"))
              for alias in node.names if alias.name.startswith("_")]
     assert SOURCES and found == []
+
+
+def test_code_line_counter_skips_docstrings_comments_and_blanks():
+    path = Path(__file__).resolve().parents[1] / "tools" / "code_lines.py"
+    spec = importlib.util.spec_from_file_location("code_lines", path)
+    counter = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(counter)
+    source = ('"""Module docstring."""\n\nimport os  # a comment\n\n\n'
+              'def f(x):\n    """Two-line\n    docstring."""\n    # a comment\n    return (x +\n            1)\n\n'
+              'S = """a string on\ntwo lines"""\n')
+    assert counter.code_lines(source) == 6  # import, def, return on two lines, S on two lines

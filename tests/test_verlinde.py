@@ -117,6 +117,19 @@ def test_product_rejects_mixed_primes():
         product(simple(5, 1), simple(7, 1))
 
 
+def test_sum_adds_multiplicities_and_distributes_over_the_product():
+    rng = random.Random(61)
+    for p in (2, 3, 5, 7, 13):
+        for _ in range(5):
+            x, y, z = (random_element(rng, p) for _ in range(3))
+            assert (x + y).multiplicities == tuple(a + b for a, b in zip(x.multiplicities, y.multiplicities))
+            assert product(x + y, z) == product(x, z) + product(y, z)
+    with pytest.raises(DomainError):
+        simple(5, 1) + simple(7, 1)
+    with pytest.raises(TypeError):
+        simple(5, 1) + 1
+
+
 # -- dimensions -----------------------------------------------------------------
 
 
