@@ -91,7 +91,6 @@ from .scalars import (
     DEGREE_CAP,
     HOMDIM_DEGREE_CAP,
     PRODUCT_WORK_CAP,
-    CapExceeded,
     DomainError,
     FpScalar,
     T,
@@ -142,12 +141,14 @@ class WalledDiagram:
     pairs: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
+        if not all(isinstance(pair, (tuple, list)) and len(pair) == 2 for pair in self.pairs):
+            raise DomainError("each diagram pair must join two endpoints")
+        seen = [x for pair in self.pairs for x in pair]
+        if not all(type(x) is int for x in seen):  # 0.0 == 0 and True == 1 would pass the matching check
+            raise DomainError("diagram endpoints must be integers")
         pairs = tuple(sorted(tuple(sorted(pair)) for pair in self.pairs))
         object.__setattr__(self, "pairs", pairs)
         k = self.source.total + self.target.total
-        seen = [x for pair in pairs for x in pair]
-        if not all(type(x) is int for x in seen):  # 0.0 == 0 and True == 1 would pass the matching check
-            raise DomainError("diagram endpoints must be integers")
         if sorted(seen) != list(range(k)):
             raise DomainError("pairs do not form a perfect matching of the endpoints")
         starts = _class_starts(self.source, self.target)
@@ -182,7 +183,7 @@ class WalledDiagram:
         return cls(
             BiObject(*doc["source"]),
             BiObject(*doc["target"]),
-            tuple(tuple(pair) for pair in doc["pairs"]),
+            tuple(doc["pairs"]),
         )
 
 
@@ -399,7 +400,7 @@ class DiagramMorphism:
             return cls.from_diagram(WalledDiagram.from_json(doc))
         terms = []
         for term in doc["terms"]:
-            dia = WalledDiagram(source, target, tuple(tuple(p) for p in term["pairs"]))
+            dia = WalledDiagram(source, target, tuple(term["pairs"]))
             coeff = term.get("coeff", 1)
             terms.append((dia, TPolynomial.parse(coeff) if isinstance(coeff, str) else coeff))
         return cls(source, target, terms)
@@ -419,9 +420,7 @@ def _check_product_work(f: DiagramMorphism, g: DiagramMorphism, nodes: int) -> N
 
     (nf, df, zf), (ng, dg, zg) = sizes(f), sizes(g)
     work = nf * ng * (128 + 16 * nodes) + 4 * (ng * df + nf * dg) + zf * zg
-    if work > PRODUCT_WORK_CAP:
-        raise CapExceeded(f"a product of {nf} by {ng} terms needs about {work} coefficient operations, "
-                          f"past the cap {PRODUCT_WORK_CAP}")
+    check_cap(f"a product of {nf} by {ng} terms needs about {{}} coefficient operations, which", work, PRODUCT_WORK_CAP)
 
 
 def compose(f: DiagramMorphism, g: DiagramMorphism) -> DiagramMorphism:

@@ -118,9 +118,8 @@ def growth_rate(x: FusionElement) -> GrowthRate:
 
 
 def module_growth_rate(v: JordanModule) -> GrowthRate:
-    """Growth rate of the non-negligible summand count of tensor powers of v."""
-    if v.e != 1:
-        raise DomainError("growth rates are computed for order-p modules only")
+    """Growth rate of the non-negligible summand count of tensor powers of
+    v, an order-p module (`to_verlinde` refuses any other)."""
     from .modrep import to_verlinde
 
     image = to_verlinde(v)
@@ -215,9 +214,8 @@ class GrowthReport:
 
 
 def invariant_report(v: JordanModule) -> GrowthReport:
-    """Compute the dimension/growth consistency checks for an order-p module."""
-    if v.e != 1:
-        raise DomainError("invariant checks apply to order-p modules only")
+    """Compute the dimension/growth consistency checks for an order-p module
+    (`to_verlinde` refuses any other)."""
     from .modrep import to_verlinde
 
     m = to_verlinde(v).multiplicities
@@ -340,13 +338,15 @@ def padic_digits(p: int, dims) -> PadicDigits:
 
 
 def binomials_mod_p(n: int, p: int, length: int) -> list[int]:
-    """C(n, k) mod p for 0 <= k < length and n >= 0: the Lucas product over
+    """C(n, k) mod p for 0 <= k < length, n and length >= 0: the Lucas product over
     the base-p digits t_i of n, built a block at a time; only the digits
     with p^i < length are read.  Refused, before any entry is computed,
     when `length` exceeds FUSION_ENTRY_CAP."""
     check_prime(p)
     if n < 0:
         raise DomainError(f"binomial row {n} is negative")
+    if length < 0:
+        raise DomainError(f"binomial row length {length} is negative")
     check_cap("binomial row of {} entries", length, FUSION_ENTRY_CAP)
     row = [1][:length]
     for _, block in _lucas_row((n // p**i % p for i in count()), p, length, row):

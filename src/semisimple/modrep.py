@@ -159,8 +159,8 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from math import comb
 
-from .scalars import (FUSION_ENTRY_CAP, INDUCED_DIM_CAP, ORDER_CAP, CapExceeded, DomainError, check_cap,
-                      check_prime, row_echelon_mod_p)
+from .scalars import (FUSION_ENTRY_CAP, INDUCED_DIM_CAP, ORDER_CAP, DomainError, check_cap, check_prime,
+                      row_echelon_mod_p)
 
 
 @dataclass(frozen=True)
@@ -224,8 +224,8 @@ def jordan_type(U: np.ndarray, p: int) -> tuple[int, ...]:
         return ()
     N = (U - np.eye(n, dtype=np.int64)) % p
     top = int(N.max())
-    if n * (p - 1) * top >= 2**53:
-        raise CapExceeded(f"exact float64 rank profile needs n*(p-1)*max(N) < 2^53, got {n}*{p - 1}*{top}")
+    check_cap(f"the float64 inner-sum bound n*(p-1)*max(N) = {n}*{p - 1}*{top} = {{}} (exact below 2^53)",
+              n * (p - 1) * top, 2**53 - 1)
     Nf = N.astype(np.float64)
     ranks = [n]
     basis = row_echelon_mod_p(N, p)
@@ -244,8 +244,13 @@ def jordan_type(U: np.ndarray, p: int) -> tuple[int, ...]:
     for k in range(1, len(ranks)):
         mult = rank(k - 1) - 2 * rank(k) + rank(k + 1)
         blocks.extend([k] * mult)
-    if sum(blocks) != n:
-        raise RuntimeError(f"Jordan blocks {blocks} do not sum to the dimension {n}")
+    return _jordan_blocks(blocks, n)
+
+
+def _jordan_blocks(blocks: list[int], dim: int) -> tuple[int, ...]:
+    """The block sizes, largest first, once they are checked to sum to the dimension dim."""
+    if sum(blocks) != dim:
+        raise RuntimeError(f"Jordan blocks {blocks} do not sum to the dimension {dim}")
     return tuple(sorted(blocks, reverse=True))
 
 
@@ -284,9 +289,7 @@ def _graded_smith(M: list[list[int]], a: list[int], b: list[int], p: int, dim: i
         for i in moved:
             del lead[i]
         lead.update(leads(moved))
-    if sum(blocks) != dim:
-        raise RuntimeError(f"Jordan blocks {blocks} do not sum to the dimension {dim}")
-    return tuple(sorted(blocks, reverse=True))
+    return _jordan_blocks(blocks, dim)
 
 
 @lru_cache(maxsize=None)
@@ -356,9 +359,7 @@ def _tilting_block(p: int, n: int, k: int) -> tuple[int, ...]:
             if rest:
                 raise RuntimeError(f"the free part {a} T({m}) at p = {p} has dimension not divisible by p")
             blocks += [p] * free
-    if sum(blocks) != comb(n, k):
-        raise RuntimeError(f"Jordan blocks {blocks} do not sum to the dimension {comb(n, k)}")
-    return tuple(sorted(blocks, reverse=True))
+    return _jordan_blocks(blocks, comb(n, k))
 
 
 def _orbit_block(p: int, q: int, k: int) -> tuple[int, ...]:

@@ -16,6 +16,7 @@ form is its oracle, over Q through degree 5 and mod a large prime at
 degree 6.
 """
 
+import json
 import random
 import time
 from fractions import Fraction
@@ -93,6 +94,18 @@ def test_diagram_wall_constraints():
     for pairs in (((0, 1.0),), ((0.0, 1),), ((0, True),), ((False, 1),)):
         with pytest.raises(DomainError, match="integers"):
             WalledDiagram(BiObject(1, 0), BiObject(1, 0), pairs)
+    # an entry that is not two endpoints, as a tuple and as the JSON lists `brauer compose` reads:
+    # a triple beside a single, a bare endpoint
+    for pairs in (((0, 1, 2), (3,)), ((0, 1), 2)):
+        listed = json.loads(json.dumps(pairs))
+        for doc in ({"pairs": listed}, {"terms": [{"pairs": listed}]}):
+            with pytest.raises(DomainError, match="two endpoints"):
+                DiagramMorphism.from_json({"source": [1, 1], "target": [1, 1], **doc})
+        with pytest.raises(DomainError, match="two endpoints"):
+            WalledDiagram(B11, B11, pairs)
+    # a string endpoint beside integers is refused before a mixed pair is sorted
+    with pytest.raises(DomainError, match="integers"):
+        WalledDiagram(B11, B11, ((0, "1"), (2, 3)))
 
 
 def perfect_matchings(points):

@@ -762,6 +762,7 @@ _COEFF = st.sampled_from([
 _DIAGRAM = st.sampled_from([
     ("[1, 0]", "[1, 0]", "[[0, 1]]"), ("[1, 1]", "[1, 1]", "[[0, 1], [2, 3]]"),
     ("[1, 1]", "[1, 1]", "[[0, 2], [1, 3]]"), ("[1, 0]", "[0, 1]", "[[0, 1]]"), ("[1]", "[1, 0]", "[]"),
+    ("[1, 1]", "[1, 1]", "[[0, 1, 2], [3]]"), ("[1, 1]", "[1, 1]", "[[0, 1], 2]"),
 ])
 
 

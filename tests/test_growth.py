@@ -512,6 +512,14 @@ def test_binomials_mod_p_refuse_a_negative_row_at_once():
     assert main(["padic", "--p", "5", "--binomial", "-1"]) == 2
 
 
+def test_binomials_mod_p_refuse_a_negative_length():
+    # the CLI refuses --length -1 before the call; the library refuses it as it refuses a negative n
+    for length in (-1, -10**30):
+        with pytest.raises(DomainError, match="length"):
+            binomials_mod_p(5, 3, length)
+    assert binomials_mod_p(5, 3, 0) == []
+
+
 def test_binomials_mod_p_match_comb_on_sampled_entries_of_long_rows():
     # comb(n, k) takes seconds for k near n / 2 at n = 10^6, so k is sampled within 20000 of either end
     rng = random.Random(1009)

@@ -72,11 +72,11 @@ def _raises_of(node: ast.AST, owner: str, name: str) -> list[str]:
 
 
 def test_every_plain_cap_is_checked_by_check_cap():
-    # a value past its cap is refused in one place; the other three refusals are not a value against a cap
+    # a value past its cap is refused in one place; the digit limit of an answer is not a value against a cap
     found = [name
              for path in SOURCES
              for name in _raises_of(ast.parse(path.read_text(), filename=str(path)), path.stem, "CapExceeded")]
-    assert sorted(found) == ["brauer._check_product_work", "cli._render", "modrep.jordan_type", "scalars.check_cap"]
+    assert sorted(found) == ["cli._render", "scalars.check_cap"]
 
 
 def test_no_private_name_is_imported_across_modules():
