@@ -180,11 +180,27 @@ class WalledDiagram:
 
     @classmethod
     def from_json(cls, doc: dict) -> "WalledDiagram":
-        return cls(
-            BiObject(*doc["source"]),
-            BiObject(*doc["target"]),
-            tuple(doc["pairs"]),
-        )
+        return cls(*_json_objects(doc), _json_pairs(doc))
+
+
+def _json_objects(doc) -> tuple[BiObject, BiObject]:
+    """The source and target of a diagram or morphism document, each a list
+    of two integers; a document of any other shape is refused."""
+    if not isinstance(doc, dict):
+        raise DomainError("a morphism document must be a JSON object")
+    objects = doc["source"], doc["target"]
+    for name, value in zip(("source", "target"), objects):
+        if not (isinstance(value, (list, tuple)) and len(value) == 2 and all(type(x) is int for x in value)):
+            raise DomainError(f"'{name}' must be a list of two integers")
+    return BiObject(*objects[0]), BiObject(*objects[1])
+
+
+def _json_pairs(doc: dict) -> tuple:
+    """The `pairs` list of a diagram document; `WalledDiagram` checks each pair."""
+    pairs = doc["pairs"]
+    if not isinstance(pairs, (list, tuple)):
+        raise DomainError("'pairs' must be a list of endpoint pairs")
+    return tuple(pairs)
 
 
 def identity_diagram(obj: BiObject) -> WalledDiagram:
@@ -394,16 +410,18 @@ class DiagramMorphism:
 
     @classmethod
     def from_json(cls, doc: dict) -> "DiagramMorphism":
-        source = BiObject(*doc["source"])
-        target = BiObject(*doc["target"])
+        source, target = _json_objects(doc)
         if "terms" not in doc and "pairs" in doc:  # bare diagram: coefficient 1
-            return cls.from_diagram(WalledDiagram.from_json(doc))
-        terms = []
-        for term in doc["terms"]:
-            dia = WalledDiagram(source, target, tuple(term["pairs"]))
+            return cls.from_diagram(WalledDiagram(source, target, _json_pairs(doc)))
+        terms = doc["terms"]
+        if not (isinstance(terms, (list, tuple)) and all(isinstance(term, dict) for term in terms)):
+            raise DomainError("'terms' must be a list of objects")
+        items = []
+        for term in terms:
+            dia = WalledDiagram(source, target, _json_pairs(term))
             coeff = term.get("coeff", 1)
-            terms.append((dia, TPolynomial.parse(coeff) if isinstance(coeff, str) else coeff))
-        return cls(source, target, terms)
+            items.append((dia, TPolynomial.parse(coeff) if isinstance(coeff, str) else coeff))
+        return cls(source, target, items)
 
 
 def identity(obj: BiObject) -> DiagramMorphism:

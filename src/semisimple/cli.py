@@ -317,7 +317,7 @@ def cmd_compose(args):
         g = DiagramMorphism.from_json(json.loads(args.g))
     except DomainError:
         raise
-    except (ValueError, KeyError, TypeError) as exc:  # ValueError: bad JSON, or an integer past the digit limit
+    except (ValueError, KeyError) as exc:  # bad JSON, an integer past the digit limit, or a missing field
         reason = exc
         if "set_int_max_str_digits" in str(exc):  # Python's advice names a call no CLI user can make
             reason = f"an integer has more than {sys.get_int_max_str_digits()} digits"

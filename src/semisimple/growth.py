@@ -11,11 +11,17 @@ give m_k + m_{p-k} and m_k - m_{p-k} coefficient by coefficient, once the
 second is multiplied by [2]_q and folded by [j]_q = [p-j]_q.
 
 The binomial rows mod p and the p-adic digits read one Lucas product,
-prod_i (1 + z^(p^i))^(t_i) mod p (Lucas 1878): `_lucas_row` yields it a
-block at a time as the Kronecker product of the digit rows C(t_i, b) mod p,
-`binomials_mod_p` fills a row with it, and `padic_digits` checks a series
-against it.  Each digit row stops where the row does, so a row costs its
-length, never p.
+prod_i (1 + z^(p^i))^(t_i) mod p (Lucas 1878).  One builder, `_lucas_row`,
+yields it a block at a time as the Kronecker product of the digit rows
+C(t_i, b) mod p; `binomials_mod_p` fills a row with it, and `padic_digits`
+checks a series against it.  Each digit row stops where the row does, so
+a row costs its length, never p.  For p <= 256 every residue fits a byte,
+so rows and series are held as `bytearray`: a series is narrowed and
+range-checked in one C pass, each block C(t_i, b) times the first p^i
+entries is a single `translate` through a multiply-by-c table, and a
+block is compared with the series by one memory compare, where Python
+ints would take a bytecode step per entry for each.  Above 256 the row
+stays a list of ints.
 
 Each function imports the modules it calls (`modrep`, `verlinde`,
 `partitions`) where it calls them, so the binomial digits and the bounds
@@ -276,7 +282,8 @@ class PadicDigits:
 def _lucas_row(digits, p: int, length: int, row):
     """Yield the coefficients of prod_i (1 + z^(p^i))^(t_i) mod p, t_i =
     digits[i] for every p^i < length, from z^1 up to z^(length - 1), as
-    pairs (start, block) of consecutive blocks.
+    pairs (start, block) of consecutive blocks: bytes-like for p <= 256,
+    where `row` is a `bytearray` too, lists otherwise.
 
     By Lucas' theorem this is C(n, k) mod p for n = sum t_i p^i.  The
     factors below i reach at most z^(p^i - 1), so the coefficients from
@@ -287,8 +294,14 @@ def _lucas_row(digits, p: int, length: int, row):
     the caller's row being filled, or a series being checked against the
     product.  The digit row is made by C(t, b) = C(t, b - 1)(t - b + 1)/b
     and stops at the last b with b p^i < length, so a row costs its length,
-    never p.
+    never p.  In bytes a block is one `translate` through the table of
+    x -> c x mod p: entry x of bytes(range(p)) * c read every c-th, padded
+    to the 256 entries `translate` takes.  It is built only from p^i >= p
+    on, where it costs no more than its block; below, the one entry c is
+    computed as it is.
     """
+    narrow = p <= 256  # every residue fits a byte
+    residues = bytes(range(p)) if narrow else b""
     step = 1
     for t in digits:
         if step >= length:
@@ -296,38 +309,67 @@ def _lucas_row(digits, p: int, length: int, row):
         c = 1
         for b in range(1, min(t, (length - 1) // step) + 1):
             c = c * (t - b + 1) * pow(b, -1, p) % p
-            yield b * step, [c * x % p for x in islice(row, min(step, length - b * step))]
+            size = min(step, length - b * step)
+            if not narrow:
+                yield b * step, [c * x % p for x in islice(row, size)]
+            elif step >= p:
+                yield b * step, row[:size].translate((residues * c)[::c].ljust(256, b"\0"))
+            else:
+                yield b * step, bytes(c * x % p for x in row[:size])
         end = step * (t + 1)
         step *= p
-        yield end, [0] * (min(step, length) - end)
+        zeros = max(min(step, length) - end, 0)
+        yield end, bytes(zeros) if narrow else [0] * zeros
+
+
+def _residues(p: int, dims):
+    """The entries of `dims`, read once, reduced mod p: a `bytearray` for
+    p <= 256, a list otherwise.  A list of int-likes already in [0, p) is
+    narrowed in one C pass (above 256, a list of plain ints in range is
+    kept as it is); any other list, and any other iterable, is coerced
+    entry by entry, then narrowed.  Only a `list` is narrowed directly:
+    `bytearray` of a buffer such as a numpy array or an `array.array`
+    copies its raw memory, eight bytes for each int64 entry."""
+    narrow = p <= 256
+    if type(dims) is list:
+        if narrow:
+            try:
+                data = bytearray(dims)  # checks each entry's type and range [0, 256)
+            except (TypeError, ValueError):
+                pass
+            else:
+                if not data.translate(None, bytes(range(p))):  # nothing left once [0, p) is deleted
+                    return data
+        elif set(map(type, dims)) <= {int}:
+            if 0 <= min(dims, default=0) and max(dims, default=0) < p:
+                return dims
+            return list(map(mod, dims, repeat(p)))
+    series = []
+    for x in dims:
+        if isinstance(x, FpScalar):
+            if x.p != p:
+                raise DomainError("mixed moduli in the dimension sequence")
+            series.append(x.value)
+        else:
+            series.append(int(x) % p)
+    return bytearray(series) if narrow else series
 
 
 def padic_digits(p: int, dims) -> PadicDigits:
     """Extract digits from the exterior-power dimension sequence.
 
-    dims is a sequence: dims[n] is the categorical dimension of the n-th
-    exterior power, as an F_p scalar (or plain integer), with dims[0] = 1.
-    The generating function must factor as the Lucas product of
-    (1 + z^(p^i))^(t_i), and a sequence not of that form is rejected loudly
-    rather than approximated.  The lower factors reach at most
+    dims is an iterable, read once: dims[n] is the categorical dimension of
+    the n-th exterior power, as an F_p scalar (or plain integer), with
+    dims[0] = 1.  The generating function must factor as the Lucas product
+    of (1 + z^(p^i))^(t_i), and a sequence not of that form is rejected
+    loudly rather than approximated.  The lower factors reach at most
     z^(p^i - 1), so t_i = series[p^i] for every p^i below the length, and
     the series is compared with the product block by block, each block
     made from the series' own first entries, already checked, so that the
-    product is never held as a list of its own.
+    product is never held as a row of its own.
     """
     check_prime(p)
-    if set(map(type, dims)) <= {int}:  # passes at C speed for plain integers
-        reduced = type(dims) is list and 0 <= min(dims, default=0) and max(dims, default=0) < p
-        series = dims if reduced else list(map(mod, dims, repeat(p)))
-    else:
-        series = []
-        for x in dims:
-            if isinstance(x, FpScalar):
-                if x.p != p:
-                    raise DomainError("mixed moduli in the dimension sequence")
-                series.append(x.value)
-            else:
-                series.append(int(x) % p)
+    series = _residues(p, dims)
     if not series or series[0] != 1:
         raise DomainError("the dimension sequence must start with 1")
     digits = [series[q] for q in takewhile(len(series).__gt__, (p**i for i in count()))]
@@ -348,10 +390,10 @@ def binomials_mod_p(n: int, p: int, length: int) -> list[int]:
     if length < 0:
         raise DomainError(f"binomial row length {length} is negative")
     check_cap("binomial row of {} entries", length, FUSION_ENTRY_CAP)
-    row = [1][:length]
+    row = bytearray(b"\1"[:length]) if p <= 256 else [1][:length]
     for _, block in _lucas_row((n // p**i % p for i in count()), p, length, row):
         row += block
-    return row
+    return list(row) if p <= 256 else row
 
 
 def exterior_dimension_sequence(v: JordanModule) -> list[FpScalar]:

@@ -168,6 +168,23 @@ def test_compose_refuses_oversized_numbers_at_once(capsys, coeff, code, err):
     assert "set_int_max_str_digits" not in got[2]
 
 
+_SWAP_JSON = '{"source": [1, 1], "target": [1, 1], "pairs": [[0, 2], [1, 3]]}'
+
+
+@pytest.mark.parametrize("f, err", [
+    ('{"source": [1, 1], "target": [1, 1], "pairs": 5}', "'pairs' must be a list of endpoint pairs"),
+    ('{"source": [1], "target": [1, 0], "pairs": []}', "'source' must be a list of two integers"),
+    ('{"source": [1, 1], "target": [1, true], "pairs": []}', "'target' must be a list of two integers"),
+    ('{"source": [1, 1], "target": [1, 1], "terms": 5}', "'terms' must be a list of objects"),
+    ('{"source": [1, 1], "target": [1, 1], "terms": [[[0, 2], [1, 3]]]}', "'terms' must be a list of objects"),
+    ("[]", "a morphism document must be a JSON object"),
+], ids=["pairs-not-a-list", "source-of-one", "target-bool", "terms-not-a-list", "term-not-an-object", "not-an-object"])
+def test_compose_refuses_a_malformed_document_as_a_domain_error(capsys, f, err):
+    # a wrongly shaped field is refused like a malformed matching, naming the field
+    assert run(capsys, "brauer", "compose", "--f", f, "--g", _SWAP_JSON) == (3, "", f"domain error: {err}\n")
+    assert run(capsys, "brauer", "compose", "--f", _SWAP_JSON, "--g", f) == (3, "", f"domain error: {err}\n")
+
+
 def _endomorphisms_json(n: int, coeff: str) -> str:
     """The first n diagrams of End([3, 3]), each times `coeff`."""
     terms = [{"pairs": [list(p) for p in d.pairs], "coeff": coeff} for d in hom_basis(BiObject(3, 3), BiObject(3, 3))[:n]]

@@ -16,6 +16,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 from pathlib import Path
 
@@ -420,9 +421,11 @@ def test_padic_digits_read_every_entry_type_alike():
     import numpy as np
 
     row = [comb(7, n) for n in range(8)]  # 7 = 2 + 1*5, unreduced
+    # an array, an iterator, a tuple: read once, entry by entry, never as raw memory
     for dims in (row, [x - 5 for x in row], list(map(np.int64, row)), [FpScalar(x, 5) for x in row],
-                 [FpScalar(1, 5), *row[1:]]):
+                 [FpScalar(1, 5), *row[1:]], np.array(row), iter(row), tuple(row)):
         assert padic_digits(5, dims).digits == (2, 1)
+    assert padic_digits(5, iter([1, 2, 1])).digits == padic_digits(5, [1, 2, 1]).digits == (2,)
     assert padic_digits(5, [True, True]).digits == padic_digits(5, [1, np.int8(1)]).digits == (1,)
     assert padic_digits(5, [True, False]).digits == (0,)
     with pytest.raises(DomainError, match="mixed moduli"):
@@ -467,6 +470,15 @@ def test_padic_digits_match_the_peel():
                 seq = [1] + [rng.randrange(p) for _ in range(rng.randint(0, 3 * p))]
             got = outcome(lambda: padic_digits(p, seq).digits)
             assert got == outcome(peel_digits, p, seq)
+    # either side of byte residues, past p^2 so that the third digit's blocks are built; the
+    # peel costs length * sum(t_i) here, so the row is the Lucas oracle's and the digits base p
+    for p in (251, 257):
+        n, row = lucas_row(p)
+        seq = list(row)
+        assert padic_digits(p, seq).digits == base_p_digits(n, p)
+        seq[p * p + 2 * p] = (seq[p * p + 2 * p] + 1) % p  # one entry of the top block off
+        with pytest.raises(DomainError, match="not a product"):
+            padic_digits(p, seq)
 
 
 def test_padic_digits_lucas_random():
@@ -478,12 +490,32 @@ def test_padic_digits_lucas_random():
             assert padic_digits(p, dims).digits == base_p_digits(d, p)
 
 
+def lucas_binomial(n, k, p):
+    """C(n, k) mod p as the product of C(n_i, k_i) over the base-p digits (Lucas)."""
+    c = 1
+    while k and c:
+        c = c * comb(n % p, k % p) % p
+        n, k = n // p, k // p
+    return c
+
+
+@lru_cache
+def lucas_row(p):
+    """n = p^2 + 3p + 2, digits (2, 3, 1), and its row mod p entry by entry, past p^2."""
+    n = p * p + 3 * p + 2
+    return n, tuple(lucas_binomial(n, k, p) for k in range(n + 1))
+
+
 def test_binomials_mod_p_match_comb():
     for n in range(301):
         row = [comb(n, k) for k in range(n + 9)]
         for p in (2, 3, 5, 7):
             for length in (0, 1, n // 2, n + 1, n + 9):
                 assert binomials_mod_p(n, p, length) == [c % p for c in row[:length]]
+    for p in (251, 257):  # either side of byte residues, past p^2
+        n, row = lucas_row(p)
+        assert binomials_mod_p(n, p, n + 1) == list(row)
+        assert binomials_mod_p(n, p, p * p + 5) == list(row[:p * p + 5])
     with pytest.raises(DomainError):
         binomials_mod_p(5, 4, 6)
 
