@@ -328,7 +328,7 @@ def _closure_loops(d: WalledDiagram) -> int:
 def _coerce_coeff(c) -> TPolynomial:
     if isinstance(c, TPolynomial):
         return c
-    if isinstance(c, int):
+    if type(c) is int:  # a bool is no coefficient, as it is no endpoint
         return TPolynomial((c,))
     raise DomainError(f"diagram coefficients must be integer polynomials, got {type(c).__name__}")
 

@@ -117,13 +117,12 @@ def _csv(doc: dict, *keys: str) -> list[list]:
     return [list(keys), [" ".join(map(str, doc[k])) if isinstance(doc[k], list) else doc[k] for k in keys]]
 
 
-def _table_json(p: int, table):
+def _table_json(p: int, docs):
     """The `fusion --table` document as JSONEncoder(indent=2) writes it,
     rendered a row at a time so that no more than one row is held."""
     yield f'{{\n  "p": {p},\n  "table": ['
-    for n, (i, j, x) in enumerate(table):
-        row = json.dumps({"i": i, "j": j, "m": list(x.multiplicities), "pretty": str(x)}, indent=2)
-        yield ("," if n else "") + "\n    " + row.replace("\n", "\n    ")
+    for n, doc in enumerate(docs):
+        yield ("," if n else "") + "\n    " + json.dumps(doc, indent=2).replace("\n", "\n    ")
     yield "\n  ]\n}"
 
 
@@ -135,16 +134,17 @@ def cmd_fusion(args):
         if (args.i, args.j) != (None, None):
             raise UsageError("--i and --j do not apply with --table")
         table = verlinde.fusion_table(p, args.cap_fusion_entries)
-        if args.format == "csv":  # the rows only: no document, no pretty strings
-            header = ["i", "j"] + [f"m{k}" for k in range(1, p)]
-            return None, itertools.chain([header], ([i, j, *x.multiplicities] for i, j, x in table))
-        return _table_json(p, table), None
-    if args.i is None or args.j is None:
+    elif args.i is None or args.j is None:
         raise UsageError("fusion needs either --table or both --i and --j")
-    x = verlinde.fusion(p, args.i, args.j, args.cap_fusion_entries)
-    doc = {"p": p, "i": args.i, "j": args.j, "m": list(x.multiplicities), "pretty": str(x)}
-    rows = [["i", "j"] + [f"m{k}" for k in range(1, p)], [args.i, args.j, *x.multiplicities]]
-    return doc, rows
+    else:
+        table = [(args.i, args.j, verlinde.fusion(p, args.i, args.j, args.cap_fusion_entries))]
+    # both are lazy and `_emit` reads one, so the table is read once: by the rows for CSV, by the documents for JSON
+    rows = itertools.chain([["i", "j"] + [f"m{k}" for k in range(1, p)]],
+                           ([i, j, *x.multiplicities] for i, j, x in table))
+    docs = ({"i": i, "j": j, "m": list(x.multiplicities), "pretty": str(x)} for i, j, x in table)
+    if args.table:
+        return _table_json(p, docs), rows
+    return {"p": p, **next(docs)}, rows
 
 
 def _module_from_args(args, blocks: str) -> JordanModule:
@@ -247,8 +247,10 @@ def cmd_padic(args):
             raise UsageError("--length takes a nonnegative integer")
         length = args.length if args.length is not None else d_value + 1
         dims = growth.binomials_mod_p(d_value, p, length)
+        if not dims:  # --length 0
+            raise DomainError("the dimension sequence must start with 1")
         source = {"binomial": d_value}
-    digits = growth.padic_digits(p, dims)
+    digits = growth.PadicDigits.of_row(p, dims)  # a Lucas product by construction: checking it again cannot fail
     doc = {
         "p": p,
         **source,

@@ -260,6 +260,7 @@ class TPolynomial:
     def __sub__(self, other):
         return self + (-other)
 
+    @_coerced
     def __rsub__(self, other):
         return (-self) + other
 
@@ -324,6 +325,8 @@ class TPolynomial:
         return self.coeffs == other.coeffs
 
     def __hash__(self):
+        if len(self.coeffs) <= 1:  # a constant, zero included, equals its int and hashes as it
+            return hash(sum(self.coeffs))
         return hash(self.coeffs)
 
     def __bool__(self):

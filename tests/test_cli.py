@@ -20,6 +20,7 @@ import semisimple
 from semisimple import modrep, verlinde
 from semisimple.brauer import BiObject, DiagramMorphism, compose, hom_basis, schur_weyl_homdim
 from semisimple.cli import main
+from semisimple.growth import padic_digits
 from semisimple.modrep import JordanModule
 from semisimple.scalars import CapExceeded, T, TPolynomial
 from semisimple.verlinde import FusionElement, fusion
@@ -115,6 +116,30 @@ def test_padic_length_is_a_nonnegative_option_of_the_binomial_path(capsys, argv,
     assert code == 3 and out == ""  # the empty series has no leading 1
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 257])
+@pytest.mark.parametrize("length", [None, 300, 2 * 600 + 257], ids=["default", "below", "above"])
+def test_padic_binomial_digits_are_those_of_its_row(capsys, p, length):
+    # the CLI reads t_i = dims[p^i] off the row it built; the library's reader, which checks
+    # the whole row against the product of those digits, must agree
+    argv = ["padic", "--p", str(p), "--binomial", "600"] + ([] if length is None else ["--length", str(length)])
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    doc = json.loads(out)
+    assert len(doc["dims"]) == (601 if length is None else length)
+    digits = padic_digits(p, doc["dims"])
+    assert (doc["digits"], doc["value"]) == (list(digits.digits), digits.as_integer())
+
+
+@pytest.mark.parametrize("p, blocks", [(3, "3,3,2,1"), (5, "5,4,2"), (7, "6,1")])
+def test_padic_blocks_digits_are_those_of_its_row(capsys, p, blocks):
+    code, out, _ = run(capsys, "padic", "--p", str(p), "--blocks", blocks)
+    assert code == 0
+    doc = json.loads(out)
+    digits = padic_digits(p, doc["dims"])
+    assert (doc["digits"], doc["value"]) == (list(digits.digits), digits.as_integer())
+    assert doc["value"] == sum(map(int, blocks.split(",")))
+
+
 def test_bounds_documents(capsys):
     code, out, _ = run(capsys, "bounds", "plancherel", "--p", "5", "--d", "2")
     assert code == 0
@@ -178,7 +203,10 @@ _SWAP_JSON = '{"source": [1, 1], "target": [1, 1], "pairs": [[0, 2], [1, 3]]}'
     ('{"source": [1, 1], "target": [1, 1], "terms": 5}', "'terms' must be a list of objects"),
     ('{"source": [1, 1], "target": [1, 1], "terms": [[[0, 2], [1, 3]]]}', "'terms' must be a list of objects"),
     ("[]", "a morphism document must be a JSON object"),
-], ids=["pairs-not-a-list", "source-of-one", "target-bool", "terms-not-a-list", "term-not-an-object", "not-an-object"])
+    ('{"source": [1, 1], "target": [1, 1], "terms": [{"pairs": [[0, 2], [1, 3]], "coeff": true}]}',
+     "diagram coefficients must be integer polynomials, got bool"),
+], ids=["pairs-not-a-list", "source-of-one", "target-bool", "terms-not-a-list", "term-not-an-object", "not-an-object",
+        "coeff-bool"])
 def test_compose_refuses_a_malformed_document_as_a_domain_error(capsys, f, err):
     # a wrongly shaped field is refused like a malformed matching, naming the field
     assert run(capsys, "brauer", "compose", "--f", f, "--g", _SWAP_JSON) == (3, "", f"domain error: {err}\n")

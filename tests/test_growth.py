@@ -481,6 +481,22 @@ def test_padic_digits_match_the_peel():
             padic_digits(p, seq)
 
 
+def test_padic_digits_read_a_list_a_tuple_and_an_iterator_alike_past_byte_residues():
+    p = 257
+    n, row = lucas_row(p)
+    for dims in (list(row), row, iter(row)):
+        assert padic_digits(p, dims).digits == base_p_digits(n, p) == (2, 3, 1)
+
+
+def test_lucas_row_with_every_level_zero_block():
+    # first digit p - 1: the digit row C(p - 1, b) = (-1)^b fills all of z^0 .. z^(p - 1)
+    p = 251
+    n = p - 1 + 3 * p
+    row = binomials_mod_p(n, p, n + 1)
+    assert row == [comb(n, k) % p for k in range(n + 1)]
+    assert padic_digits(p, row).digits == (p - 1, 3)
+
+
 def test_padic_digits_lucas_random():
     rng = random.Random(79)
     for p in (2, 3, 5, 7):

@@ -137,6 +137,18 @@ def test_poly_str_and_parse_round_trip():
     assert str(TPolynomial()) == "0"
 
 
+def test_poly_constants_hash_as_the_ints_they_equal():
+    assert TPolynomial((5,)) == 5 and 5 in {TPolynomial((5,))} and TPolynomial((5,)) in {5}
+    assert TPolynomial() == 0 and 0 in {TPolynomial()}
+    assert len({TPolynomial((2, 1)), 2 + T, T + 2}) == 1
+
+
+def test_poly_reflected_subtraction_names_its_operator():
+    assert 3 - T == TPolynomial((3, -1))
+    with pytest.raises(TypeError, match="for -: 'str' and 'TPolynomial'"):
+        "x" - T
+
+
 def test_poly_exact_div():
     f = (T**2 - 1) * (T + 3)
     assert f.exact_div(T + 3) == T**2 - 1

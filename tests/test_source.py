@@ -49,6 +49,14 @@ def test_brauer_eliminates_no_matrix():
     assert imported and not imported & {"bareiss", "exact_rank", "exact_det", "rank_mod_p", "row_echelon_mod_p"}
 
 
+def test_cli_reads_digits_off_its_rows_without_checking_them_again():
+    # every row `padic` prints is a Lucas product by construction; checking it against itself cannot fail
+    tree = ast.parse((Path(semisimple.__file__).parent / "cli.py").read_text())
+    names = {node.attr if isinstance(node, ast.Attribute) else node.id
+             for node in ast.walk(tree) if isinstance(node, (ast.Attribute, ast.Name))}
+    assert "binomials_mod_p" in names and "padic_digits" not in names
+
+
 def test_lru_caches_are_the_known_three():
     # a cache is added here only once it is shown to be hit; an unhit one only holds memory
     found = {f"{path.stem}.{node.name}"
