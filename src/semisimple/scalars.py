@@ -147,7 +147,7 @@ class FpScalar:
             if other.p != self.p:
                 raise DomainError(f"mixed moduli {self.p} and {other.p}")
             return other
-        if isinstance(other, int):
+        if type(other) is int:  # a bool is no scalar
             return FpScalar(other, self.p)
         return NotImplemented
 
@@ -240,7 +240,7 @@ class TPolynomial:
     def _coerce(self, other):
         if isinstance(other, TPolynomial):
             return other
-        if isinstance(other, int):
+        if type(other) is int:  # a bool is no polynomial
             return TPolynomial((other,))
         return NotImplemented
 
@@ -404,12 +404,14 @@ def q_int(p: int, k: int, power: int = 1):
     """[k] at the 2p-th root of unity: sin(pi*k*power/p) / sin(pi*power/p).
 
     power=1 gives the ordinary q-integer, power=2 the q^2 variant.  Computed
-    at WORKING_DPS digits; deterministic across runs.  [1] = 1 exactly, also
-    at p = 2, where the q^2 quotient is 0/0.  At power 1, [k] = [p-k] and the
-    sine of the smaller label is the one computed, so the two are equal
-    exactly, as `verlinde.fp_dim` computes them.
+    by `reals.q_combination` with the one weight 1 at k, so by the Chebyshev
+    recurrence from cos(pi*power/p), rounded once to WORKING_DPS digits;
+    deterministic across runs.  [1] = 1 exactly, also at p = 2, where the
+    q^2 quotient is 0/0.  At power 1, [k] = [p-k] and the smaller label is
+    the one computed, so the two are equal exactly, and equal to
+    `verlinde.fp_dim` of L_k, which folds k and p - k the same way.
     """
-    from .reals import ctx
+    from .reals import q_combination
 
     check_prime(p)
     if not 1 <= k <= p - 1:
@@ -418,9 +420,7 @@ def q_int(p: int, k: int, power: int = 1):
         raise DomainError("power must be 1 or 2")
     if power == 1:
         k = min(k, p - k)
-    if k == 1:
-        return ctx.mpf(1)
-    return ctx.sinpi(ctx.mpf(k * power) / p) / ctx.sinpi(ctx.mpf(power) / p)
+    return q_combination(p, (0,) * (k - 1) + (1,), power)
 
 
 # ---------------------------------------------------------------------------

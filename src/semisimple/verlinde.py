@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
+from operator import add
 
 from .scalars import FUSION_ENTRY_CAP, DomainError, FpScalar, check_cap, check_prime
 
@@ -147,20 +148,16 @@ def cat_dim(x: FusionElement) -> FpScalar:
 def fp_dim(x: FusionElement):
     """Frobenius-Perron dimension: sum of m_k [k]_q at high precision.
 
-    [k]_q = sin(pi k/p) / sin(pi/p) shares its denominator across labels, and
-    [k]_q = [p-k]_q, so labels k and p - k share one sine (at p = 2 the one
-    label is its own partner): the sum is taken over the sines of k <= p/2
-    and divided once.  Each sine is computed as `q_int` computes its
-    numerator, so a simple label L_k gets exactly `q_int(p, k)`."""
-    from .reals import ctx
+    [k]_q = [p-k]_q, so the weight of label k <= p/2 is m_k + m_{p-k} (at
+    p = 2 the one label is its own partner); `reals.q_combination` sums the
+    folded weights by the Chebyshev recurrence from one cosine and rounds
+    once.  A simple label L_k folds to the one weight `q_int` gives, so it
+    gets exactly `q_int(p, k)`."""
+    from .reals import q_combination
 
     p, m = x.p, x.multiplicities
-    sines = ctx.mpf(0)
-    for k in range(1, p // 2 + 1):
-        weight = m[k - 1] + m[p - k - 1] if 2 * k < p else m[k - 1]
-        if weight:
-            sines += weight * ctx.sinpi(ctx.mpf(k) / p)
-    return sines / ctx.sinpi(ctx.mpf(1) / p)
+    half = (p - 1) // 2
+    return q_combination(p, m if p == 2 else list(map(add, m[:half], m[: -half - 1 : -1])))
 
 
 def is_invertible(x: FusionElement) -> bool:

@@ -15,6 +15,8 @@ import os
 import random
 import subprocess
 import sys
+import time
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -41,7 +43,7 @@ from semisimple.growth import (
     square_difference_vector,
     tensor_power_length,
 )
-from semisimple import modrep
+from semisimple import modrep, reals
 from semisimple.cli import main
 from semisimple.modrep import JordanModule, ext2, exterior_power, sym2, to_verlinde
 from semisimple.partitions import box_partitions, dimensions
@@ -169,6 +171,40 @@ def test_module_growth_rate_examples():
     with mp.workdps(WORKING_DPS):
         assert abs(doubled.numeric - (1 + mp.sqrt(5))) < mp.mpf("1e-40")
     assert doubled.exact_form == "2[2]_q"
+
+
+def test_each_dimension_takes_one_cosine_and_no_sine(monkeypatch):
+    # q-integers come from the recurrence: one transcendental per call, never one per label
+    calls = Counter()
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in ("cospi", "sinpi"):
+        monkeypatch.setattr(reals.ctx, name, counted(name, getattr(reals.ctx, name)))
+    rng = random.Random(29)
+    for p in (2, 3, 13, 101):
+        m = [rng.randrange(3) for _ in range(p - 1)]
+        m[-1] += 1
+        for compute in (lambda: fp_dim(FusionElement(p, m)), lambda: GrowthRate(p, m),
+                        lambda: q_int(p, p - 1), lambda: q_int(p, (p + 1) // 2, 2)):
+            calls.clear()
+            compute()
+            assert calls == {"cospi": 1}, p
+
+
+def test_growth_rate_of_a_lone_middle_label_at_a_large_prime_in_bounded_time():
+    # a lone label near p / 2 walks about p / 2 recurrence steps; building the
+    # p - 1 multiplicities costs about as much again
+    p = 1000003
+    m = FusionElement.simple(p, (p - 1) // 2).multiplicities
+    start = time.perf_counter()
+    rate = GrowthRate(p, m)
+    assert time.perf_counter() - start < 2
+    assert rate.numeric == q_int(p, (p - 1) // 2)
 
 
 # -- multiplicity recovery -------------------------------------------------------

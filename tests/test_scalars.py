@@ -6,6 +6,7 @@ share no code.
 """
 
 import math
+import operator
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -174,6 +175,18 @@ def test_fp_scalar_arithmetic():
     assert -a == FpScalar(2, 5)
 
 
+@pytest.mark.parametrize("x", [FpScalar(2, 5), TPolynomial((1,)), T])
+@pytest.mark.parametrize("flag", [True, False])
+def test_scalar_operators_refuse_bools(x, flag):
+    # a bool is no number here, as it is no morphism coefficient: Python raises TypeError
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        with pytest.raises(TypeError):
+            op(x, flag)
+        with pytest.raises(TypeError):
+            op(flag, x)
+    assert int(flag) + x - int(flag) == x  # the int of the same value is taken
+
+
 def test_fp_scalar_requires_prime():
     with pytest.raises(DomainError):
         FpScalar(1, 6)
@@ -233,8 +246,43 @@ def test_q_int_of_label_one_is_exactly_one_at_p_2():
     assert q_int(2, 1, 2) == 1
 
 
+def sine_quotient(p, k, power):
+    """[k] at q^power as sin(pi k power/p) / sin(pi power/p), at the working precision.
+
+    At power 2 the numerator's argument, rounded once, is ill-conditioned
+    where 2k is near p: the quotient loses about log10(p) digits there."""
+    if power == 1:
+        k = min(k, p - k)
+    if k == 1:
+        return mp.mpf(1)
+    return mp.sinpi(mp.mpf(k * power) / p) / mp.sinpi(mp.mpf(power) / p)
+
+
+def assert_q_int_matches_the_sine_quotient(p, k, power):
+    got, want = q_int(p, k, power), sine_quotient(p, k, power)
+    assert abs(got - want) < mp.mpf("1e-45") * abs(want), (p, k, power)
+    assert mp.nstr(got, 30) == mp.nstr(want, 30), (p, k, power)
+
+
+def test_q_int_recurrence_matches_the_sine_quotient():
+    with mp.workdps(WORKING_DPS):
+        for p in filter(trial_division_is_prime, range(200)):
+            for power in (1, 2):
+                for k in range(1, p):
+                    assert_q_int_matches_the_sine_quotient(p, k, power)
+
+
+def test_q_int_recurrence_matches_the_sine_quotient_at_a_large_prime():
+    # about p / 2 recurrence steps, where an error in cos(pi / p) is amplified most
+    p = 1000003
+    with mp.workdps(WORKING_DPS):
+        for power in (1, 2):
+            for k in (2, (p - 1) // 2, p - 2):
+                assert_q_int_matches_the_sine_quotient(p, k, power)
+
+
 def test_q_int_palindrome_symmetry():
-    # [k] = [p - k] exactly: both read the sine of the smaller label
+    # [k] = [p - k] exactly: both run the recurrence to the smaller label
     for p in PRIMES_TO_50:
         for k in range(1, p):
             assert q_int(p, k, 1) == q_int(p, p - k, 1)

@@ -79,6 +79,12 @@ def _raises_of(node: ast.AST, owner: str, name: str) -> list[str]:
     return found
 
 
+def test_no_module_computes_a_sine():
+    # every q-integer comes from one cosine and the Chebyshev recurrence
+    # (reals.q_combination); the sine quotient is the tests' oracle
+    assert SOURCES and [path.name for path in SOURCES if "sinpi" in path.read_text()] == []
+
+
 def test_every_plain_cap_is_checked_by_check_cap():
     # a value past its cap is refused in one place; the digit limit of an answer is not a value against a cap
     found = [name

@@ -206,10 +206,10 @@ def test_fp_dim_keeps_its_precision_while_another_thread_lowers_mpmaths():
 
 
 def test_fp_dim_is_the_sum_of_q_integers():
-    # one shared denominator, against one q-integer per label
+    # the folded weights in one recurrence, against one q-integer per label
     rng = random.Random(61)
     with mp.workdps(WORKING_DPS):
-        for p in (2, 3, 5, 13, 23, 101, 397):
+        for p in (2, 3, 5, 7, 13, 23, 101, 397):
             for _ in range(5):
                 x = random_element(rng, p, max_mult=9)
                 terms = sum(m * q_int(p, k) for k, m in enumerate(x.multiplicities, start=1))
