@@ -6,12 +6,13 @@ Every q-integer is computed here, by `q_combination`.  [k] at q = exp(i pi/p)
 is U_{k-1}(c) with c = cos(pi/p), so [0] = 0, [1] = 1 and
 [k+1] = 2c [k] - [k-1]; at q^2 the same holds with c = cos(2 pi/p).  The one
 transcendental is c, taken at `bits` = ctx.prec + 3 bitlen(p) + 16 bits and
-turned into a fixed-point integer c 2^bits; the recurrence and the weighted
-sum then run on plain ints.  The guard bits cover the amplification: near
-c = 1, dU_{k-1}/dc is about k p^2 / pi^2, so an error of one unit in c moves
-[k] by up to about p^3 units, and the k truncations of the recurrence by
-about k^2.  The sum is rounded once, to ctx.prec, at the end.  Precision is
-passed to each mpmath call rather than set on `ctx`, which threads share."""
+turned into a fixed-point integer c 2^bits; the recurrence, up to the last
+label asked for, and the weighted sum then run on plain ints.  The guard
+bits cover the amplification: near c = 1, dU_{k-1}/dc is about k p^2 / pi^2,
+so an error of one unit in c moves [k] by up to about p^3 units, and the k
+truncations of the recurrence by about k^2.  The sum is rounded once, to
+ctx.prec, at the end.  Precision is passed to each mpmath call rather than
+set on `ctx`, which threads share."""
 
 from mpmath import MPContext
 
@@ -21,17 +22,18 @@ ctx = MPContext()
 ctx.dps = WORKING_DPS
 
 
-def q_combination(p: int, weights, power: int = 1):
-    """sum of weights[k-1] [k]_{q^power} over the labels k >= 1, at q = exp(i pi/p).
+def q_combination(p: int, terms, power: int = 1):
+    """sum of w [k]_{q^power} over the (k, w) pairs of terms, at q = exp(i pi/p).
 
+    terms lists labels k >= 1 in increasing order, each with its weight.
     One cosine, cos(pi power/p), then the Chebyshev recurrence up to the
-    last nonzero weight, in fixed point; the sum is rounded once, to
-    ctx.prec.  The same weights give the same bits, whoever calls."""
+    last label, in fixed point; the sum is rounded once, to ctx.prec.  The
+    same terms give the same bits, whoever calls."""
     bits = ctx.prec + 3 * p.bit_length() + 16
     two_c = int(ctx.ldexp(ctx.cospi(ctx.fdiv(power, p, prec=bits), prec=bits), bits + 1))
-    total, prev, cur = 0, 0, 1 << bits
-    for w in weights[: bytes(map(bool, weights)).rfind(1) + 1]:
-        if w:
-            total += w * cur
-        prev, cur = cur, (two_c * cur >> bits) - prev
+    total, prev, cur, at = 0, 0, 1 << bits, 1
+    for k, w in terms:
+        for _ in range(k - at):
+            prev, cur = cur, (two_c * cur >> bits) - prev
+        total, at = total + w * cur, k
     return ctx.mpf((total, -bits))

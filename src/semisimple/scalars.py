@@ -409,7 +409,10 @@ def q_int(p: int, k: int, power: int = 1):
     deterministic across runs.  [1] = 1 exactly, also at p = 2, where the
     q^2 quotient is 0/0.  At power 1, [k] = [p-k] and the smaller label is
     the one computed, so the two are equal exactly, and equal to
-    `verlinde.fp_dim` of L_k, which folds k and p - k the same way.
+    `verlinde.fp_dim` of L_k, which folds k and p - k the same way.  The
+    recurrence walks k steps, so a label (after that fold) past
+    FUSION_ENTRY_CAP, the cap on fp_dim's p - 1 multiplicities, raises
+    CapExceeded; it can occur only at p > FUSION_ENTRY_CAP.
     """
     from .reals import q_combination
 
@@ -420,7 +423,8 @@ def q_int(p: int, k: int, power: int = 1):
         raise DomainError("power must be 1 or 2")
     if power == 1:
         k = min(k, p - k)
-    return q_combination(p, (0,) * (k - 1) + (1,), power)
+    check_cap("q-integer label {}", k, FUSION_ENTRY_CAP)
+    return q_combination(p, ((k, 1),), power)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import compress
 from operator import add
 
 from .scalars import FUSION_ENTRY_CAP, DomainError, FpScalar, check_cap, check_prime
@@ -150,14 +151,15 @@ def fp_dim(x: FusionElement):
 
     [k]_q = [p-k]_q, so the weight of label k <= p/2 is m_k + m_{p-k} (at
     p = 2 the one label is its own partner); `reals.q_combination` sums the
-    folded weights by the Chebyshev recurrence from one cosine and rounds
-    once.  A simple label L_k folds to the one weight `q_int` gives, so it
+    nonzero folded weights by the Chebyshev recurrence from one cosine and
+    rounds once.  A simple label L_k folds to the one weight `q_int` gives, so it
     gets exactly `q_int(p, k)`."""
     from .reals import q_combination
 
     p, m = x.p, x.multiplicities
     half = (p - 1) // 2
-    return q_combination(p, m if p == 2 else list(map(add, m[:half], m[: -half - 1 : -1])))
+    folded = m if p == 2 else list(map(add, m[:half], m[: -half - 1 : -1]))
+    return q_combination(p, compress(enumerate(folded, 1), folded))
 
 
 def is_invertible(x: FusionElement) -> bool:

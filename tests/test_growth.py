@@ -198,12 +198,16 @@ def test_each_dimension_takes_one_cosine_and_no_sine(monkeypatch):
 
 def test_growth_rate_of_a_lone_middle_label_at_a_large_prime_in_bounded_time():
     # a lone label near p / 2 walks about p / 2 recurrence steps; building the
-    # p - 1 multiplicities costs about as much again
+    # p - 1 multiplicities costs about as much again.  Best of three, so that a
+    # busy host does not fail it.
     p = 1000003
     m = FusionElement.simple(p, (p - 1) // 2).multiplicities
-    start = time.perf_counter()
-    rate = GrowthRate(p, m)
-    assert time.perf_counter() - start < 2
+    best = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        rate = GrowthRate(p, m)
+        best = min(best, time.perf_counter() - start)
+    assert best < 2
     assert rate.numeric == q_int(p, (p - 1) // 2)
 
 

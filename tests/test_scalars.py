@@ -18,6 +18,7 @@ from semisimple.scalars import (
     PARSE_DEGREE_CAP,
     PRIME_CAP,
     WORKING_DPS,
+    FUSION_ENTRY_CAP,
     CapExceeded,
     DomainError,
     FpScalar,
@@ -279,6 +280,20 @@ def test_q_int_recurrence_matches_the_sine_quotient_at_a_large_prime():
         for power in (1, 2):
             for k in (2, (p - 1) // 2, p - 2):
                 assert_q_int_matches_the_sine_quotient(p, k, power)
+
+
+def test_q_int_at_a_prime_past_the_entry_cap_walks_only_small_labels():
+    # the recurrence walks k steps and builds no vector: a small label (after
+    # the fold at power 1) answers at once, a label past FUSION_ENTRY_CAP is refused
+    p = 2**61 - 1
+    assert is_prime(p) and p < PRIME_CAP
+    with mp.workdps(WORKING_DPS):
+        for k, power in ((2, 1), (p - 2, 1), (2, 2), (3, 2)):
+            assert_q_int_matches_the_sine_quotient(p, k, power)
+    assert q_int(p, p - 2) == q_int(p, 2)
+    for k, power in (((p - 1) // 2, 1), (FUSION_ENTRY_CAP + 1, 1), (p - 2, 2)):
+        with pytest.raises(CapExceeded, match="q-integer label"):
+            q_int(p, k, power)
 
 
 def test_q_int_palindrome_symmetry():
