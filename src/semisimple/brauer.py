@@ -10,10 +10,11 @@ Endpoint numbering (the normal form all comparisons use): bottom row left
 to right, then top row left to right.  In each row the up-arrows come
 first: bottom indices [0, r) point up and [r, r+s) point down; with
 B = r + s, top indices [B, B+u) point up and [B+u, B+u+v) point down.
-`_class_starts` gives these four class starts, and validation, the hom
-basis, juxtaposition and the braiding all read them there.  A pair inside
-one row joins an up and a down endpoint; a pair across the rows joins two
-endpoints of the same direction.  Stacking and closing both follow the
+Every strand joins an outgoing endpoint (a bottom up or a top down) to an
+incoming one (a bottom down or a top up), and the incoming endpoints are
+the one range [r, B+u) (`_incoming`); validation and the hom basis read
+it there.  `_class_starts` gives the four class starts that juxtaposition
+and the braiding renumber by.  Stacking and closing both follow the
 alternating walks of two overlaid matchings (`_walks`).
 
 Gram matrices are group matrices of S_d.  A hom space of degree d has one
@@ -79,7 +80,6 @@ independent check of both statements.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_right
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
@@ -132,6 +132,11 @@ def _class_starts(source: BiObject, target: BiObject) -> tuple[int, int, int, in
     return 0, source.r, bottom, bottom + target.r
 
 
+def _incoming(source: BiObject, target: BiObject) -> range:
+    """The incoming endpoints, bottom downs then top ups: one range."""
+    return range(source.r, source.total + target.r)
+
+
 @dataclass(frozen=True)
 class WalledDiagram:
     """A wall-respecting perfect matching; a basis morphism source -> target."""
@@ -151,13 +156,10 @@ class WalledDiagram:
         k = self.source.total + self.target.total
         if sorted(seen) != list(range(k)):
             raise DomainError("pairs do not form a perfect matching of the endpoints")
-        starts = _class_starts(self.source, self.target)
+        incoming = _incoming(self.source, self.target)
         for x, y in pairs:
-            differ = (bisect_right(starts, x) - 1) ^ (bisect_right(starts, y) - 1)  # bit 1 row, bit 0 direction
-            if differ == 0:
-                raise DomainError(f"pair {(x, y)} joins two same-direction endpoints in one row")
-            if differ == 3:
-                raise DomainError(f"pair {(x, y)} changes arrow direction across the rows")
+            if (x in incoming) == (y in incoming):
+                raise DomainError(f"pair {(x, y)} does not join an outgoing endpoint to an incoming one")
 
     def flip(self) -> "WalledDiagram":
         """Top-to-bottom reflection: the canonical image in Hom(target, source)."""
@@ -228,9 +230,8 @@ def hom_basis(source: BiObject, target: BiObject, cap: int = DEGREE_CAP) -> list
     d = _hom_degree(source, target, cap)
     if d is None:
         return []
-    bottom_up, bottom_down, _, top_down = _class_starts(source, target)
-    outgoing = [*range(bottom_up, bottom_down), *range(top_down, top_down + target.s)]
-    incoming = range(bottom_down, top_down)  # bottom downs, then top ups
+    incoming = _incoming(source, target)
+    outgoing = [*range(incoming.start), *range(incoming.stop, source.total + target.total)]
     out = []
     for perm in itertools.permutations(range(d)):
         pairs = tuple((outgoing[i], incoming[perm[i]]) for i in range(d))
@@ -271,13 +272,23 @@ def _walks(first: list, second: list, ends) -> tuple[dict[int, int], int]:
     return far, cycles
 
 
-def _stack(top: WalledDiagram, bottom: WalledDiagram) -> tuple[WalledDiagram, int]:
-    """Stack `bottom` (A -> B) under `top` (B -> C); return (diagram, loops).
+def _partners(pairs, n: int, shift: int = 0) -> list:
+    """The partner of each node 0..n-1 under `pairs` moved up by `shift`; None where no pair meets it."""
+    match: list = [None] * n
+    for x, y in pairs:
+        match[shift + x], match[shift + y] = shift + y, shift + x
+    return match
+
+
+def _stack(top: WalledDiagram, bottom: WalledDiagram) -> tuple[tuple[tuple[int, int], ...], int]:
+    """Stack `bottom` (A -> B) under `top` (B -> C); return (pairs, loops).
 
     Shared node ids: 0..a-1 the A endpoints, a..a+b-1 the middle row,
     a+b..a+b+c-1 the C endpoints.  Every middle node carries exactly one
     edge from each diagram, so the walks join boundary nodes in pairs,
-    and each closed middle cycle contributes one loop.
+    and each closed middle cycle contributes one loop.  The pairs are those
+    of the diagram A -> C, already in normal form: `_walks` records each
+    path from its smaller end, in increasing order, so no diagram is built.
     """
     if bottom.target != top.source:
         raise DomainError(
@@ -286,19 +297,14 @@ def _stack(top: WalledDiagram, bottom: WalledDiagram) -> tuple[WalledDiagram, in
     a = bottom.source.total
     b = bottom.target.total
     n = a + b + top.target.total
-    below: list = [None] * n  # bottom's endpoints already live on ids 0..a+b-1
-    above: list = [None] * n  # top's shift by a: middle ids a..a+b-1, C ids a+b..
-    for x, y in bottom.pairs:
-        below[x], below[y] = y, x
-    for x, y in top.pairs:
-        above[a + x], above[a + y] = a + y, a + x
-    far, loops = _walks(below, above, itertools.chain(range(a), range(a + b, n)))
+    # bottom's endpoints already live on ids 0..a+b-1; top's shift by a: middle ids a..a+b-1, C ids a+b..
+    far, loops = _walks(_partners(bottom.pairs, n), _partners(top.pairs, n, a),
+                        itertools.chain(range(a), range(a + b, n)))
 
     def final(v: int) -> int:
         return v if v < a else v - b
 
-    pairs = tuple((final(v), final(w)) for v, w in far.items() if v < w)
-    return WalledDiagram(bottom.source, top.target, pairs), loops
+    return tuple((final(v), final(w)) for v, w in far.items() if v < w), loops
 
 
 def _juxtapose(d1: WalledDiagram, d2: WalledDiagram) -> WalledDiagram:
@@ -319,10 +325,7 @@ def _juxtapose(d1: WalledDiagram, d2: WalledDiagram) -> WalledDiagram:
 def _closure_loops(d: WalledDiagram) -> int:
     """Loops after joining bottom endpoint i to top endpoint i for all i."""
     n = d.source.total
-    match = [0] * (2 * n)
-    for x, y in d.pairs:
-        match[x], match[y] = y, x
-    return _walks(match, [*range(n, 2 * n), *range(n)], ())[1]
+    return _walks(_partners(d.pairs, 2 * n), [*range(n, 2 * n), *range(n)], ())[1]
 
 
 def _coerce_coeff(c) -> TPolynomial:
@@ -447,7 +450,8 @@ def compose(f: DiagramMorphism, g: DiagramMorphism) -> DiagramMorphism:
         raise DomainError(f"cannot compose: {g.target} feeds into {f.source}")
     _check_product_work(f, g, g.source.total + g.target.total + f.target.total)
     stacked = ((_stack(df, dg), cf * cg) for dg, cg in g.terms.items() for df, cf in f.terms.items())
-    return DiagramMorphism(g.source, f.target, ((dia, c * T**loops) for (dia, loops), c in stacked))
+    return DiagramMorphism(g.source, f.target, ((WalledDiagram(g.source, f.target, pairs), c * T**loops)
+                                                for (pairs, loops), c in stacked))
 
 
 def tensor(f: DiagramMorphism, g: DiagramMorphism) -> DiagramMorphism:
@@ -580,13 +584,13 @@ def endomorphism_trace_form(obj: BiObject, t_value="symbolic", cap: int = DEGREE
     """
     basis = hom_basis(obj, obj, cap=cap)
     n = len(basis)
-    index = {d: i for i, d in enumerate(basis)}
+    index = {d.pairs: i for i, d in enumerate(basis)}
     prod: list[list[tuple[int, int]]] = []  # (basis index, loop count) of b_i o b_j
     for di in basis:
         row = []
         for dj in basis:
-            dia, loops = _stack(di, dj)
-            row.append((index[dia], loops))
+            pairs, loops = _stack(di, dj)
+            row.append((index[pairs], loops))
         prod.append(row)
     powers = _powers(t_value, obj.total)
     # trace of left multiplication by b_k

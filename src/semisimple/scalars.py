@@ -186,12 +186,12 @@ class FpScalar:
     def __eq__(self, other):
         if isinstance(other, FpScalar):
             return self.p == other.p and self.value == other.value
-        if isinstance(other, int):
-            return self.value == other % self.p
+        if type(other) is int:  # the canonical residue only, so equal values hash alike; a bool is no scalar
+            return self.value == other
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.value, self.p))
+        return hash(self.value)
 
     def __repr__(self):
         return f"FpScalar({self.value}, {self.p})"
@@ -318,7 +318,7 @@ class TPolynomial:
         return acc
 
     def __eq__(self, other):
-        if isinstance(other, int):
+        if type(other) is int:  # a bool is no polynomial
             other = TPolynomial((other,))
         if not isinstance(other, TPolynomial):
             return NotImplemented

@@ -16,6 +16,7 @@ form is its oracle, over Q through degree 5 and mod a large prime at
 degree 6.
 """
 
+import itertools
 import json
 import random
 import time
@@ -82,10 +83,10 @@ def test_biobject_dual_and_tensor():
 
 def test_diagram_wall_constraints():
     # cross-row pair joining an up to a down endpoint is rejected
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="does not join an outgoing endpoint to an incoming one"):
         WalledDiagram(BiObject(1, 0), BiObject(0, 1), ((0, 1),))
     # in-row pair of two same-direction endpoints is rejected
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="does not join an outgoing endpoint to an incoming one"):
         WalledDiagram(BiObject(2, 0), BiObject(1, 1), ((0, 1), (2, 3)))
     # not a perfect matching
     with pytest.raises(DomainError):
@@ -149,6 +150,17 @@ def test_walks_follow_paths_and_count_cycles():
     second = [None, 2, 1, 4, 3, None, 7, 6]
     far, cycles = brauer._walks(first, second, (0, 5))
     assert far == {0: 5, 5: 0} and cycles == 1
+
+
+def test_stacked_pairs_are_in_normal_form():
+    # the trace form looks stacked pairs up among the basis pairs, so they must be the public constructor's
+    stacks = 0
+    for a, b, c in itertools.product(small_objects(4), repeat=3):
+        for top, bottom in itertools.product(hom_basis(b, c), hom_basis(a, b)):
+            pairs, _ = _stack(top, bottom)
+            assert pairs == WalledDiagram(a, c, pairs).pairs
+            stacks += 1
+    assert stacks == 4419
 
 
 def test_hom_basis_sizes():
@@ -401,8 +413,8 @@ def stacked_gram_matrix(source, target):
     for di in basis:
         row = []
         for fj in flipped:
-            dia, loops = _stack(di, fj)
-            row.append(T ** (loops + _closure_loops(dia)))
+            pairs, loops = _stack(di, fj)
+            row.append(T ** (loops + _closure_loops(WalledDiagram(target, target, pairs))))
         rows.append(tuple(row))
     return tuple(rows)
 

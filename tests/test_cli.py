@@ -213,6 +213,16 @@ def test_compose_refuses_a_malformed_document_as_a_domain_error(capsys, f, err):
     assert run(capsys, "brauer", "compose", "--f", _SWAP_JSON, "--g", f) == (3, "", f"domain error: {err}\n")
 
 
+@pytest.mark.parametrize("f", [
+    '{"source": [1, 0], "target": [0, 1], "pairs": [[0, 1]]}',
+    '{"source": [2, 0], "target": [1, 1], "pairs": [[0, 1], [2, 3]]}',
+], ids=["up-to-down-across-the-rows", "two-ups-in-one-row"])
+def test_compose_refuses_a_pair_that_breaks_the_wall(capsys, f):
+    # in each document the pair (0, 1) joins two outgoing endpoints: a bottom up and a top down, then two bottom ups
+    err = "domain error: pair (0, 1) does not join an outgoing endpoint to an incoming one\n"
+    assert run(capsys, "brauer", "compose", "--f", f, "--g", _SWAP_JSON) == (3, "", err)
+
+
 def _endomorphisms_json(n: int, coeff: str) -> str:
     """The first n diagrams of End([3, 3]), each times `coeff`."""
     terms = [{"pairs": [list(p) for p in d.pairs], "coeff": coeff} for d in hom_basis(BiObject(3, 3), BiObject(3, 3))[:n]]

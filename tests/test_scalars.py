@@ -145,6 +145,12 @@ def test_poly_constants_hash_as_the_ints_they_equal():
     assert len({TPolynomial((2, 1)), 2 + T, T + 2}) == 1
 
 
+def test_poly_constant_equals_no_bool():
+    # True hashes as 1, so an equal bool would find the constant 1 in a set of polynomials
+    assert TPolynomial((1,)) != True and True not in {TPolynomial((1,))}
+    assert TPolynomial() != False and False not in {TPolynomial()}
+
+
 def test_poly_reflected_subtraction_names_its_operator():
     assert 3 - T == TPolynomial((3, -1))
     with pytest.raises(TypeError, match="for -: 'str' and 'TPolynomial'"):
@@ -174,6 +180,13 @@ def test_fp_scalar_arithmetic():
     assert a * a == FpScalar(4, 5)
     assert a / FpScalar(2, 5) == FpScalar(4, 5)  # 3 * 3 = 9 = 4, since 2*3=6=1
     assert -a == FpScalar(2, 5)
+
+
+def test_fp_scalar_equals_only_its_canonical_int_and_hashes_as_it():
+    x = FpScalar(2, 5)
+    assert x == 2 and 2 in {x} and x in {2}
+    assert x != 7 and 7 not in {x}  # 7 = 2 mod 5, but equal values must hash alike
+    assert FpScalar(1, 5) != True and True not in {FpScalar(1, 5)}
 
 
 @pytest.mark.parametrize("x", [FpScalar(2, 5), TPolynomial((1,)), T])

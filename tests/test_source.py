@@ -49,6 +49,19 @@ def test_brauer_eliminates_no_matrix():
     assert imported and not imported & {"bareiss", "exact_rank", "exact_det", "rank_mod_p", "row_echelon_mod_p"}
 
 
+def test_brauer_validates_no_diagram_it_stacks():
+    # stacked pairs are in normal form by construction; `compose` wraps them in the one public constructor
+    tree = ast.parse((Path(semisimple.__file__).parent / "brauer.py").read_text())
+    defs = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+
+    def calls(node: ast.AST) -> set[str]:
+        return {ast.unparse(child.func) for child in ast.walk(node) if isinstance(child, ast.Call)}
+
+    assert "WalledDiagram" in calls(defs["compose"])
+    assert "WalledDiagram" not in calls(defs["_stack"]) | calls(defs["endomorphism_trace_form"])
+    assert "object.__new__" not in {ast.unparse(node) for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+
+
 def test_cli_reads_digits_off_its_rows_without_checking_them_again():
     # every row `padic` prints is a Lucas product by construction; checking it against itself cannot fail
     tree = ast.parse((Path(semisimple.__file__).parent / "cli.py").read_text())
