@@ -40,9 +40,22 @@ class UsageError(Exception):
 
 
 def _fmt_real(x) -> str:
-    from .reals import ctx
+    """A Decimal at REAL_DIGITS significant digits: cut after the next digit,
+    which then rounds half up; trailing zeros dropped but one digit kept after
+    the point; fixed notation while -10 < exponent < REAL_DIGITS, else e+NN or
+    e-NN.  Zero is "0.0"."""
+    from decimal import ROUND_DOWN, ROUND_HALF_UP, Context
 
-    return ctx.nstr(x, REAL_DIGITS)
+    if not x:
+        return "0.0"
+    x = Context(REAL_DIGITS, ROUND_HALF_UP).plus(Context(REAL_DIGITS + 1, ROUND_DOWN).plus(x))
+    e, digits = x.adjusted(), "".join(map(str, x.as_tuple().digits)).rstrip("0")
+    if -10 < e < REAL_DIGITS:
+        digits = "0" * -e + digits if e < 0 else digits.ljust(e + 1, "0")
+        point, exponent = max(e, 0) + 1, ""
+    else:
+        point, exponent = 1, f"e{e:+d}"
+    return "-" * x.is_signed() + digits[:point] + "." + (digits[point:] or "0") + exponent
 
 
 def _parse_blocks(text: str) -> tuple[int, ...]:

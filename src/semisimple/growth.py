@@ -68,14 +68,14 @@ class GrowthRate:
     numeric: object = field(init=False, compare=False)
 
     def __post_init__(self):
-        from .reals import ctx
         from .verlinde import FusionElement, fp_dim
 
         element = FusionElement(self.p, self.m)  # validates p and m
         object.__setattr__(self, "m", element.multiplicities)
         value = fp_dim(element)
         object.__setattr__(self, "numeric", value)
-        if not (self.is_zero or value >= 1 - ctx.mpf(NUMERIC_TOL)):
+        # compared as exact fractions, so the caller's decimal context is neither read nor changed
+        if not (self.is_zero or Fraction(value) >= 1 - Fraction(NUMERIC_TOL)):
             raise RuntimeError(f"Frobenius-Perron dimension {value} of a nonzero growth rate is below 1")
 
     @property
@@ -433,9 +433,9 @@ def plancherel_square_sum(p: int, d: int, cap: int = BOUNDS_PRIME_CAP) -> int:
 
 def plancherel_root(p: int, square_sum: int):
     """The Plancherel bound (square_sum)^(1/(2(p-1))), at working precision."""
-    from .reals import ctx
+    from .reals import root
 
-    return ctx.root(ctx.mpf(square_sum), 2 * (p - 1))
+    return root(square_sum, 2 * (p - 1))
 
 
 def plancherel_bound(p: int, d: int, cap: int = BOUNDS_PRIME_CAP):
@@ -470,7 +470,7 @@ def improved_bound(p: int, d: int, cap: int = BOUNDS_PRIME_CAP) -> ImprovedBound
     box_sum (first part at most p-d) and the largest Schur dimension, at
     the lexicographically least partition that reaches it."""
     from .partitions import box_walk
-    from .reals import ctx
+    from .reals import root
 
     _check_bounds_args(p, d, cap)
     best, best_parts, row_sum, box_sum = 0, (), 0, 0
@@ -484,7 +484,7 @@ def improved_bound(p: int, d: int, cap: int = BOUNDS_PRIME_CAP) -> ImprovedBound
     return ImprovedBound(
         p=p,
         d=d,
-        bound=ctx.root(ctx.mpf(ratio.numerator) / ratio.denominator, p - 1),
+        bound=root(ratio, p - 1),
         max_schur_dim=best,
         max_partition=best_parts,
         ratio=ratio,

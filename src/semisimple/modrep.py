@@ -213,8 +213,9 @@ def jordan_type(U: np.ndarray, p: int) -> tuple[int, ...]:
     Computed from the rank profile of N = U - I: the multiplicity of a
     size-k block is rank(N^{k-1}) - 2 rank(N^k) + rank(N^{k+1}).  Powers
     are taken on a shrinking row basis of the row space, so the cost drops
-    with every step.  The products are taken in float64, exact only while
-    every inner sum, at most n*(p-1)*max(N), stays below 2^53; a larger
+    with every step.  Every inner sum of a product is an integer of at
+    most n*(p-1)*max(N), so the products are exact in float32 while that
+    bound is below 2^24 and in float64 while it is below 2^53; a larger
     matrix is refused with CapExceeded.
     """
     import numpy as np
@@ -226,14 +227,15 @@ def jordan_type(U: np.ndarray, p: int) -> tuple[int, ...]:
     top = int(N.max())
     check_cap(f"the float64 inner-sum bound n*(p-1)*max(N) = {n}*{p - 1}*{top} = {{}} (exact below 2^53)",
               n * (p - 1) * top, 2**53 - 1)
-    Nf = N.astype(np.float64)
+    dtype = np.float32 if n * (p - 1) * top < 2**24 else np.float64
+    Nf = N.astype(dtype)
     ranks = [n]
     basis = row_echelon_mod_p(N, p)
     while basis.shape[0] > 0:
         if len(ranks) > n:
             raise DomainError("matrix is not unipotent over F_p")
         ranks.append(basis.shape[0])
-        product = np.rint(basis.astype(np.float64) @ Nf).astype(np.int64)
+        product = np.rint(basis.astype(dtype) @ Nf).astype(np.int64)
         basis = row_echelon_mod_p(product, p)
     ranks.append(0)
 

@@ -405,8 +405,8 @@ def q_int(p: int, k: int, power: int = 1):
 
     power=1 gives the ordinary q-integer, power=2 the q^2 variant.  Computed
     by `reals.q_combination` with the one weight 1 at k, so by the Chebyshev
-    recurrence from cos(pi*power/p), rounded once to WORKING_DPS digits;
-    deterministic across runs.  [1] = 1 exactly, also at p = 2, where the
+    recurrence from cos(pi*power/p), rounded once to a Decimal of WORKING_DPS
+    digits; deterministic across runs.  [1] = 1 exactly, also at p = 2, where the
     q^2 quotient is 0/0.  At power 1, [k] = [p-k] and the smaller label is
     the one computed, so the two are equal exactly, and equal to
     `verlinde.fp_dim` of L_k, which folds k and p - k the same way.  The

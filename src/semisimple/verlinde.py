@@ -147,7 +147,7 @@ def cat_dim(x: FusionElement) -> FpScalar:
 
 
 def fp_dim(x: FusionElement):
-    """Frobenius-Perron dimension: sum of m_k [k]_q at high precision.
+    """Frobenius-Perron dimension: sum of m_k [k]_q, a Decimal of WORKING_DPS digits.
 
     [k]_q = [p-k]_q, so the weight of label k <= p/2 is m_k + m_{p-k} (at
     p = 2 the one label is its own partner); `reals.q_combination` sums the

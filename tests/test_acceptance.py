@@ -12,6 +12,8 @@ from math import comb, factorial, prod
 
 from mpmath import mp
 
+from conftest import as_mpf, rounded_root
+
 import semisimple.modrep as modrep_mod
 from semisimple.brauer import (
     BiObject,
@@ -159,10 +161,10 @@ def test_criterion_07_growth_values():
     with mp.workdps(WORKING_DPS):
         golden = (1 + mp.sqrt(5)) / 2
         eps = mp.mpf("1e-12")
-        ok = ok and abs(module_growth_rate(JordanModule(5, 1, (2,))).numeric - golden) < eps
+        ok = ok and abs(as_mpf(module_growth_rate(JordanModule(5, 1, (2,))).numeric) - golden) < eps
         boundary = module_growth_rate(JordanModule(5, 1, (4,)))
         ok = ok and boundary.m == (0, 0, 0, 1)
-        ok = ok and abs(boundary.numeric - 1) < eps
+        ok = ok and abs(as_mpf(boundary.numeric) - 1) < eps
     report(7, ok, "growth values [2]_q, golden ratio at p = 5, and the boundary value 1")
 
 
@@ -214,10 +216,10 @@ def test_criterion_10_bound_sanity():
         eps = mp.mpf("1e-9")
         for p in (2, 3, 5, 7, 11, 13, 17, 19, 23):
             for d in range(1, p):
-                if plancherel_bound(p, d) > q_int(p, d, 1) + eps:
+                if as_mpf(plancherel_bound(p, d)) > as_mpf(q_int(p, d, 1)) + eps:
                     ok = False
         ok = ok and plancherel_square_sum(5, 2) == 13
-        ok = ok and abs(plancherel_bound(5, 2) - mp.root(mp.mpf(13), 8)) == 0
+        ok = ok and plancherel_bound(5, 2) == rounded_root(13, 8)
     elapsed = time.monotonic() - start
     report(10, ok and elapsed < 30, f"bound sanity sweep in {elapsed:.2f}s (< 30 s)")
 
@@ -251,7 +253,7 @@ def test_criterion_12_growth_floor_sweep():
                 x = FusionElement.simple(p, k)
                 if is_invertible(x):
                     continue
-                value = growth_rate(x).numeric
+                value = as_mpf(growth_rate(x).numeric)
                 ok = ok and value >= mp.sqrt(2) - eps
                 if p > 2:
                     ok = ok and value >= golden - eps

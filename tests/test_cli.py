@@ -700,9 +700,9 @@ REQUESTS = [
     (["padic", "--p", "5", "--blocks", "5,2"], 0, [], {"cli", "scalars", "modrep", "growth"}),
     (["brauer", "homdim", "--n", "2", "--r", "3", "--s", "0"], 0, [], BRAUER),
     (["fusion", "--p", "5"], 2, [], FUSION),
-    (["invariants", "--p", "5", "--blocks", "3,2"], 0, ["mpmath"], INVARIANTS),
-    (["bounds", "plancherel", "--p", "5", "--d", "2"], 0, ["mpmath"], BOUNDS),
-    (["bounds", "improved", "--p", "7", "--d", "2"], 0, ["mpmath"], BOUNDS),
+    (["invariants", "--p", "5", "--blocks", "3,2"], 0, [], INVARIANTS),
+    (["bounds", "plancherel", "--p", "5", "--d", "2"], 0, [], BOUNDS),
+    (["bounds", "improved", "--p", "7", "--d", "2"], 0, [], BOUNDS),
     # ranks where F_p[S_d] is semisimple are read off the partitions of d
     (["brauer", "rank", "--r", "1", "--s", "1", "--t", "7/2"], 0, [], BRAUER),
     (["brauer", "rank", "--r", "2", "--s", "2", "--t", "3", "--mod", "7"], 0, [], BRAUER),
@@ -721,7 +721,7 @@ REQUESTS = [
     (["padic", "--p", "2", "--blocks", "2"], 3, [], {"cli", "scalars", "modrep", "growth"}),
     (["padic", "--p", "5", "--binomial", "16777216"], 4, [], {"cli", "scalars", "growth"}),
     # the bounds of an invariants report, at d = dim mod p != 0, enumerate partitions
-    (["invariants", "--p", "7", "--blocks", "3,2", "--bounds"], 0, ["mpmath"], INVARIANTS | {"partitions"}),
+    (["invariants", "--p", "7", "--blocks", "3,2", "--bounds"], 0, [], INVARIANTS | {"partitions"}),
     # exterior powers of blocks no larger than p are SL_2 tilting characters, and of a block whose
     # size is a power of p an orbit count: no numpy
     (["decompose", "--p", "7", "--blocks", "7,5", "--op", "wedge", "--k", "3"], 0, [], DECOMPOSE),

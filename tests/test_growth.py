@@ -10,11 +10,13 @@ identities form.  The empirical length sequence is used only as a
 convergence witness.
 """
 
+import decimal
 import json
 import os
 import random
 import subprocess
 import sys
+import threading
 import time
 from collections import Counter
 from fractions import Fraction
@@ -26,6 +28,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from mpmath import mp
+
+from conftest import as_mpf, rounded_root
 
 from semisimple.growth import (
     GrowthRate,
@@ -114,7 +118,7 @@ def test_length_roots_approach_fp_dim_from_below():
                 if not any(m):
                     continue
                 x = FusionElement(p, m)
-                limit = fp_dim(x)
+                limit = as_mpf(fp_dim(x))
                 for n in range(1, 11):
                     root = mp.root(mp.mpf(tensor_power_length(x, n)), n)
                     assert root <= limit * one_plus
@@ -138,7 +142,7 @@ def test_growth_rate_equality_is_exact_not_numeric():
     r1 = GrowthRate(5, (1, 0, 0, 0))
     r4 = GrowthRate(5, (0, 0, 0, 1))
     with mp.workdps(WORKING_DPS):
-        assert abs(r1.numeric - r4.numeric) < mp.mpf("1e-40")
+        assert abs(as_mpf(r1.numeric) - as_mpf(r4.numeric)) < mp.mpf("1e-40")
     assert r1 != r4
     assert r1 == GrowthRate(5, [1, 0, 0, 0]) and hash(r1) == hash((5, (1, 0, 0, 0)))
     assert len({r1, r4, GrowthRate(5, (1, 0, 0, 0))}) == 2
@@ -157,7 +161,7 @@ def test_growth_rate_additivity():
     r = growth_rate(FusionElement(7, (1, 1, 0, 0, 0, 0)))
     with mp.workdps(WORKING_DPS):
         expected = 1 + 2 * mp.cospi(mp.mpf(1) / 7)  # 1 + [2] via the half-angle form
-        assert abs(r.numeric - expected) < mp.mpf("1e-40")
+        assert abs(as_mpf(r.numeric) - expected) < mp.mpf("1e-40")
 
 
 def test_module_growth_rate_examples():
@@ -169,22 +173,21 @@ def test_module_growth_rate_examples():
         module_growth_rate(J(5, 5))
     doubled = module_growth_rate(J(5, 2, 2))
     with mp.workdps(WORKING_DPS):
-        assert abs(doubled.numeric - (1 + mp.sqrt(5))) < mp.mpf("1e-40")
+        assert abs(as_mpf(doubled.numeric) - (1 + mp.sqrt(5))) < mp.mpf("1e-40")
     assert doubled.exact_form == "2[2]_q"
 
 
 def test_each_dimension_takes_one_cosine_and_no_sine(monkeypatch):
-    # q-integers come from the recurrence: one transcendental per call, never one per label
+    # q-integers come from the recurrence: one fixed-point cosine per call, never one per
+    # label (no module computes a sine: test_source.test_no_module_computes_a_sine)
     calls = Counter()
+    cospi = reals._cospi
 
-    def counted(name, real):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return real(*args, **kwargs)
-        return wrapper
+    def counted(*args):
+        calls["cospi"] += 1
+        return cospi(*args)
 
-    for name in ("cospi", "sinpi"):
-        monkeypatch.setattr(reals.ctx, name, counted(name, getattr(reals.ctx, name)))
+    monkeypatch.setattr(reals, "_cospi", counted)
     rng = random.Random(29)
     for p in (2, 3, 13, 101):
         m = [rng.randrange(3) for _ in range(p - 1)]
@@ -351,9 +354,9 @@ def test_square_identity_holds_numerically():
             for _ in range(10):
                 v = random_small_module(rng, p, p - 1)
                 m = to_verlinde(v).multiplicities
-                lhs = fp_dim(to_verlinde(sym2(v))) - fp_dim(to_verlinde(ext2(v)))
+                lhs = as_mpf(fp_dim(to_verlinde(sym2(v)))) - as_mpf(fp_dim(to_verlinde(ext2(v))))
                 rhs = mp.fsum(
-                    mult * q_int(p, k, 2) for k, mult in enumerate(m, start=1) if mult
+                    mult * as_mpf(q_int(p, k, 2)) for k, mult in enumerate(m, start=1) if mult
                 )
                 assert abs(lhs - rhs) < eps
 
@@ -415,7 +418,7 @@ def test_invariant_report_boundary_block():
     r = invariant_report(J(5, 4))
     assert r.m == (0, 0, 0, 1)
     with mp.workdps(WORKING_DPS):
-        assert abs(r.rate.numeric - 1) < mp.mpf("1e-40")
+        assert abs(as_mpf(r.rate.numeric) - 1) < mp.mpf("1e-40")
     assert r.checks() == {"ii": True, "iii": True, "iv": True}
 
 
@@ -726,9 +729,8 @@ def test_padic_digits_validation():
 def test_plancherel_examples():
     assert plancherel_square_sum(5, 1) == 1
     assert plancherel_square_sum(5, 2) == 13  # dims 3 and 2 in the 2x3 box
-    with mp.workdps(WORKING_DPS):
-        assert plancherel_bound(5, 1) == 1
-        assert abs(plancherel_bound(5, 2) - mp.root(mp.mpf(13), 8)) == 0
+    assert plancherel_bound(5, 1) == 1
+    assert plancherel_bound(5, 2) == rounded_root(13, 8)
 
 
 def test_plancherel_below_sharp_value():
@@ -736,7 +738,7 @@ def test_plancherel_below_sharp_value():
         eps = mp.mpf("1e-9")
         for p in (2, 3, 5, 7, 11, 13):
             for d in range(1, p):
-                assert plancherel_bound(p, d) <= q_int(p, d, 1) + eps
+                assert as_mpf(plancherel_bound(p, d)) <= as_mpf(q_int(p, d, 1)) + eps
 
 
 def test_plancherel_cap():
@@ -785,13 +787,54 @@ def test_non_invertible_simples_growth_floor():
                 x = simple(p, k)
                 if is_invertible(x):
                     continue
-                rate = growth_rate(x)
-                assert rate.numeric >= mp.sqrt(2) - eps
+                value = as_mpf(growth_rate(x).numeric)
+                assert value >= mp.sqrt(2) - eps
                 if p > 2:
-                    assert rate.numeric >= golden - eps
-                if abs(rate.numeric - golden) < eps:
+                    assert value >= golden - eps
+                if abs(value - golden) < eps:
                     equality_cases.append((p, k))
         assert equality_cases == [(5, 2), (5, 3)]
+
+
+def test_reals_neither_read_nor_change_the_callers_decimal_context():
+    # every real is taken in a decimal context of its own: neither this thread's low precision
+    # and floor rounding nor another thread that keeps changing its own context moves a digit
+    def reals_of():
+        return [fp_dim(FusionElement(23, tuple(range(22)))), q_int(101, 37, 2), plancherel_bound(13, 4),
+                improved_bound(11, 3).bound, GrowthRate(7, (1, 2, 0, 0, 0, 1)).numeric]
+
+    expected = reals_of()
+    assert [len(x.as_tuple().digits) for x in expected] == [WORKING_DPS] * 5
+    stop = threading.Event()
+
+    def churn():
+        own = decimal.getcontext()
+        while not stop.is_set():
+            own.prec, own.rounding = (3, decimal.ROUND_CEILING) if own.prec != 3 else (9, decimal.ROUND_DOWN)
+            decimal.Decimal(1) / 3
+
+    other = threading.Thread(target=churn)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    other.start()
+    done = wrong = 0
+    try:
+        with decimal.localcontext() as caller:
+            caller.prec, caller.rounding = 5, decimal.ROUND_FLOOR
+            caller.clear_flags()
+            end = time.perf_counter() + 0.5
+            while time.perf_counter() < end:
+                wrong += reals_of() != expected
+                done += 1
+            assert decimal.getcontext() is caller
+            assert (caller.prec, caller.rounding) == (5, decimal.ROUND_FLOOR)
+            assert [signal for signal, raised in caller.flags.items() if raised] == []
+    finally:
+        stop.set()
+        other.join(10)
+        sys.setswitchinterval(interval)
+    assert not other.is_alive()
+    assert done > 10 and wrong == 0
 
 
 def test_reals_leave_mpmaths_global_precision_alone(monkeypatch, capsys):

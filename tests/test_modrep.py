@@ -239,6 +239,37 @@ def test_jordan_type_refuses_entries_too_large_for_exact_float_products(p):
     assert jordan_type(unipotent_matrix((3, 2)), p) == (3, 2)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_jordan_type_of_a_random_conjugate_of_a_jordan_form(p):
+    # below 2^24 the products are taken in float32: they must give the ranks of the exact type
+    rng = random.Random(p)
+    for _ in range(6):
+        blocks = [rng.randint(1, 2 * p + 3) for _ in range(rng.randint(1, 6))]
+        U = unipotent_matrix(tuple(blocks))
+        n = len(U)
+        for _ in range(4 * n):  # U -> E U E^-1 with E = I + c e_ij: a row added, then a column taken away
+            i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+            if i != j:
+                c = rng.randrange(1, p) if p > 2 else 1
+                U[i] = (U[i] + c * U[j]) % p
+                U[:, j] = (U[:, j] - c * U[:, i]) % p
+        assert n * (p - 1) ** 2 < 2**24
+        assert jordan_type(U, p) == tuple(sorted(blocks, reverse=True)), (p, blocks)
+
+
+def test_jordan_type_takes_float64_products_just_past_float32s_bound():
+    # N = u v^T with v.u = 16 p = 0 mod p, so N^2 = 0 and N has rank 1: type (2, 1^15).  The
+    # bound n*(p-1)*max(N) is just past 2^24, and the inner sum 1015 + 16 * 1030^2 of the first
+    # level is odd and above 2^24, so a float32 product would round it and report N^2 != 0
+    p, n = 1031, 17
+    u, v = np.array([16] + [1] * (n - 1)), np.array([1] + [p - 1] * (n - 1))
+    N = np.outer(u, v) % p
+    assert 2**24 < n * (p - 1) * int(N.max()) < 1.1 * 2**24
+    total = int(N[0, 1]) + 16 * (p - 1) ** 2
+    assert total % 2 == 1 and total > 2**24 and int(np.float32(total)) != total
+    assert jordan_type(np.eye(n, dtype=np.int64) + N, p) == (2,) + (1,) * (n - 2)
+
+
 # -- tensor ----------------------------------------------------------------------
 
 

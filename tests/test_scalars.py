@@ -8,11 +8,14 @@ share no code.
 import math
 import operator
 import random
+from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 from mpmath import mp
+
+from conftest import as_mpf
 
 from semisimple.scalars import (
     PARSE_DEGREE_CAP,
@@ -31,6 +34,8 @@ from semisimple.scalars import (
     rank_mod_p,
     row_echelon_mod_p,
 )
+from semisimple import reals
+from semisimple.cli import _fmt_real
 
 PRIMES_TO_50 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
 
@@ -243,7 +248,7 @@ def test_is_prime_false_from_the_cap_on():
 def test_q_int_golden_ratio():
     with mp.workdps(WORKING_DPS):
         golden = (1 + mp.sqrt(5)) / 2
-        assert abs(q_int(5, 2, 1) - golden) < mp.mpf("1e-40")
+        assert abs(as_mpf(q_int(5, 2, 1)) - golden) < mp.mpf("1e-40")
 
 
 def test_q_int_unit_and_frozen_value():
@@ -251,7 +256,7 @@ def test_q_int_unit_and_frozen_value():
         assert q_int(p, 1, 1) == 1
     # sin(3*pi/7)/sin(pi/7), evaluated directly at high precision
     with mp.workdps(WORKING_DPS):
-        assert abs(q_int(7, 3, 1) - mp.mpf("2.2469796037174670610500097680")) < mp.mpf("1e-27")
+        assert abs(as_mpf(q_int(7, 3, 1)) - mp.mpf("2.2469796037174670610500097680")) < mp.mpf("1e-27")
 
 
 def test_q_int_of_label_one_is_exactly_one_at_p_2():
@@ -274,8 +279,8 @@ def sine_quotient(p, k, power):
 
 def assert_q_int_matches_the_sine_quotient(p, k, power):
     got, want = q_int(p, k, power), sine_quotient(p, k, power)
-    assert abs(got - want) < mp.mpf("1e-45") * abs(want), (p, k, power)
-    assert mp.nstr(got, 30) == mp.nstr(want, 30), (p, k, power)
+    assert abs(as_mpf(got) - want) < mp.mpf("1e-45") * abs(want), (p, k, power)
+    assert _fmt_real(got) == mp.nstr(want, 30), (p, k, power)
 
 
 def test_q_int_recurrence_matches_the_sine_quotient():
@@ -284,6 +289,14 @@ def test_q_int_recurrence_matches_the_sine_quotient():
             for power in (1, 2):
                 for k in range(1, p):
                     assert_q_int_matches_the_sine_quotient(p, k, power)
+        # values both types hold exactly, one for each way of printing: zero, an integer,
+        # exponents past either end of fixed notation, a rounding at the 31st digit that
+        # carries, and a digit 1 far past the 30th
+        for value, exact in ((Decimal(0), mp.mpf(0)), (Decimal(3), mp.mpf(3)), (Decimal(-3), mp.mpf(-3)),
+                             (Decimal(2**110), mp.ldexp(1, 110)), (Decimal(f"{5**40}e-40"), mp.ldexp(1, -40)),
+                             (Decimal(f"{(2**110 - 1) * 5**110}e-110"), 1 - mp.ldexp(1, -110)),
+                             (Decimal(f"{(2**100 + 1) * 5**100}e-100"), 1 + mp.ldexp(1, -100))):
+            assert _fmt_real(value) == mp.nstr(exact, 30), value
 
 
 def test_q_int_recurrence_matches_the_sine_quotient_at_a_large_prime():
@@ -307,6 +320,25 @@ def test_q_int_at_a_prime_past_the_entry_cap_walks_only_small_labels():
     for k, power in (((p - 1) // 2, 1), (FUSION_ENTRY_CAP + 1, 1), (p - 2, 2)):
         with pytest.raises(CapExceeded, match="q-integer label"):
             q_int(p, k, power)
+
+
+def test_pi_literal_covers_the_largest_prime_below_the_cap(monkeypatch):
+    # the fixed-point cosine reads pi off one 512-bit literal, which must hold the
+    # guard bits of the largest prime below PRIME_CAP, the one that asks for the most bits
+    with mp.workprec(600):
+        assert reals._PI == int(mp.floor(mp.ldexp(mp.pi, reals._PI_BITS)))
+    asked = []
+    cospi = reals._cospi
+
+    def recorded(a, b, bits):
+        asked.append(bits)
+        return cospi(a, b, bits)
+
+    monkeypatch.setattr(reals, "_cospi", recorded)
+    p = PRIME_CAP - 59
+    with mp.workdps(WORKING_DPS):
+        assert_q_int_matches_the_sine_quotient(p, 2, 2)
+    assert len(asked) == 1 and asked[0] + reals._GUARD <= reals._PI_BITS
 
 
 def test_q_int_palindrome_symmetry():

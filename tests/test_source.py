@@ -98,6 +98,12 @@ def test_no_module_computes_a_sine():
     assert SOURCES and [path.name for path in SOURCES if "sinpi" in path.read_text()] == []
 
 
+def test_no_module_imports_mpmath():
+    # every real is taken with ints and the standard decimal module (reals);
+    # mpmath is the tests' oracle, not a dependency of the package
+    assert SOURCES and [path.name for path in SOURCES if "mpmath" in path.read_text()] == []
+
+
 def test_every_plain_cap_is_checked_by_check_cap():
     # a value past its cap is refused in one place; the digit limit of an answer is not a value against a cap
     found = [name
