@@ -12,7 +12,8 @@ __version__ = "0.1.0"
 
 #: The public names each submodule defines.
 _EXPORTS = {
-    "scalars": "CapExceeded DomainError FpScalar T TPolynomial exact_det exact_rank is_prime q_int",
+    "scalars": "CapExceeded DomainError FpScalar is_prime q_int",
+    "exact": "T TPolynomial exact_det exact_rank",
     "partitions": "box_partitions box_square_sum box_walk dimensions",
     "brauer": "BiObject DiagramMorphism WalledDiagram algebra_is_semisimple braiding compose "
               "endomorphism_trace_form gram_matrix hom_basis identity negligible_rank schur_weyl_homdim "

@@ -81,34 +81,24 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
 from types import MappingProxyType
 
+from .exact import T, TPolynomial
 from .partitions import alcove_square_sum, box_square_sum
-from .scalars import (
-    DEGREE_CAP,
-    HOMDIM_DEGREE_CAP,
-    PRODUCT_WORK_CAP,
-    DomainError,
-    FpScalar,
-    T,
-    TPolynomial,
-    check_cap,
-)
+from .scalars import DEGREE_CAP, HOMDIM_DEGREE_CAP, PRODUCT_WORK_CAP, DomainError, FpScalar, Record, check_cap
 
 
-@dataclass(frozen=True)
-class BiObject:
+class BiObject(Record):
     """The object [r, s]: r covariant and s contravariant tensor factors."""
 
-    r: int
-    s: int
+    _fields = ("r", "s")
 
-    def __post_init__(self):
-        if self.r < 0 or self.s < 0:
+    def __init__(self, r: int, s: int):
+        if r < 0 or s < 0:
             raise DomainError("object indices must be nonnegative")
+        self.__dict__.update(r=r, s=s, _key=(r, s))
 
     @property
     def total(self) -> int:
@@ -137,29 +127,26 @@ def _incoming(source: BiObject, target: BiObject) -> range:
     return range(source.r, source.total + target.r)
 
 
-@dataclass(frozen=True)
-class WalledDiagram:
+class WalledDiagram(Record):
     """A wall-respecting perfect matching; a basis morphism source -> target."""
 
-    source: BiObject
-    target: BiObject
-    pairs: tuple[tuple[int, int], ...]
+    _fields = ("source", "target", "pairs")
 
-    def __post_init__(self):
-        if not all(isinstance(pair, (tuple, list)) and len(pair) == 2 for pair in self.pairs):
+    def __init__(self, source: BiObject, target: BiObject, pairs: tuple[tuple[int, int], ...]):
+        if not all(isinstance(pair, (tuple, list)) and len(pair) == 2 for pair in pairs):
             raise DomainError("each diagram pair must join two endpoints")
-        seen = [x for pair in self.pairs for x in pair]
+        seen = [x for pair in pairs for x in pair]
         if not all(type(x) is int for x in seen):  # 0.0 == 0 and True == 1 would pass the matching check
             raise DomainError("diagram endpoints must be integers")
-        pairs = tuple(sorted(tuple(sorted(pair)) for pair in self.pairs))
-        object.__setattr__(self, "pairs", pairs)
-        k = self.source.total + self.target.total
+        pairs = tuple(sorted(tuple(sorted(pair)) for pair in pairs))
+        k = source.total + target.total
         if sorted(seen) != list(range(k)):
             raise DomainError("pairs do not form a perfect matching of the endpoints")
-        incoming = _incoming(self.source, self.target)
+        incoming = _incoming(source, target)
         for x, y in pairs:
             if (x in incoming) == (y in incoming):
                 raise DomainError(f"pair {(x, y)} does not join an outgoing endpoint to an incoming one")
+        self.__dict__.update(source=source, target=target, pairs=pairs, _key=(source, target, pairs))
 
     def flip(self) -> "WalledDiagram":
         """Top-to-bottom reflection: the canonical image in Hom(target, source)."""

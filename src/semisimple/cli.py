@@ -29,7 +29,6 @@ from .scalars import (
     CapExceeded,
     DomainError,
     FpScalar,
-    exact_rank,
 )
 
 REAL_DIGITS = 30  # significant digits printed for any numeric value
@@ -374,6 +373,7 @@ def _selftest_fusion_vs_blocks() -> bool:
 
 def _selftest_gram_vs_characters() -> bool:
     from . import brauer
+    from .exact import exact_rank
 
     for r in range(4):
         for s in range(4 - r):

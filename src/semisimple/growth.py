@@ -34,7 +34,6 @@ load neither Jordan modules nor the fusion ring.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import count, islice, takewhile
 
@@ -45,6 +44,7 @@ from .scalars import (
     NUMERIC_TOL,
     DomainError,
     FpScalar,
+    Record,
     check_cap,
     check_prime,
 )
@@ -55,28 +55,25 @@ from .scalars import (
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GrowthRate:
+class GrowthRate(Record):
     """An exact growth rate: a multiplicity vector plus its numeric value.
 
     Equality is decided on (p, m) alone; the numeric field is computed
     from m at construction, so it can never drift from the exact data.
     """
 
-    p: int
-    m: tuple[int, ...]
-    numeric: object = field(init=False, compare=False)
+    _fields = ("p", "m", "numeric")
 
-    def __post_init__(self):
+    def __init__(self, p: int, m: tuple[int, ...]):
         from .verlinde import FusionElement, fp_dim
 
-        element = FusionElement(self.p, self.m)  # validates p and m
-        object.__setattr__(self, "m", element.multiplicities)
+        element = FusionElement(p, m)  # validates p and m
+        m = element.multiplicities
         value = fp_dim(element)
-        object.__setattr__(self, "numeric", value)
         # compared as exact fractions, so the caller's decimal context is neither read nor changed
-        if not (self.is_zero or Fraction(value) >= 1 - Fraction(NUMERIC_TOL)):
+        if not (element.is_zero or Fraction(value) >= 1 - Fraction(NUMERIC_TOL)):
             raise RuntimeError(f"Frobenius-Perron dimension {value} of a nonzero growth rate is below 1")
+        self.__dict__.update(p=p, m=m, numeric=value, _key=(p, m))
 
     @property
     def is_zero(self) -> bool:
@@ -100,17 +97,23 @@ class GrowthRate:
 
 
 def tensor_power_length(x: FusionElement, n: int) -> int:
-    """Number of simple summands of the n-th power of x, with multiplicity."""
+    """Number of simple summands of the n-th power of x, with multiplicity.
+
+    The fusion product is associative, so the power is taken by repeated
+    squaring: about 2 log2(n) products, not n - 1.
+    """
     if x.is_zero:
         raise DomainError("zero element has no tensor powers")
     if n < 1:
         raise DomainError("the power must be >= 1")
     from .verlinde import product
 
-    cur = x
-    for _ in range(n - 1):
-        cur = product(cur, x)
-    return cur.length
+    out = x
+    for bit in bin(n)[3:]:  # the bits of n after the leading 1: square, then multiply by x at a 1
+        out = product(out, out)
+        if bit == "1":
+            out = product(out, x)
+    return out.length
 
 
 def growth_rate(x: FusionElement) -> GrowthRate:
@@ -195,8 +198,7 @@ def recover_multiplicities(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GrowthReport:
+class GrowthReport(Record):
     """Verdicts tying a module's dimension to its multiplicity vector.
 
     divisibility_mod_p: dim(V) - sum k*m_k is divisible by p (always).
@@ -205,14 +207,12 @@ class GrowthReport:
                         faithful (has a block of size >= 2).
     """
 
-    p: int
-    dim: int
-    blocks: tuple[int, ...]
-    m: tuple[int, ...]
-    rate: GrowthRate
-    divisibility_mod_p: bool
-    dimension_match: bool | None
-    growth_below_dim: bool | None
+    _fields = ("p", "dim", "blocks", "m", "rate", "divisibility_mod_p", "dimension_match", "growth_below_dim")
+
+    def __init__(self, p: int, dim: int, blocks: tuple[int, ...], m: tuple[int, ...], rate: GrowthRate,
+                 divisibility_mod_p: bool, dimension_match: bool | None, growth_below_dim: bool | None):
+        key = (p, dim, blocks, m, rate, divisibility_mod_p, dimension_match, growth_below_dim)
+        self.__dict__.update(zip(self._fields, key), _key=key)
 
     def checks(self) -> dict:
         return {
@@ -264,19 +264,17 @@ def square_difference_vector(v: JordanModule) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PadicDigits:
+class PadicDigits(Record):
     """Base-p digits t_0, t_1, ... of a p-adic dimension, least significant first."""
 
-    p: int
-    digits: tuple[int, ...]
+    _fields = ("p", "digits")
 
-    def __post_init__(self):
-        check_prime(self.p)
-        digits = tuple(int(d) for d in self.digits)
-        object.__setattr__(self, "digits", digits)
-        if any(not 0 <= d < self.p for d in digits):
+    def __init__(self, p: int, digits: tuple[int, ...]):
+        check_prime(p)
+        digits = tuple(int(d) for d in digits)
+        if any(not 0 <= d < p for d in digits):
             raise DomainError("digits must lie in [0, p)")
+        self.__dict__.update(p=p, digits=digits, _key=(p, digits))
 
     @classmethod
     def of_row(cls, p: int, row) -> PadicDigits:
@@ -443,8 +441,7 @@ def plancherel_bound(p: int, d: int, cap: int = BOUNDS_PRIME_CAP):
     return plancherel_root(p, plancherel_square_sum(p, d, cap))
 
 
-@dataclass(frozen=True)
-class ImprovedBound:
+class ImprovedBound(Record):
     """The max-Schur-dimension refinement of the growth lower bound.
 
     M is the largest dimension of a Schur module S^lam(K^d) over
@@ -455,14 +452,12 @@ class ImprovedBound:
     modeled; only the exact finite-p quantities are reported.
     """
 
-    p: int
-    d: int
-    bound: object
-    max_schur_dim: int
-    max_partition: tuple[int, ...]
-    ratio: Fraction
-    row_sum: int
-    box_sum: int
+    _fields = ("p", "d", "bound", "max_schur_dim", "max_partition", "ratio", "row_sum", "box_sum")
+
+    def __init__(self, p: int, d: int, bound, max_schur_dim: int, max_partition: tuple[int, ...], ratio: Fraction,
+                 row_sum: int, box_sum: int):
+        key = (p, d, bound, max_schur_dim, max_partition, ratio, row_sum, box_sum)
+        self.__dict__.update(zip(self._fields, key), _key=key)
 
 
 def improved_bound(p: int, d: int, cap: int = BOUNDS_PRIME_CAP) -> ImprovedBound:

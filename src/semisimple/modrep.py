@@ -155,36 +155,34 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from math import comb
 
-from .scalars import (FUSION_ENTRY_CAP, INDUCED_DIM_CAP, ORDER_CAP, DomainError, check_cap, check_prime,
-                      row_echelon_mod_p)
+from .scalars import FUSION_ENTRY_CAP, INDUCED_DIM_CAP, ORDER_CAP, DomainError, Record, check_cap, check_prime
 
 
-@dataclass(frozen=True)
-class JordanModule:
-    """Multiset of Jordan block sizes for a cyclic group of order p^e."""
+class JordanModule(Record):
+    """Multiset of Jordan block sizes for a cyclic group of order p^e.
 
-    p: int
-    e: int
-    blocks: tuple[int, ...]
-    cap: int = field(default=ORDER_CAP, compare=False, repr=False)  # bounds p^e; not part of the value
+    `cap` bounds p^e; it is not part of the value, so == and hash leave it
+    out, and so does repr.
+    """
 
-    def __post_init__(self):
-        check_prime(self.p)
-        if self.e < 1:
+    _fields = ("p", "e", "blocks")
+
+    def __init__(self, p: int, e: int, blocks: tuple[int, ...], cap: int = ORDER_CAP):
+        check_prime(p)
+        if e < 1:
             raise DomainError("order exponent must be >= 1")
         # p >= 2, so p to the cap's bit length + 1 is past the cap: no larger power is taken,
         # and the order that passes is p^e
-        order = self.p ** min(self.e, self.cap.bit_length() + 1)
-        check_cap(f"group order {self.p}^{self.e}", order, self.cap)
-        blocks = tuple(sorted((int(b) for b in self.blocks), reverse=True))
-        object.__setattr__(self, "blocks", blocks)
+        order = p ** min(e, cap.bit_length() + 1)
+        check_cap(f"group order {p}^{e}", order, cap)
+        blocks = tuple(sorted((int(b) for b in blocks), reverse=True))
         for b in blocks:
             if not 1 <= b <= order:
                 raise DomainError(f"block size {b} outside [1, {order}]")
+        self.__dict__.update(p=p, e=e, blocks=blocks, cap=cap, _key=(p, e, blocks))
 
     @property
     def dim(self) -> int:
@@ -219,6 +217,8 @@ def jordan_type(U: np.ndarray, p: int) -> tuple[int, ...]:
     matrix is refused with CapExceeded.
     """
     import numpy as np
+
+    from .exact import row_echelon_mod_p
 
     n = U.shape[0]
     if n == 0:
@@ -390,7 +390,7 @@ def jordan_tensor(a: JordanModule, b: JordanModule) -> JordanModule:
     """Jordan type of the Kronecker product, pair of blocks by pair of blocks."""
     if (a.p, a.e) != (b.p, b.e):
         raise DomainError("tensor factors must share p and order exponent")
-    return replace(a, blocks=_tensor_blocks(a.p, a.blocks, b.blocks))
+    return JordanModule(a.p, a.e, _tensor_blocks(a.p, a.blocks, b.blocks), a.cap)
 
 
 def _induced_matrix(blocks: tuple[int, ...], basis: list[tuple[int, ...]]) -> np.ndarray:
@@ -460,7 +460,7 @@ def sym2(v: JordanModule) -> JordanModule:
     wedge = Counter(_wedge_type(v.p, v.blocks, 2))
     if wedge - square:
         raise RuntimeError(f"the type of Lambda^2 V is not contained in that of V (x) V for V = {v}")
-    return replace(v, blocks=tuple((square - wedge).elements()))
+    return JordanModule(v.p, v.e, tuple((square - wedge).elements()), v.cap)
 
 
 def ext2(v: JordanModule) -> JordanModule:
@@ -468,7 +468,7 @@ def ext2(v: JordanModule) -> JordanModule:
 
     Characteristic-free (offered at p = 2 as well, where sym2 is not).
     """
-    return replace(v, blocks=_wedge_type(v.p, v.blocks, 2))
+    return JordanModule(v.p, v.e, _wedge_type(v.p, v.blocks, 2), v.cap)
 
 
 def exterior_power(v: JordanModule, k: int) -> JordanModule:
@@ -477,12 +477,12 @@ def exterior_power(v: JordanModule, k: int) -> JordanModule:
         raise DomainError("exterior powers are only offered for p > 2")
     if not 0 <= k <= v.dim:
         raise DomainError(f"exterior power degree {k} outside [0, {v.dim}]")
-    return replace(v, blocks=_wedge_type(v.p, v.blocks, k))
+    return JordanModule(v.p, v.e, _wedge_type(v.p, v.blocks, k), v.cap)
 
 
 def non_negligible_part(v: JordanModule) -> JordanModule:
     """Drop every block whose size is divisible by p (the negligible summands)."""
-    return replace(v, blocks=tuple(b for b in v.blocks if b % v.p != 0))
+    return JordanModule(v.p, v.e, tuple(b for b in v.blocks if b % v.p != 0), v.cap)
 
 
 def to_verlinde(v: JordanModule) -> FusionElement:

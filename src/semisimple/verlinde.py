@@ -13,32 +13,29 @@ is trusted alone.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 from itertools import compress
 from operator import add
 
-from .scalars import FUSION_ENTRY_CAP, DomainError, FpScalar, check_cap, check_prime
+from .scalars import FUSION_ENTRY_CAP, DomainError, FpScalar, Record, check_cap, check_prime
 
 
-@dataclass(frozen=True)
-class FusionElement:
+class FusionElement(Record):
     """A nonnegative integer combination of the simple labels L_1..L_{p-1}.
 
     `zero`, `unit` and `simple` refuse a p whose p - 1 multiplicities
     exceed FUSION_ENTRY_CAP; `from_json` is bounded by its own input.
     """
 
-    p: int
-    multiplicities: tuple[int, ...]
+    _fields = ("p", "multiplicities")
 
-    def __post_init__(self):
-        check_prime(self.p)
-        m = tuple(map(int, self.multiplicities))
-        object.__setattr__(self, "multiplicities", m)
-        if len(m) != self.p - 1:
-            raise DomainError(f"expected {self.p - 1} multiplicities, got {len(m)}")
+    def __init__(self, p: int, multiplicities: tuple[int, ...]):
+        check_prime(p)
+        m = tuple(map(int, multiplicities))
+        if len(m) != p - 1:
+            raise DomainError(f"expected {p - 1} multiplicities, got {len(m)}")
         if min(m, default=0) < 0:
             raise DomainError("multiplicities must be nonnegative")
+        self.__dict__.update(p=p, multiplicities=m, _key=(p, m))
 
     @classmethod
     def zero(cls, p: int) -> "FusionElement":

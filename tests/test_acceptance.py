@@ -38,9 +38,10 @@ from semisimple.growth import (
     square_difference_vector,
     exterior_dimension_sequence,
 )
+from semisimple.exact import T, exact_det, exact_rank
 from semisimple.modrep import JordanModule, jordan_tensor, to_verlinde
 from semisimple.partitions import box_partitions, dimensions
-from semisimple.scalars import WORKING_DPS, T, exact_det, exact_rank, q_int
+from semisimple.scalars import WORKING_DPS, q_int
 from semisimple.verlinde import (
     FusionElement,
     fusion,

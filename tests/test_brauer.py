@@ -29,7 +29,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from semisimple import brauer, scalars
+from semisimple import brauer, exact, scalars
 from semisimple.brauer import (
     BiObject,
     DiagramMorphism,
@@ -50,8 +50,9 @@ from semisimple.brauer import (
     tensor,
     trace,
 )
+from semisimple.exact import T, TPolynomial, exact_det, exact_rank, rank_mod_p
 from semisimple.partitions import box_partitions, dimensions
-from semisimple.scalars import CapExceeded, DomainError, FpScalar, T, TPolynomial, exact_det, exact_rank, rank_mod_p
+from semisimple.scalars import CapExceeded, DomainError, FpScalar
 
 B11 = BiObject(1, 1)
 
@@ -526,8 +527,8 @@ def test_negligible_rank_eliminates_at_no_prime(monkeypatch):
     # for p > d the rank is read off the partitions of d, for p <= d off the
     # alcove tableaux; neither eliminates, so no call reaches the kernel
     calls = []
-    echelon = scalars.row_echelon_mod_p
-    monkeypatch.setattr(scalars, "row_echelon_mod_p", lambda m, p: calls.append((p, len(m))) or echelon(m, p))
+    echelon = exact.row_echelon_mod_p
+    monkeypatch.setattr(exact, "row_echelon_mod_p", lambda m, p: calls.append((p, len(m))) or echelon(m, p))
     for p in (2, 3, 5, 13, 2**32 + 15):
         for r in range(4):
             d = r + 1
@@ -573,7 +574,7 @@ def test_negligible_rank_matches_elimination_at_degree_6_mod_2_3_and_5():
 
 
 #: Ranks at degree 7, each from eliminating the 5040 x 5040 Gram matrix
-#: t^E mod p with scalars.row_echelon_mod_p, the route the alcove count
+#: t^E mod p with exact.row_echelon_mod_p, the route the alcove count
 #: replaced (`brauer rank --r 4 --s 3 --cap-brauer-degree 7`, 37-123 s and
 #: about 0.8 GB each on a 2-core host, so they are pinned here and not
 #: recomputed).

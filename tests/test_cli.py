@@ -20,9 +20,10 @@ import semisimple
 from semisimple import modrep, verlinde
 from semisimple.brauer import BiObject, DiagramMorphism, compose, hom_basis, schur_weyl_homdim
 from semisimple.cli import main
+from semisimple.exact import T, TPolynomial
 from semisimple.growth import padic_digits
 from semisimple.modrep import JordanModule
-from semisimple.scalars import CapExceeded, T, TPolynomial
+from semisimple.scalars import CapExceeded
 from semisimple.verlinde import FusionElement, fusion
 
 
@@ -668,8 +669,8 @@ def test_padic_binomial_at_a_large_prime_in_bounded_time():
 
 
 #: Runs the CLI on the argv in sys.argv[1] (JSON; null: only `import semisimple`)
-#: and prints the exit code, which of numpy and mpmath were imported, and
-#: which modules of the package.
+#: and prints the exit code, which of numpy, mpmath, dataclasses and inspect
+#: were imported, and which modules of the package.
 _IMPORT_PROBE = """
 import contextlib, io, json, sys
 argv = json.loads(sys.argv[1])
@@ -680,13 +681,13 @@ else:
     from semisimple.cli import main
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
-print(json.dumps([code, [name for name in ("numpy", "mpmath") if name in sys.modules],
+print(json.dumps([code, [name for name in ("numpy", "mpmath", "dataclasses", "inspect") if name in sys.modules],
                   sorted(name[len("semisimple."):] for name in sys.modules if name.startswith("semisimple."))]))
 """
 
 
 FUSION = {"cli", "scalars", "verlinde"}
-BRAUER = {"cli", "scalars", "partitions", "brauer"}
+BRAUER = {"cli", "scalars", "exact", "partitions", "brauer"}
 DECOMPOSE = {"cli", "scalars", "modrep"}
 BOUNDS = {"cli", "scalars", "growth", "partitions", "reals"}
 INVARIANTS = {"cli", "scalars", "modrep", "growth", "verlinde", "reals"}
@@ -713,9 +714,12 @@ REQUESTS = [
     (["decompose", "--p", "5", "--blocks", "4,2", "--op", "ext2"], 0, [], DECOMPOSE),
     (["decompose", "--p", "5", "--blocks", "4,2", "--op", "sym2"], 0, [], DECOMPOSE),
     # exterior powers of a block larger than p whose size is not a power of p are dense rank
-    # profiles: numpy, at p = 2 for the square and at every p for degree 3
-    (["decompose", "--p", "2", "--e", "3", "--blocks", "5", "--op", "ext2"], 0, ["numpy"], DECOMPOSE),
-    (["decompose", "--p", "3", "--e", "2", "--blocks", "7", "--op", "wedge", "--k", "3"], 0, ["numpy"], DECOMPOSE),
+    # profiles: numpy, which imports inspect itself, and the elimination of `exact`, at p = 2
+    # for the square and at every p for degree 3
+    (["decompose", "--p", "2", "--e", "3", "--blocks", "5", "--op", "ext2"], 0, ["numpy", "inspect"],
+     DECOMPOSE | {"exact"}),
+    (["decompose", "--p", "3", "--e", "2", "--blocks", "7", "--op", "wedge", "--k", "3"], 0, ["numpy", "inspect"],
+     DECOMPOSE | {"exact"}),
     # refusals load what the handler imports before it refuses
     (["decompose", "--p", "5", "--e", "3", "--blocks", "4"], 4, [], DECOMPOSE),
     (["padic", "--p", "2", "--blocks", "2"], 3, [], {"cli", "scalars", "modrep", "growth"}),
@@ -764,7 +768,7 @@ def test_package_names_resolve_on_first_access():
     for name in EXPORTED:
         value = getattr(semisimple, name)
         assert getattr(importlib.import_module(value.__module__), name) is value
-    for module in ("scalars", "partitions", "brauer", "modrep", "verlinde", "growth"):
+    for module in ("scalars", "exact", "partitions", "brauer", "modrep", "verlinde", "growth"):
         assert getattr(semisimple, module) is importlib.import_module(f"semisimple.{module}")
     namespace = {}
     exec("from semisimple import *", namespace)

@@ -52,7 +52,7 @@ from semisimple.cli import main
 from semisimple.modrep import JordanModule, ext2, exterior_power, sym2, to_verlinde
 from semisimple.partitions import box_partitions, dimensions
 from semisimple.scalars import WORKING_DPS, CapExceeded, DomainError, FpScalar, q_int
-from semisimple.verlinde import FusionElement, fp_dim, is_invertible
+from semisimple.verlinde import FusionElement, fp_dim, is_invertible, product
 
 
 def J(p, *blocks):
@@ -91,6 +91,40 @@ def test_tensor_power_length_examples():
     assert tensor_power_length(simple(5, 3), 4) == 5
     with pytest.raises(DomainError):
         tensor_power_length(FusionElement.zero(5), 1)
+
+
+def test_tensor_power_length_matches_the_product_loop():
+    # the oracle multiplies by x n - 1 times; the library squares
+    rng = random.Random(73)
+    for p in (2, 3, 5, 7, 11):
+        for _ in range(4):
+            x = FusionElement(p, tuple(rng.randint(0, 2) for _ in range(p - 1)))
+            if x.is_zero:
+                continue
+            power = x
+            for n in range(1, 70):
+                assert tensor_power_length(x, n) == power.length
+                power = product(power, x)
+
+
+def _fibonacci(n: int) -> int:
+    """F(n), by fast doubling: F(2k) = F(k)(2F(k+1) - F(k)), F(2k+1) = F(k)^2 + F(k+1)^2."""
+    a, b = 0, 1
+    for bit in bin(n)[2:]:
+        a, b = a * (2 * b - a), a * a + b * b
+        if bit == "1":
+            a, b = b, a + b
+    return a
+
+
+def test_tensor_power_length_is_bounded_in_time():
+    # L_2 at p = 5 is the golden ratio: the lengths of its powers are the Fibonacci numbers
+    x = FusionElement.simple(5, 2)
+    assert [tensor_power_length(x, n) for n in range(1, 40)] == [_fibonacci(n + 1) for n in range(1, 40)]
+    start = time.perf_counter()
+    length = tensor_power_length(x, 10**6)
+    assert time.perf_counter() - start < 10  # the n - 1 products did not finish in 20 s
+    assert length == _fibonacci(10**6 + 1)
 
 
 def test_length_supermultiplicative():

@@ -38,7 +38,8 @@ from semisimple.modrep import (
     sym2,
     to_verlinde,
 )
-from semisimple.scalars import CapExceeded, DomainError, is_prime, rank_mod_p
+from semisimple.exact import rank_mod_p
+from semisimple.scalars import CapExceeded, DomainError, is_prime
 from semisimple.verlinde import FusionElement
 
 

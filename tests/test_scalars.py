@@ -17,6 +17,7 @@ from mpmath import mp
 
 from conftest import as_mpf
 
+from semisimple.exact import T, TPolynomial, exact_det, exact_rank, rank_mod_p, row_echelon_mod_p
 from semisimple.scalars import (
     PARSE_DEGREE_CAP,
     PRIME_CAP,
@@ -25,14 +26,8 @@ from semisimple.scalars import (
     CapExceeded,
     DomainError,
     FpScalar,
-    T,
-    TPolynomial,
-    exact_det,
-    exact_rank,
     is_prime,
     q_int,
-    rank_mod_p,
-    row_echelon_mod_p,
 )
 from semisimple import reals
 from semisimple.cli import _fmt_real

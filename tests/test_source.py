@@ -38,7 +38,7 @@ def test_numpy_is_imported_only_by_the_dense_route():
     found = {name
              for path in SOURCES
              for name in _numpy_imports(ast.parse(path.read_text(), filename=str(path)), path.stem)}
-    assert found == {"scalars.row_echelon_mod_p", "modrep.jordan_type", "modrep._induced_matrix"}
+    assert found == {"exact.row_echelon_mod_p", "modrep.jordan_type", "modrep._induced_matrix"}
 
 
 def test_brauer_eliminates_no_matrix():
@@ -102,6 +102,12 @@ def test_no_module_imports_mpmath():
     # every real is taken with ints and the standard decimal module (reals);
     # mpmath is the tests' oracle, not a dependency of the package
     assert SOURCES and [path.name for path in SOURCES if "mpmath" in path.read_text()] == []
+
+
+def test_no_module_imports_dataclasses():
+    # dataclasses imports inspect, ast, dis and tokenize, about 8 ms of every
+    # request's start-up; the frozen records are built on scalars.Record
+    assert SOURCES and [path.name for path in SOURCES if "dataclasses" in path.read_text()] == []
 
 
 def test_every_plain_cap_is_checked_by_check_cap():
