@@ -323,14 +323,14 @@ def _coerce_coeff(c) -> TPolynomial:
     raise DomainError(f"diagram coefficients must be integer polynomials, got {type(c).__name__}")
 
 
-class DiagramMorphism:
-    """A finite linear combination of walled diagrams with one source/target."""
+class DiagramMorphism(Record):
+    """A finite linear combination of walled diagrams with one source/target.
 
-    __slots__ = ("source", "target", "terms")
+    Unhashable: its terms are a read-only view of a dict."""
+
+    __hash__ = None
 
     def __init__(self, source: BiObject, target: BiObject, terms=()):
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
         data: dict[WalledDiagram, TPolynomial] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for dia, coeff in items:
@@ -340,11 +340,11 @@ class DiagramMorphism:
             if dia in data:
                 coeff = data[dia] + coeff
             data[dia] = coeff
-        pruned = {d: c for d, c in data.items() if not c.is_zero}
-        object.__setattr__(self, "terms", MappingProxyType(pruned))
+        terms = MappingProxyType({d: c for d, c in data.items() if not c.is_zero})
+        self.__dict__.update(source=source, target=target, terms=terms, _key=(source, target, terms))
 
-    def __setattr__(self, name, val):
-        raise AttributeError("DiagramMorphism is immutable")
+    def __reduce__(self):
+        return DiagramMorphism, (self.source, self.target, dict(self.terms))
 
     @classmethod
     def from_diagram(cls, dia: WalledDiagram, coeff=1) -> "DiagramMorphism":
@@ -370,15 +370,6 @@ class DiagramMorphism:
         c = _coerce_coeff(scalar)
         return DiagramMorphism(
             self.source, self.target, [(d, c * v) for d, v in self.terms.items()]
-        )
-
-    def __eq__(self, other):
-        if not isinstance(other, DiagramMorphism):
-            return NotImplemented
-        return (
-            self.source == other.source
-            and self.target == other.target
-            and self.terms == other.terms
         )
 
     def __repr__(self):

@@ -13,35 +13,24 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable
 
-from .scalars import PARSE_DEGREE_CAP, DomainError, FpScalar, check_cap, check_prime, coerced
+from .scalars import PARSE_DEGREE_CAP, DomainError, FpScalar, Record, check_cap, check_prime, coerced
 
 
 _TERM_RE = re.compile(r"^(\d+)?(?:\*?t(?:\^(\d+))?)?$")
 
 
-class TPolynomial:
+class TPolynomial(Record):
     """Integer-coefficient polynomial in the loop parameter t.
 
     Coefficients are indexed by degree; the top coefficient is nonzero
     unless the polynomial is zero (empty coefficient tuple).
     """
 
-    __slots__ = ("coeffs",)
-
     def __init__(self, coeffs: Iterable[int] = ()):
         cs = [int(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name, val):
-        raise AttributeError("TPolynomial is immutable")
-
-    # -- constructors -------------------------------------------------
-
-    @classmethod
-    def constant(cls, c: int) -> "TPolynomial":
-        return cls((c,))
 
     # -- structure ----------------------------------------------------
 
@@ -133,11 +122,8 @@ class TPolynomial:
             acc = acc * x + c
         return acc
 
+    @coerced
     def __eq__(self, other):
-        if type(other) is int:  # a bool is no polynomial
-            other = TPolynomial((other,))
-        if not isinstance(other, TPolynomial):
-            return NotImplemented
         return self.coeffs == other.coeffs
 
     def __hash__(self):
@@ -323,7 +309,7 @@ def _integer_rows(rows: list[list]) -> tuple[list[list], int]:
     if any(isinstance(x, TPolynomial) for x in flat):
         if not all(isinstance(x, (TPolynomial, int)) for x in flat):
             raise DomainError("cannot mix polynomial entries with non-integer scalars")
-        return [[x if isinstance(x, TPolynomial) else TPolynomial.constant(x) for x in row] for row in rows], 1
+        return [[x if isinstance(x, TPolynomial) else TPolynomial((x,)) for x in row] for row in rows], 1
     if not all(isinstance(x, (int, Fraction)) for x in flat):
         raise DomainError(f"unsupported entry type {type(flat[0]).__name__}")
     cleared = []

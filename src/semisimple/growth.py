@@ -36,12 +36,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import count, islice, takewhile
+from math import isqrt
 
 from .scalars import (
     BOUNDS_PRIME_CAP,
     FUSION_ENTRY_CAP,
     INDUCED_DIM_CAP,
     NUMERIC_TOL,
+    POWER_WORK_CAP,
     DomainError,
     FpScalar,
     Record,
@@ -100,7 +102,8 @@ def tensor_power_length(x: FusionElement, n: int) -> int:
     """Number of simple summands of the n-th power of x, with multiplicity.
 
     The fusion product is associative, so the power is taken by repeated
-    squaring: about 2 log2(n) products, not n - 1.
+    squaring: about 2 log2(n) products, not n - 1.  A power whose estimated
+    work passes POWER_WORK_CAP raises CapExceeded before the first product.
     """
     if x.is_zero:
         raise DomainError("zero element has no tensor powers")
@@ -108,8 +111,15 @@ def tensor_power_length(x: FusionElement, n: int) -> int:
         raise DomainError("the power must be >= 1")
     from .verlinde import product
 
+    bits = bin(n)[3:]  # the bits of n after the leading 1: square, then multiply by x at a 1
+    triples = (x.p - 1) * x.p * (x.p + 1) // 6  # the (i, j, k) with L_k in L_i L_j
+    bound = sum(m * min(k, x.p - k) for k, m in enumerate(x.multiplicities, start=1))  # [k]_q <= min(k, p - k)
+    digits = n * (bound - 1).bit_length() // 30
+    work = (len(bits) + bits.count("1")) * (10 * triples + 400) + triples * isqrt(digits**3)
+    check_cap("a tensor power needs about {} operations, which", work, POWER_WORK_CAP)
+
     out = x
-    for bit in bin(n)[3:]:  # the bits of n after the leading 1: square, then multiply by x at a 1
+    for bit in bits:
         out = product(out, out)
         if bit == "1":
             out = product(out, x)

@@ -36,9 +36,12 @@ class CapExceeded(RuntimeError):
 
 
 def check_cap(what: str, value: int, cap: int) -> None:
-    """Refuse a value past its cap, naming it as what.format(value)."""
+    """Refuse a value past its cap, naming it as what.format(value); a value
+    past 4096 bits is named as a power of 2, since str() refuses an int of
+    more than 4300 digits."""
     if value > cap:
-        raise CapExceeded(f"{what.format(value)} exceeds the cap {cap}")
+        shown = value if value.bit_length() <= 4096 else f"2^{value.bit_length() - 1} or more"
+        raise CapExceeded(f"{what.format(shown)} exceeds the cap {cap}")
 
 
 # Default size caps.  Each module's functions take them as parameters; the
@@ -78,6 +81,15 @@ FUSION_ENTRY_CAP = 2**24
 #: two coefficients, and the product of their nonzero counts.  Checked
 #: before the first pair is formed; fixed, like HOMDIM_DEGREE_CAP.
 PRODUCT_WORK_CAP = 2**24
+
+#: Most work growth.tensor_power_length(x, n) may cost, in operations of
+#: about 10 ns: per fusion product, 400 plus 10 per label triple (i, j, k)
+#: with L_k in L_i L_j, of which there are (p - 1)p(p + 1)/6; and once, the
+#: triples times d^1.5 for entries of d 30-bit digits.  The power x^n has
+#: at most n log2(s) bits, s = sum of m_k min(k, p - k) bounding the
+#: Frobenius-Perron dimension of x.  Checked before the first product;
+#: fixed, like HOMDIM_DEGREE_CAP.
+POWER_WORK_CAP = 2**26
 
 #: Largest term degree TPolynomial.parse accepts, checked before the dense coefficient list is built.
 PARSE_DEGREE_CAP = 2**16
@@ -127,11 +139,16 @@ def coerced(op):
 
 
 class Record:
-    """Base of the frozen records.  A record's __init__ validates its values
-    and sets them in one call, self.__dict__.update(...), together with
-    `_key`, the tuple of the fields that == and hash compare; `_fields`
-    names the fields repr shows, in order.  Only a record of the same class
-    is equal to one, as with a frozen dataclass."""
+    """Base of every frozen value: the one place that refuses to set or
+    delete a field, compares, hashes and lets pickle and copy rebuild one.
+
+    A record's __init__ validates its values and sets them in one call,
+    self.__dict__.update(...), together with `_key`, the tuple of the fields
+    that == and hash compare; `_fields` names the fields repr shows, in
+    order.  Only a record of the same class is equal to one, as with a
+    frozen dataclass.  A small, numerous value may instead set each field
+    with object.__setattr__, which keeps its values inline without building
+    a per-instance dict, and define its own ==, hash and repr."""
 
     _fields: tuple[str, ...] = ()
 
@@ -153,18 +170,13 @@ class Record:
         return f"{type(self).__name__}({', '.join(f'{name}={getattr(self, name)!r}' for name in self._fields)})"
 
 
-class FpScalar:
+class FpScalar(Record):
     """An element of the prime field F_p, stored as an integer in [0, p)."""
-
-    __slots__ = ("value", "p")
 
     def __init__(self, value: int, p: int):
         check_prime(p)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "value", int(value) % p)
-
-    def __setattr__(self, name, val):  # immutable after construction
-        raise AttributeError("FpScalar is immutable")
 
     def _coerce(self, other) -> "FpScalar":
         if isinstance(other, FpScalar):

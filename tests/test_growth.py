@@ -47,11 +47,11 @@ from semisimple.growth import (
     square_difference_vector,
     tensor_power_length,
 )
-from semisimple import modrep, reals
+from semisimple import modrep, reals, verlinde
 from semisimple.cli import main
 from semisimple.modrep import JordanModule, ext2, exterior_power, sym2, to_verlinde
 from semisimple.partitions import box_partitions, dimensions
-from semisimple.scalars import WORKING_DPS, CapExceeded, DomainError, FpScalar, q_int
+from semisimple.scalars import POWER_WORK_CAP, WORKING_DPS, CapExceeded, DomainError, FpScalar, q_int
 from semisimple.verlinde import FusionElement, fp_dim, is_invertible, product
 
 
@@ -117,14 +117,69 @@ def _fibonacci(n: int) -> int:
     return a
 
 
-def test_tensor_power_length_is_bounded_in_time():
+class _Product(Exception):
+    """Raised in place of the first fusion product: the power passed its cap check."""
+
+
+def _largest_accepted_power(x: FusionElement, monkeypatch) -> int:
+    """The largest n at which tensor_power_length(x, n) passes POWER_WORK_CAP,
+    found by bisection with every fusion product refused."""
+
+    def accepted(n: int) -> bool:
+        try:
+            tensor_power_length(x, n)
+        except _Product:
+            return True
+        except CapExceeded:
+            return False
+        return True
+
+    def refuse(*args):
+        raise _Product
+
+    with monkeypatch.context() as patch:
+        patch.setattr(verlinde, "product", refuse)
+        low, high = 1, 2
+        while accepted(high):
+            low, high = high, 2 * high
+        while high - low > 1:
+            middle = (low + high) // 2
+            low, high = (middle, high) if accepted(middle) else (low, middle)
+    return low
+
+
+def test_tensor_power_length_is_bounded_in_time(monkeypatch):
     # L_2 at p = 5 is the golden ratio: the lengths of its powers are the Fibonacci numbers
     x = FusionElement.simple(5, 2)
     assert [tensor_power_length(x, n) for n in range(1, 40)] == [_fibonacci(n + 1) for n in range(1, 40)]
+    n = _largest_accepted_power(x, monkeypatch)
+    assert n > 5 * 10**5
     start = time.perf_counter()
-    length = tensor_power_length(x, 10**6)
-    assert time.perf_counter() - start < 10  # the n - 1 products did not finish in 20 s
-    assert length == _fibonacci(10**6 + 1)
+    length = tensor_power_length(x, n)
+    assert time.perf_counter() - start < 10  # about 0.1 s; the n - 1 products did not finish in 20 s
+    assert length == _fibonacci(n + 1)
+    with pytest.raises(CapExceeded):
+        tensor_power_length(x, n + 1)
+
+
+def test_tensor_power_length_of_a_dense_element_is_bounded_at_its_largest_power(monkeypatch):
+    # every label at once: each product has all (p - 1)p(p + 1)/6 label triples and dense entries
+    x = FusionElement(7, (1,) * 6)
+    n = _largest_accepted_power(x, monkeypatch)
+    start = time.perf_counter()
+    length = tensor_power_length(x, n)
+    assert time.perf_counter() - start < 10  # about 0.4 s on a 2-core x86-64 host
+    assert n > 10**4 and 0 < length.bit_length() <= n * 4  # the length is at most 12^n < 16^n, 12 = sum of min(k, 7 - k)
+
+
+def test_tensor_power_length_refuses_past_its_work_cap_before_any_product(monkeypatch):
+    monkeypatch.setattr(verlinde, "product", lambda *args: pytest.fail("a product was formed"))
+    for x, n in ((FusionElement.simple(47, 2), 10**5), (FusionElement.simple(5, 2), 10**5000),
+                 (FusionElement.unit(2), 2**200000), (FusionElement(257, (1,) * 256), 5)):
+        start = time.perf_counter()
+        with pytest.raises(CapExceeded, match=f"operations, which exceeds the cap {POWER_WORK_CAP}"):
+            tensor_power_length(x, n)
+        assert time.perf_counter() - start < 1
 
 
 def test_length_supermultiplicative():
@@ -869,16 +924,3 @@ def test_reals_neither_read_nor_change_the_callers_decimal_context():
         sys.setswitchinterval(interval)
     assert not other.is_alive()
     assert done > 10 and wrong == 0
-
-
-def test_reals_leave_mpmaths_global_precision_alone(monkeypatch, capsys):
-    def refuse(*args, **kwargs):
-        raise AssertionError("mpmath's process-wide precision was changed")
-
-    monkeypatch.setattr(mp, "workdps", refuse)
-    assert fp_dim(FusionElement.simple(7, 3)) > 2
-    assert invariant_report(JordanModule(7, 1, (3, 2))).growth_below_dim
-    assert plancherel_bound(5, 2) > 1
-    assert improved_bound(7, 2).bound > 1
-    assert main(["invariants", "--p", "5", "--blocks", "3,2", "--bounds"]) == 0
-    assert "b_numeric" in capsys.readouterr().out

@@ -1,6 +1,8 @@
 """The frozen records: construction by position and keyword, equality and
 hash on the compared fields within one class, immutability, pickling and
-repr, the contract each record has had since it was a frozen dataclass."""
+repr, the contract each record has had since it was a frozen dataclass;
+and the same freezing, pickling and repr for the three arithmetic values,
+F_p scalars, polynomials in t and diagram morphisms."""
 
 import copy
 import pickle
@@ -9,10 +11,11 @@ from fractions import Fraction
 
 import pytest
 
-from semisimple.brauer import BiObject, WalledDiagram
+from semisimple.brauer import BiObject, DiagramMorphism, WalledDiagram, hom_basis
+from semisimple.exact import T
 from semisimple.growth import GrowthRate, GrowthReport, ImprovedBound, PadicDigits
 from semisimple.modrep import JordanModule
-from semisimple.scalars import ORDER_CAP
+from semisimple.scalars import ORDER_CAP, FpScalar
 from semisimple.verlinde import FusionElement
 
 B11 = BiObject(1, 1)
@@ -118,3 +121,52 @@ def test_jordan_module_keeps_its_cap_through_pickle_and_deepcopy():
 @pytest.mark.parametrize("cls, args, key, text", RECORDS, ids=IDS)
 def test_record_repr_is_its_dataclass_text(cls, args, key, text):
     assert repr(cls(**args)) == text
+
+
+#: Each arithmetic value: a function making it afresh, the names of its
+#: fields, and its repr.
+VALUES = [
+    (lambda: FpScalar(3, 5), ("value", "p"), "FpScalar(3, 5)"),
+    (lambda: T**2 + 1, ("coeffs",), "TPolynomial([1, 0, 1])"),
+    (lambda: DiagramMorphism(B11, B11, [(hom_basis(B11, B11)[0], 2), (hom_basis(B11, B11)[1], T - 1)]),
+     ("source", "target", "terms"), "<[1,1] -> [1,1]: (2)*((0, 1), (2, 3)) + (t - 1)*((0, 2), (1, 3))>"),
+]
+VALUE_IDS = ["FpScalar", "TPolynomial", "DiagramMorphism"]
+
+
+@pytest.mark.parametrize("make, fields, text", VALUES, ids=VALUE_IDS)
+def test_value_refuses_to_set_or_delete_a_field(make, fields, text):
+    value = make()
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(value, name, getattr(value, name))
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    with pytest.raises(AttributeError):
+        value.unknown = 1
+
+
+@pytest.mark.parametrize("make, fields, text", VALUES, ids=VALUE_IDS)
+def test_value_pickles_and_copies(make, fields, text):
+    value = make()
+    copies = [pickle.loads(pickle.dumps(value, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    copies += [copy.copy(value), copy.deepcopy(value)]
+    for other in copies:
+        assert type(other) is type(value) and other == value and repr(other) == text
+        assert all(getattr(other, name) == getattr(value, name) for name in fields)
+        if not isinstance(value, DiagramMorphism):
+            assert hash(other) == hash(value)
+
+
+def test_diagram_morphism_stays_unhashable_and_read_only():
+    morphism = VALUES[2][0]()
+    for other in (morphism, copy.copy(morphism), copy.deepcopy(morphism), pickle.loads(pickle.dumps(morphism))):
+        with pytest.raises(TypeError):
+            hash(other)
+        with pytest.raises(TypeError):
+            other.terms[hom_basis(B11, B11)[0]] = 1
+
+
+@pytest.mark.parametrize("make, fields, text", VALUES, ids=VALUE_IDS)
+def test_value_repr_is_unchanged(make, fields, text):
+    assert repr(make()) == text

@@ -26,6 +26,7 @@ from semisimple.scalars import (
     CapExceeded,
     DomainError,
     FpScalar,
+    check_cap,
     is_prime,
     q_int,
 )
@@ -487,6 +488,15 @@ def test_mod2_echelon_of_transposed_and_fortran_ordered_input():
         want = rank_mod_p(np.ascontiguousarray(x), 2)
         assert rank_mod_p(x, 2) == want
         assert rank_mod_p(np.asfortranarray(x), 2) == want
+
+
+def test_check_cap_names_a_value_too_long_for_str_by_its_power_of_two():
+    check_cap("value {}", 5, 5)
+    with pytest.raises(CapExceeded, match=r"^value 6 exceeds the cap 5$"):
+        check_cap("value {}", 6, 5)
+    # str() of an int refuses more than 4300 digits; 10^5000 lies in [2^16609, 2^16610)
+    with pytest.raises(CapExceeded, match=r"^degree 2\^16609 or more \(2\^16609 or more! diagrams\) exceeds the cap 6$"):
+        check_cap("degree {0} ({0}! diagrams)", 10**5000, 6)
 
 
 def test_poly_parse_refuses_a_degree_past_the_cap_before_allocating():

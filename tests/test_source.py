@@ -110,6 +110,21 @@ def test_no_module_imports_dataclasses():
     assert SOURCES and [path.name for path in SOURCES if "dataclasses" in path.read_text()] == []
 
 
+def test_only_record_freezes_a_value():
+    # scalars.Record is the one place that refuses to set or delete a field;
+    # __slots__ and a raising __setattr__ each had its own, broken, copy of that rule
+    classes = [(path.stem, node) for path in SOURCES
+               for node in ast.walk(ast.parse(path.read_text(), filename=str(path))) if isinstance(node, ast.ClassDef)]
+    slots = [f"{module}.{node.name}" for module, node in classes for child in node.body
+             for target in (child.targets if isinstance(child, ast.Assign) else
+                            [child.target] if isinstance(child, ast.AnnAssign) else [])
+             if ast.unparse(target) == "__slots__"]
+    freezers = sorted(f"{module}.{node.name}.{child.name}" for module, node in classes for child in node.body
+                      if isinstance(child, ast.FunctionDef) and child.name in ("__setattr__", "__delattr__"))
+    assert classes and slots == []
+    assert freezers == ["scalars.Record.__delattr__", "scalars.Record.__setattr__"]
+
+
 def test_every_plain_cap_is_checked_by_check_cap():
     # a value past its cap is refused in one place; the digit limit of an answer is not a value against a cap
     found = [name
