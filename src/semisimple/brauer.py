@@ -6,16 +6,20 @@ combination of wall-respecting perfect matchings on the r+s+u+v endpoints.
 Composition stacks diagrams and converts every closed loop into one factor
 of t; the trace closes a diagram up and counts loops the same way.
 
-Endpoint numbering (the normal form all comparisons use): bottom row left
-to right, then top row left to right.  In each row the up-arrows come
-first: bottom indices [0, r) point up and [r, r+s) point down; with
-B = r + s, top indices [B, B+u) point up and [B+u, B+u+v) point down.
-Every strand joins an outgoing endpoint (a bottom up or a top down) to an
-incoming one (a bottom down or a top up), and the incoming endpoints are
-the one range [r, B+u) (`_incoming`); validation and the hom basis read
-it there.  `_class_starts` gives the four class starts that juxtaposition
-and the braiding renumber by.  Stacking and closing both follow the
-alternating walks of two overlaid matchings (`_walks`).
+Endpoint numbering: bottom row left to right, then top row left to
+right.  In each row the up-arrows come first: bottom indices [0, r) point
+up and [r, r+s) point down; with B = r + s, top indices [B, B+u) point up
+and [B+u, B+u+v) point down.  A diagram stores its matching once, as the
+involution `match` of these endpoints (match[x] is x's partner); all
+comparisons use it.  `pairs` is its sorted view, each pair from its
+smaller end in increasing order: the normal form of JSON, repr and the
+term order.  Every strand joins an outgoing endpoint (a bottom up or a
+top down) to an incoming one (a bottom down or a top up), and the
+incoming endpoints are the one range [r, B+u) (`_incoming`); validation
+and the hom basis read it there.  `_class_starts` gives the four class
+starts that juxtaposition and the braiding renumber by.  Stacking and
+closing both follow the alternating walks of two overlaid involutions
+(`_walks`).
 
 Gram matrices are group matrices of S_d.  A hom space of degree d has one
 basis diagram per permutation sigma of range(d), and the trace pairing of
@@ -80,7 +84,7 @@ independent check of both statements.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from operator import itemgetter
 from types import MappingProxyType
@@ -128,7 +132,11 @@ def _incoming(source: BiObject, target: BiObject) -> range:
 
 
 class WalledDiagram(Record):
-    """A wall-respecting perfect matching; a basis morphism source -> target."""
+    """A wall-respecting perfect matching; a basis morphism source -> target.
+
+    Stored once, as the fixed-point-free involution `match` of the
+    endpoints (match[x] is x's partner), which == and hash compare and the
+    walks read; `pairs` is its sorted view."""
 
     _fields = ("source", "target", "pairs")
 
@@ -138,27 +146,30 @@ class WalledDiagram(Record):
         seen = [x for pair in pairs for x in pair]
         if not all(type(x) is int for x in seen):  # 0.0 == 0 and True == 1 would pass the matching check
             raise DomainError("diagram endpoints must be integers")
-        pairs = tuple(sorted(tuple(sorted(pair)) for pair in pairs))
-        k = source.total + target.total
-        if sorted(seen) != list(range(k)):
+        if sorted(seen) != list(range(source.total + target.total)):
             raise DomainError("pairs do not form a perfect matching of the endpoints")
-        incoming = _incoming(source, target)
+        match = [0] * len(seen)
         for x, y in pairs:
-            if (x in incoming) == (y in incoming):
+            match[x], match[y] = y, x
+        incoming = _incoming(source, target)
+        for x, y in enumerate(match):
+            if x < y and (x in incoming) == (y in incoming):
                 raise DomainError(f"pair {(x, y)} does not join an outgoing endpoint to an incoming one")
-        self.__dict__.update(source=source, target=target, pairs=pairs, _key=(source, target, pairs))
+        match = tuple(match)
+        self.__dict__.update(source=source, target=target, match=match, _key=(source, target, match))
+
+    @property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        """The matching as pairs, each from its smaller end, in increasing order."""
+        return tuple((x, y) for x, y in enumerate(self.match) if x < y)
 
     def flip(self) -> "WalledDiagram":
-        """Top-to-bottom reflection: the canonical image in Hom(target, source)."""
-        bottom = self.source.total
-        top = self.target.total
+        """Top-to-bottom reflection: the canonical image in Hom(target, source).
 
-        def remap(i: int) -> int:
-            return i - bottom if i >= bottom else top + i
-
-        return WalledDiagram(
-            self.target, self.source, tuple((remap(x), remap(y)) for x, y in self.pairs)
-        )
+        The top row moves down, ahead of the bottom row: each endpoint
+        moves up by the top's size, cyclically."""
+        n, top = len(self.match), self.target.total
+        return WalledDiagram(self.target, self.source, tuple(((x + top) % n, (y + top) % n) for x, y in self.pairs))
 
     def to_json(self) -> dict:
         return {
@@ -226,7 +237,7 @@ def hom_basis(source: BiObject, target: BiObject, cap: int = DEGREE_CAP) -> list
     return out
 
 
-def _walks(first: list, second: list, ends) -> tuple[dict[int, int], int]:
+def _walks(first: Sequence, second: Sequence, ends) -> tuple[dict[int, int], int]:
     """Follow two overlaid matchings on the nodes 0..n-1, alternating.
 
     first[v] and second[v] are v's partners, or None where that matching
@@ -259,23 +270,17 @@ def _walks(first: list, second: list, ends) -> tuple[dict[int, int], int]:
     return far, cycles
 
 
-def _partners(pairs, n: int, shift: int = 0) -> list:
-    """The partner of each node 0..n-1 under `pairs` moved up by `shift`; None where no pair meets it."""
-    match: list = [None] * n
-    for x, y in pairs:
-        match[shift + x], match[shift + y] = shift + y, shift + x
-    return match
-
-
 def _stack(top: WalledDiagram, bottom: WalledDiagram) -> tuple[tuple[tuple[int, int], ...], int]:
     """Stack `bottom` (A -> B) under `top` (B -> C); return (pairs, loops).
 
     Shared node ids: 0..a-1 the A endpoints, a..a+b-1 the middle row,
-    a+b..a+b+c-1 the C endpoints.  Every middle node carries exactly one
-    edge from each diagram, so the walks join boundary nodes in pairs,
-    and each closed middle cycle contributes one loop.  The pairs are those
-    of the diagram A -> C, already in normal form: `_walks` records each
-    path from its smaller end, in increasing order, so no diagram is built.
+    a+b..a+b+c-1 the C endpoints: the walks read bottom's `match` padded
+    with None on the C ids, and top's moved up by a.  Every middle node
+    carries exactly one edge from each diagram, so the walks join boundary
+    nodes in pairs, and each closed middle cycle contributes one loop.  The
+    pairs are those of the diagram A -> C, already its sorted view of
+    `match`: `_walks` records each path from its smaller end, in increasing
+    order, so no diagram is built.
     """
     if bottom.target != top.source:
         raise DomainError(
@@ -285,7 +290,7 @@ def _stack(top: WalledDiagram, bottom: WalledDiagram) -> tuple[tuple[tuple[int, 
     b = bottom.target.total
     n = a + b + top.target.total
     # bottom's endpoints already live on ids 0..a+b-1; top's shift by a: middle ids a..a+b-1, C ids a+b..
-    far, loops = _walks(_partners(bottom.pairs, n), _partners(top.pairs, n, a),
+    far, loops = _walks(bottom.match + (None,) * (n - a - b), [None] * a + [a + y for y in top.match],
                         itertools.chain(range(a), range(a + b, n)))
 
     def final(v: int) -> int:
@@ -312,7 +317,7 @@ def _juxtapose(d1: WalledDiagram, d2: WalledDiagram) -> WalledDiagram:
 def _closure_loops(d: WalledDiagram) -> int:
     """Loops after joining bottom endpoint i to top endpoint i for all i."""
     n = d.source.total
-    return _walks(_partners(d.pairs, 2 * n), [*range(n, 2 * n), *range(n)], ())[1]
+    return _walks(d.match, [*range(n, 2 * n), *range(n)], ())[1]
 
 
 def _coerce_coeff(c) -> TPolynomial:

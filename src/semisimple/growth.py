@@ -49,6 +49,7 @@ from .scalars import (
     Record,
     check_cap,
     check_prime,
+    shown,
 )
 
 
@@ -424,7 +425,7 @@ def _check_bounds_args(p: int, d: int, cap: int):
     check_prime(p)
     check_cap("bound enumeration for p={}", p, cap)
     if not 1 <= d <= p - 1:
-        raise DomainError(f"d={d} outside [1, {p - 1}]")
+        raise DomainError(f"d={shown(d)} outside [1, {p - 1}]")
 
 
 def plancherel_square_sum(p: int, d: int, cap: int = BOUNDS_PRIME_CAP) -> int:

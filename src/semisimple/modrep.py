@@ -158,7 +158,7 @@ from collections import Counter
 from functools import lru_cache
 from math import comb
 
-from .scalars import FUSION_ENTRY_CAP, INDUCED_DIM_CAP, ORDER_CAP, DomainError, Record, check_cap, check_prime
+from .scalars import FUSION_ENTRY_CAP, INDUCED_DIM_CAP, ORDER_CAP, DomainError, Record, check_cap, check_prime, shown
 
 
 class JordanModule(Record):
@@ -172,16 +172,18 @@ class JordanModule(Record):
 
     def __init__(self, p: int, e: int, blocks: tuple[int, ...], cap: int = ORDER_CAP):
         check_prime(p)
+        if type(e) is not int:  # 1.5 or True would make a group order of that type
+            raise DomainError("order exponent must be an integer")
         if e < 1:
             raise DomainError("order exponent must be >= 1")
         # p >= 2, so p to the cap's bit length + 1 is past the cap: no larger power is taken,
         # and the order that passes is p^e
         order = p ** min(e, cap.bit_length() + 1)
-        check_cap(f"group order {p}^{e}", order, cap)
+        check_cap(f"group order {p}^{shown(e)}", order, cap)
         blocks = tuple(sorted((int(b) for b in blocks), reverse=True))
         for b in blocks:
             if not 1 <= b <= order:
-                raise DomainError(f"block size {b} outside [1, {order}]")
+                raise DomainError(f"block size {shown(b)} outside [1, {order}]")
         self.__dict__.update(p=p, e=e, blocks=blocks, cap=cap, _key=(p, e, blocks))
 
     @property
@@ -476,7 +478,7 @@ def exterior_power(v: JordanModule, k: int) -> JordanModule:
     if v.p == 2:
         raise DomainError("exterior powers are only offered for p > 2")
     if not 0 <= k <= v.dim:
-        raise DomainError(f"exterior power degree {k} outside [0, {v.dim}]")
+        raise DomainError(f"exterior power degree {shown(k)} outside [0, {v.dim}]")
     return JordanModule(v.p, v.e, _wedge_type(v.p, v.blocks, k), v.cap)
 
 

@@ -35,13 +35,20 @@ class CapExceeded(RuntimeError):
     """A computation was refused because it exceeds a configured size cap."""
 
 
+def shown(value):
+    """value as a message names it: itself, or for an int past 4096 bits,
+    which str() refuses past 4300 digits, its least power of 2 ("2^n or
+    more", "-(2^n or more)" below zero)."""
+    if not isinstance(value, int) or value.bit_length() <= 4096:
+        return value
+    power = f"2^{value.bit_length() - 1} or more"
+    return power if value > 0 else f"-({power})"
+
+
 def check_cap(what: str, value: int, cap: int) -> None:
-    """Refuse a value past its cap, naming it as what.format(value); a value
-    past 4096 bits is named as a power of 2, since str() refuses an int of
-    more than 4300 digits."""
+    """Refuse a value past its cap, naming it as what.format(shown(value))."""
     if value > cap:
-        shown = value if value.bit_length() <= 4096 else f"2^{value.bit_length() - 1} or more"
-        raise CapExceeded(f"{what.format(shown)} exceeds the cap {cap}")
+        raise CapExceeded(f"{what.format(shown(value))} exceeds the cap {cap}")
 
 
 # Default size caps.  Each module's functions take them as parameters; the
@@ -124,7 +131,8 @@ def is_prime(n: int) -> bool:
 
 def check_prime(p: int) -> int:
     if not is_prime(p):
-        raise DomainError(f"modulus {p!r} is not a prime in the supported range")
+        named = shown(p) if isinstance(p, int) else repr(p)
+        raise DomainError(f"modulus {named} is not a prime in the supported range")
     return p
 
 
@@ -259,7 +267,7 @@ def q_int(p: int, k: int, power: int = 1):
 
     check_prime(p)
     if not 1 <= k <= p - 1:
-        raise DomainError(f"label k={k} outside [1, {p - 1}]")
+        raise DomainError(f"label k={shown(k)} outside [1, {p - 1}]")
     if power not in (1, 2):
         raise DomainError("power must be 1 or 2")
     if power == 1:

@@ -16,7 +16,7 @@ from collections.abc import Iterator
 from itertools import compress
 from operator import add
 
-from .scalars import FUSION_ENTRY_CAP, DomainError, FpScalar, Record, check_cap, check_prime
+from .scalars import FUSION_ENTRY_CAP, DomainError, FpScalar, Record, check_cap, check_prime, shown
 
 
 class FusionElement(Record):
@@ -49,7 +49,7 @@ class FusionElement(Record):
     def simple(cls, p: int, k: int) -> "FusionElement":
         _check_fusion_args(p, p - 1, FUSION_ENTRY_CAP)
         if not 1 <= k <= p - 1:
-            raise DomainError(f"label {k} outside [1, {p - 1}]")
+            raise DomainError(f"label {shown(k)} outside [1, {p - 1}]")
         m = [0] * (p - 1)
         m[k - 1] = 1
         return cls(p, tuple(m))
@@ -116,7 +116,7 @@ def fusion(p: int, i: int, j: int, cap: int = FUSION_ENTRY_CAP) -> FusionElement
     """
     _check_fusion_args(p, p - 1, cap)
     if not (1 <= i <= p - 1 and 1 <= j <= p - 1):
-        raise DomainError(f"labels ({i}, {j}) outside [1, {p - 1}]")
+        raise DomainError(f"labels ({shown(i)}, {shown(j)}) outside [1, {p - 1}]")
     m = [0] * (p - 1)
     for k in _summands(p, i, j):
         m[k - 1] = 1
@@ -133,8 +133,9 @@ def product(x: FusionElement, y: FusionElement) -> FusionElement:
     for i, a in enumerate(x.multiplicities, start=1):
         if a:
             for j, b in ys:
+                ab = a * b
                 for k in _summands(p, i, j):
-                    out[k - 1] += a * b
+                    out[k - 1] += ab
     return FusionElement(p, tuple(out))
 
 

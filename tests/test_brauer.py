@@ -138,7 +138,9 @@ def test_diagram_validation_matches_the_numbering_rule():
                 # a pair in one row changes direction, a pair across the rows keeps it
                 valid = all((row_x == row_y) != (dir_x == dir_y) for (row_x, dir_x), (row_y, dir_y) in kinds)
                 if valid:
-                    assert WalledDiagram(source, target, pairs).pairs == tuple(sorted(pairs))
+                    diagram = WalledDiagram(source, target, pairs)
+                    assert diagram.pairs == tuple(sorted(pairs))
+                    assert all(diagram.match[x] == y and diagram.match[y] == x for x, y in pairs)
                 else:
                     with pytest.raises(DomainError):
                         WalledDiagram(source, target, pairs)

@@ -177,6 +177,14 @@ def test_module_validation():
         JordanModule(2, 7, (1,))
 
 
+def test_module_refuses_an_exponent_that_is_not_an_int():
+    # 1.5 made a float group order and the document {"e": 1.5}; True passed as 1
+    for e in (1.5, 1.0, True, "1"):
+        with pytest.raises(DomainError, match="^order exponent must be an integer$"):
+            JordanModule(5, e, (3,))
+    assert JordanModule(5, 2, (3,)).to_json() == {"p": 5, "e": 2, "blocks": [3]}
+
+
 def test_a_raised_order_cap_travels_with_the_module():
     # a cap passed to one module bounds every module derived from it, and no other
     for v in (JordanModule(2, 7, (3,), cap=128), JordanModule(3, 4, (5,), cap=81)):

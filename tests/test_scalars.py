@@ -18,6 +18,8 @@ from mpmath import mp
 from conftest import as_mpf
 
 from semisimple.exact import T, TPolynomial, exact_det, exact_rank, rank_mod_p, row_echelon_mod_p
+from semisimple.growth import improved_bound, plancherel_square_sum
+from semisimple.modrep import JordanModule, exterior_power
 from semisimple.scalars import (
     PARSE_DEGREE_CAP,
     PRIME_CAP,
@@ -29,9 +31,11 @@ from semisimple.scalars import (
     check_cap,
     is_prime,
     q_int,
+    shown,
 )
 from semisimple import reals
 from semisimple.cli import _fmt_real
+from semisimple.verlinde import FusionElement, fusion
 
 PRIMES_TO_50 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
 
@@ -497,6 +501,33 @@ def test_check_cap_names_a_value_too_long_for_str_by_its_power_of_two():
     # str() of an int refuses more than 4300 digits; 10^5000 lies in [2^16609, 2^16610)
     with pytest.raises(CapExceeded, match=r"^degree 2\^16609 or more \(2\^16609 or more! diagrams\) exceeds the cap 6$"):
         check_cap("degree {0} ({0}! diagrams)", 10**5000, 6)
+
+
+HUGE = 10**5000  # str() refuses it: more than 4300 digits
+
+
+@pytest.mark.parametrize("call", [
+    lambda: FpScalar(1, HUGE),
+    lambda: FpScalar(1, -HUGE),
+    lambda: FusionElement(HUGE, ()),
+    lambda: JordanModule(5, HUGE, (1,)),
+    lambda: JordanModule(5, 1, (HUGE,)),
+    lambda: q_int(5, HUGE),
+    lambda: fusion(5, HUGE, 2),
+    lambda: FusionElement.simple(5, HUGE),
+    lambda: exterior_power(JordanModule(5, 1, (3,)), HUGE),
+    lambda: plancherel_square_sum(5, HUGE),
+    lambda: improved_bound(5, HUGE),
+], ids=["fp-modulus", "fp-negative-modulus", "fusion-element-prime", "jordan-exponent", "jordan-block", "q-int-label",
+        "fusion-label", "simple-label", "exterior-degree", "plancherel-d", "improved-bound-d"])
+def test_a_refusal_names_an_int_too_long_for_str_by_its_power_of_two(call):
+    with pytest.raises((DomainError, CapExceeded), match=r"2\^16609 or more"):
+        call()
+
+
+def test_shown_leaves_every_other_value_as_it_is():
+    assert [shown(x) for x in (5, -5, 2**4096 - 1, 1.5, "x")] == [5, -5, 2**4096 - 1, 1.5, "x"]
+    assert (shown(2**4096), shown(-(2**4096))) == ("2^4096 or more", "-(2^4096 or more)")
 
 
 def test_poly_parse_refuses_a_degree_past_the_cap_before_allocating():

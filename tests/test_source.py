@@ -62,6 +62,25 @@ def test_brauer_validates_no_diagram_it_stacks():
     assert "object.__new__" not in {ast.unparse(node) for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
 
 
+def test_brauer_walks_read_each_diagrams_involution():
+    # a diagram stores its matching once, as `match`; no function rebuilds partner lists from its pairs
+    tree = ast.parse((Path(semisimple.__file__).parent / "brauer.py").read_text())
+    defs = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+
+    def attributes(node: ast.AST) -> set[str]:
+        return {child.attr for child in ast.walk(node) if isinstance(child, ast.Attribute)}
+
+    def sets_an_item(node: ast.AST) -> bool:
+        return any(isinstance(part, ast.Subscript) for child in ast.walk(node) if isinstance(child, ast.Assign)
+                   for target in child.targets for part in ast.walk(target))
+
+    for name in ("_stack", "_closure_loops"):
+        assert "match" in attributes(defs[name]) and "pairs" not in attributes(defs[name])
+    builders = [name for name, node in defs.items() for loop in ast.walk(node)
+                if isinstance(loop, ast.For) and "pairs" in attributes(loop.iter) and sets_an_item(loop)]
+    assert "_partners" not in defs and builders == []
+
+
 def test_cli_reads_digits_off_its_rows_without_checking_them_again():
     # every row `padic` prints is a Lucas product by construction; checking it against itself cannot fail
     tree = ast.parse((Path(semisimple.__file__).parent / "cli.py").read_text())
